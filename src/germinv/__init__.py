@@ -40,14 +40,14 @@ from .families import (
 )
 from .gaussian import GaussianRational
 from .localring import (
-    LOCAL_ORDER,
-    LocalOrder,
     StandardBasisResult,
     ideal_quotient_dim,
     standard_basis,
 )
 from .milnor import (
+    GermInvariants,
     MilnorResult,
+    germ_invariants,
     is_isolated,
     is_semihomogeneous,
     local_milnor_at,

@@ -33,6 +33,7 @@ from .milnor import METHOD_FAST, METHOD_ORACLE, METHOD_STANDARD_BASIS, milnor_wi
 from .monodromy import (
     ResolutionData,
     char_poly,
+    euler_fiber,
     homogeneous_resolution,
     lefschetz_sequence,
     milnor_from_resolution,
@@ -212,7 +213,7 @@ def _cmd_zeta(args) -> dict:
         "Lambda": list(lam.values),
         "Z": str(z),
         "command": "zeta",
-        "eulerFiber": sum(m * chi for m, chi in res.strata),
+        "eulerFiber": euler_fiber(res),
         "mu": milnor_from_resolution(res, n),
         "multiplicityBound": {
             "firstNonzero": bound.first_nonzero,

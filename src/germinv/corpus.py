@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .milnor import (
-    METHOD_STANDARD_BASIS,
-    is_semihomogeneous,
-    milnor_number,
-    milnor_oracle,
-    oracle_dmax_for,
-)
+from .milnor import METHOD_STANDARD_BASIS, germ_invariants, milnor_oracle, oracle_dmax_for
 from .poly import Poly, parse_poly
 
 
@@ -94,7 +88,7 @@ def run_corpus(entries=ISOLATED_GERMS) -> list[dict]:
     results = []
     for germ in entries:
         f = germ.poly()
-        engine = milnor_number(f)
+        engine = germ_invariants(f)
         if engine.mu is None:
             oracle = milnor_oracle(f)
         else:
@@ -108,8 +102,8 @@ def run_corpus(entries=ISOLATED_GERMS) -> list[dict]:
                 "mu": engine.mu,
                 "muOracle": oracle,
                 "name": germ.name,
-                "order": f.order(),
-                "semihomogeneousComputed": f.order() >= 2 and is_semihomogeneous(f),
+                "order": engine.order,
+                "semihomogeneousComputed": engine.semihomogeneous,
                 "vars": list(germ.vars),
             }
         )

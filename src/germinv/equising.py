@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ZeroPolynomialError
-from .milnor import is_semihomogeneous, milnor_number
+from .milnor import GermInvariants, germ_invariants
 from .monodromy import chi_tangent_cone_complement
 from .poly import Poly
 
@@ -77,29 +77,26 @@ class ConeChiCheck:
     chi: tuple[int | None, int | None]
 
 
-def _cone_chi(f: Poly, semihom: bool) -> int | None:
-    order = f.order()
-    if order == 1:
+def _cone_chi(germ: GermInvariants) -> int | None:
+    if germ.order == 1:
         # Regular germ: the projectivized cone is a hyperplane, complement
         # an affine space, Euler number 1.
         return 1
-    if semihom:
-        return chi_tangent_cone_complement(order, f.nvars)
+    if germ.semihomogeneous:
+        return chi_tangent_cone_complement(germ.order, germ.nvars)
     return None
 
 
-def check_cone_chi_criterion(f: Poly, g: Poly) -> ConeChiCheck:
-    semi_f = f.order() >= 2 and is_semihomogeneous(f)
-    semi_g = g.order() >= 2 and is_semihomogeneous(g)
-    chi_f = _cone_chi(f, semi_f)
-    chi_g = _cone_chi(g, semi_g)
-    if chi_f is not None and chi_g is not None:
+def check_cone_chi_criterion(a: GermInvariants, b: GermInvariants) -> ConeChiCheck:
+    chi_a = _cone_chi(a)
+    chi_b = _cone_chi(b)
+    if chi_a is not None and chi_b is not None:
         status = (
-            CONE_CHI_CERTIFIED if chi_f != 0 and chi_g != 0 else CONE_CHI_NOT_SATISFIED
+            CONE_CHI_CERTIFIED if chi_a != 0 and chi_b != 0 else CONE_CHI_NOT_SATISFIED
         )
     else:
         status = CONE_CHI_UNKNOWN
-    return ConeChiCheck(status, (chi_f, chi_g))
+    return ConeChiCheck(status, (chi_a, chi_b))
 
 
 @dataclass(frozen=True)
@@ -118,30 +115,27 @@ class MixedClassCheck:
     bounds: tuple[int, int]  # ((order-1)^n for each germ, in argument order)
 
 
-def check_mixed_class_pair(f: Poly, g: Poly) -> MixedClassCheck:
-    semi_f = is_semihomogeneous(f)
-    semi_g = is_semihomogeneous(g)
-    if semi_f == semi_g:
+def check_mixed_class_pair(a: GermInvariants, b: GermInvariants) -> MixedClassCheck:
+    if min(a.order, b.order) < 2:
+        raise InputError("semihomogeneity is only defined for germs of order >= 2")
+    if a.semihomogeneous == b.semihomogeneous:
         raise InputError(
             "mixed-class check needs exactly one semihomogeneous germ"
         )
-    mu_f = milnor_number(f).mu
-    mu_g = milnor_number(g).mu
-    if mu_f is None or mu_g is None:
+    if a.mu is None or b.mu is None:
         raise InputError("mixed-class check needs isolated germs")
-    side = 0 if semi_f else 1
+    side = 0 if a.semihomogeneous else 1
     bounds = (
-        (f.order() - 1) ** f.nvars,
-        (g.order() - 1) ** g.nvars,
+        (a.order - 1) ** a.nvars,
+        (b.order - 1) ** b.nvars,
     )
-    obstructed = mu_f != mu_g
+    obstructed = a.mu != b.mu
     constraint = None
     if not obstructed:
-        non = g if semi_f else f
-        sem = f if semi_f else g
+        sem, non = (a, b) if a.semihomogeneous else (b, a)
         constraint = (
-            f"equal mu forces the non-semihomogeneous order ({non.order()}) "
-            f"strictly below the semihomogeneous order ({sem.order()})"
+            f"equal mu forces the non-semihomogeneous order ({non.order}) "
+            f"strictly below the semihomogeneous order ({sem.order})"
         )
     return MixedClassCheck(obstructed, constraint, side, bounds)
 
@@ -176,7 +170,7 @@ class DiscriminationReport:
         }
 
 
-def _validated_pair(f: Poly, g: Poly) -> tuple[int, int]:
+def _validated_pair(f: Poly, g: Poly) -> tuple[GermInvariants, GermInvariants]:
     for label, p in (("first", f), ("second", g)):
         if not p:
             raise ZeroPolynomialError(f"the {label} germ is the zero polynomial")
@@ -186,17 +180,17 @@ def _validated_pair(f: Poly, g: Poly) -> tuple[int, int]:
         raise InputError(
             f"germs live in different variable counts ({f.nvars} vs {g.nvars})"
         )
-    mu = []
+    germs = []
     for label, p in (("first", f), ("second", g)):
-        result = milnor_number(p)
-        if result.mu is None:
+        germ = germ_invariants(p)
+        if germ.mu is None:
             raise InputError(
                 f"the {label} germ has a non-isolated critical locus "
                 "(no finite Milnor number); the discriminator requires "
                 "isolated or regular germs"
             )
-        mu.append(result.mu)
-    return mu[0], mu[1]
+        germs.append(germ)
+    return germs[0], germs[1]
 
 
 def discriminate(f: Poly, g: Poly) -> DiscriminationReport:
@@ -207,24 +201,20 @@ def discriminate(f: Poly, g: Poly) -> DiscriminationReport:
     EQUIMULTIPLE_IF_EQUISINGULAR; otherwise INCONCLUSIVE.  All verdicts and
     every recorded check are symmetric in the two arguments.
     """
-    mu_f, mu_g = _validated_pair(f, g)
-    order_f, order_g = f.order(), g.order()
-    windows = (degree_window(f), degree_window(g))
-    semi = (
-        order_f >= 2 and is_semihomogeneous(f),
-        order_g >= 2 and is_semihomogeneous(g),
-    )
+    a, b = _validated_pair(f, g)
+    windows = (DegreeWindow(a.order, a.degree), DegreeWindow(b.order, b.degree))
+    semi = (a.semihomogeneous, b.semihomogeneous)
 
     checks: list[CheckRecord] = []
     checks.append(
         CheckRecord(
             RULE_REGULAR_SINGULAR,
             check_regular_singular_mismatch(f, g),
-            {"order": [order_f, order_g]},
+            {"order": [a.order, b.order]},
         )
     )
     checks.append(
-        CheckRecord(RULE_MU_MISMATCH, mu_f != mu_g, {"mu": [mu_f, mu_g]})
+        CheckRecord(RULE_MU_MISMATCH, a.mu != b.mu, {"mu": [a.mu, b.mu]})
     )
     checks.append(
         CheckRecord(
@@ -233,18 +223,18 @@ def discriminate(f: Poly, g: Poly) -> DiscriminationReport:
             {"windows": [[w.low, w.high] for w in windows]},
         )
     )
-    if semi[0] != semi[1] and order_f >= 2 and order_g >= 2:
-        mixed = check_mixed_class_pair(f, g)
+    if semi[0] != semi[1] and min(a.order, b.order) >= 2:
+        mixed = check_mixed_class_pair(a, b)
         detail = {
             "closedFormBound": list(mixed.bounds),
-            "mu": [mu_f, mu_g],
+            "mu": [a.mu, b.mu],
             "semihomogeneousSide": mixed.semihomogeneous_side,
         }
         if mixed.constraint:
             detail["constraint"] = mixed.constraint
         checks.append(CheckRecord(RULE_MIXED_CLASS, mixed.obstructed, detail))
 
-    cone = check_cone_chi_criterion(f, g)
+    cone = check_cone_chi_criterion(a, b)
     checks.append(
         CheckRecord(
             RULE_CONE_CHI,
@@ -269,7 +259,7 @@ def discriminate(f: Poly, g: Poly) -> DiscriminationReport:
 
     return DiscriminationReport(
         verdict=verdict,
-        mu=(mu_f, mu_g),
+        mu=(a.mu, b.mu),
         windows=windows,
         class_a=semi,
         checks=tuple(checks),

@@ -157,7 +157,8 @@ def mu_profile(family: GermFamily, ts=DEFAULT_SAMPLES) -> MuProfile:
     for t in ts:
         mu, status = _mu_of(family.at(t))
         samples.append(MuSample(t, mu, status))
-    mu_zero, _ = _mu_of(family.at(0))
+    at_zero = [s.mu for s in samples if not s.t]
+    mu_zero = at_zero[0] if at_zero else _mu_of(family.at(0))[0]
     nonzero = [s for s in samples if s.t]
     jump = None
     if nonzero and mu_zero is not None:
@@ -257,13 +258,14 @@ DEFAULT_ALPHA_LADDER = (
     GaussianRational.of(3),
 )
 
+RANDOM_ALPHA_TRIALS = 40  # seeded random candidates tried after the ladder
+
 
 def find_alpha(
     target: Poly,
     ts=DEFAULT_SAMPLES,
     candidates=None,
     seed: int = DEFAULT_SEED,
-    random_trials: int = 40,
 ) -> GaussianRational | None:
     """A scaling alpha joining the reference germ to alpha * target.
 
@@ -302,7 +304,7 @@ def find_alpha(
         if acceptable(alpha):
             return alpha
     rng = random.Random(seed)
-    for _ in range(random_trials):
+    for _ in range(RANDOM_ALPHA_TRIALS):
         alpha = GaussianRational(
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             Fraction(rng.randint(-9, 9), rng.randint(1, 9)),

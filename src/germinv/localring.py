@@ -28,33 +28,23 @@ from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm, mono_quot
 DEFAULT_MAX_STEPS = 200_000
 
 
-class LocalOrder:
-    """The anti-graded reverse lexicographic order (the only one we use)."""
-
-    kind = "anti-graded-revlex"
-
-    @staticmethod
-    def key(mono: Monomial):
-        """Sort key; larger key means larger monomial in this order."""
-        return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
-
-    def leading_monomial(self, f: Poly) -> Monomial:
-        return max(f.terms(), key=self.key)
-
-    def leading_term(self, f: Poly) -> tuple[Monomial, GaussianRational]:
-        m = self.leading_monomial(f)
-        return m, f.coeff(m)
-
-    def __repr__(self):
-        return f"LocalOrder({self.kind})"
+def local_key(mono: Monomial):
+    """Sort key; larger key means larger monomial in the local order."""
+    return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
 
 
-LOCAL_ORDER = LocalOrder()
+def leading_monomial(f: Poly) -> Monomial:
+    return max(f.terms(), key=local_key)
 
 
-def ecart(f: Poly, order: LocalOrder = LOCAL_ORDER) -> int:
+def leading_term(f: Poly) -> tuple[Monomial, GaussianRational]:
+    m = leading_monomial(f)
+    return m, f.coeff(m)
+
+
+def ecart(f: Poly) -> int:
     """deg(f) - deg(LM(f)) >= 0; zero exactly for homogeneous f."""
-    return f.degree() - mono_degree(order.leading_monomial(f))
+    return f.degree() - mono_degree(leading_monomial(f))
 
 
 class _Budget:
@@ -73,21 +63,21 @@ class _Budget:
             )
 
 
-def _monic(f: Poly, order: LocalOrder) -> Poly:
-    _, lc = order.leading_term(f)
+def _monic(f: Poly) -> Poly:
+    _, lc = leading_term(f)
     return f.scale(GaussianRational.of(1) / lc)
 
 
-def _reduce_leading(h: Poly, g: Poly, order: LocalOrder) -> Poly:
+def _reduce_leading(h: Poly, g: Poly) -> Poly:
     """One division step: cancel LT(h) against LT(g)."""
-    mh, ch = order.leading_term(h)
-    mg, cg = order.leading_term(g)
+    mh, ch = leading_term(h)
+    mg, cg = leading_term(g)
     return h - g.mul_term(mono_quotient(mh, mg), ch / cg)
 
 
-def spoly(f: Poly, g: Poly, order: LocalOrder = LOCAL_ORDER) -> Poly:
-    mf, cf = order.leading_term(f)
-    mg, cg = order.leading_term(g)
+def spoly(f: Poly, g: Poly) -> Poly:
+    mf, cf = leading_term(f)
+    mg, cg = leading_term(g)
     lcm = mono_lcm(mf, mg)
     one = GaussianRational.of(1)
     return f.mul_term(mono_quotient(lcm, mf), one / cf) - g.mul_term(
@@ -95,27 +85,22 @@ def spoly(f: Poly, g: Poly, order: LocalOrder = LOCAL_ORDER) -> Poly:
     )
 
 
-def mora_normal_form(
-    f: Poly,
-    reducers: list[Poly],
-    order: LocalOrder = LOCAL_ORDER,
-    budget: _Budget | None = None,
-) -> Poly:
+def mora_normal_form(f: Poly, reducers: list[Poly], budget: _Budget | None = None) -> Poly:
     """Weak normal form of f against the reducers, Mora style."""
     if budget is None:
         budget = _Budget(DEFAULT_MAX_STEPS)
     h = f
     pool = list(reducers)
     while h:
-        mh = order.leading_monomial(h)
-        usable = [g for g in pool if mono_divides(order.leading_monomial(g), mh)]
+        mh = leading_monomial(h)
+        usable = [g for g in pool if mono_divides(leading_monomial(g), mh)]
         if not usable:
             return h
-        g = min(usable, key=lambda p: ecart(p, order))
-        if ecart(g, order) > ecart(h, order):
+        g = min(usable, key=ecart)
+        if ecart(g) > ecart(h):
             pool.append(h)
         budget.spend()
-        h = _reduce_leading(h, g, order)
+        h = _reduce_leading(h, g)
     return h
 
 
@@ -179,11 +164,7 @@ def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Mo
     return frozenset(stairs)
 
 
-def standard_basis(
-    gens,
-    order: LocalOrder = LOCAL_ORDER,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> StandardBasisResult:
+def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisResult:
     """Mora's completion of the generators to a standard basis.
 
     Zero generators are dropped.  An empty ideal (all generators zero)
@@ -196,11 +177,11 @@ def standard_basis(
         raise ValueError("standard_basis needs at least one generator")
     nvars = gens[0].nvars
     budget = _Budget(max_steps)
-    basis: list[Poly] = [_monic(g, order) for g in gens if g]
+    basis: list[Poly] = [_monic(g) for g in gens if g]
     if not basis:
         return StandardBasisResult((), (), None)
 
-    lm = [order.leading_monomial(g) for g in basis]
+    lm = [leading_monomial(g) for g in basis]
     pairs: list[tuple[int, int]] = [
         (i, j) for j in range(len(basis)) for i in range(j)
     ]
@@ -217,12 +198,12 @@ def standard_basis(
             a == 0 or b == 0 for a, b in zip(lm[i], lm[j])
         ):
             continue  # coprime leading monomials: s-polynomial reduces to 0
-        h = mora_normal_form(spoly(basis[i], basis[j], order), basis, order, budget)
+        h = mora_normal_form(spoly(basis[i], basis[j]), basis, budget)
         if h:
-            h = _monic(h, order)
+            h = _monic(h)
             new_index = len(basis)
             basis.append(h)
-            lm.append(order.leading_monomial(h))
+            lm.append(leading_monomial(h))
             pairs.extend((k, new_index) for k in range(new_index))
 
     leading = _minimalize(lm)
@@ -237,4 +218,4 @@ def standard_basis(
 
 def ideal_quotient_dim(gens, max_steps: int = DEFAULT_MAX_STEPS) -> int | None:
     """dim of local ring modulo the ideal, or None when infinite."""
-    return standard_basis(gens, LOCAL_ORDER, max_steps).quotient_dim
+    return standard_basis(gens, max_steps).quotient_dim

@@ -193,6 +193,38 @@ def milnor_semihomogeneous(f: Poly) -> int:
     return (f.order() - 1) ** f.nvars
 
 
+@dataclass(frozen=True)
+class GermInvariants:
+    """The facts every screening check reads about one germ.
+
+    mu is None when the germ is not isolated; semihomogeneous is False for
+    regular germs (order 1), where the notion does not apply.
+    """
+
+    nvars: int
+    order: int
+    degree: int
+    mu: int | None
+    semihomogeneous: bool
+
+
+def germ_invariants(f: Poly) -> GermInvariants:
+    """mu, order, degree and class of f, with one standard basis per ideal.
+
+    A homogeneous germ is its own initial form, so its mu answers the
+    semihomogeneity question too.
+    """
+    mu = milnor_number(f).mu
+    order = f.order()
+    if order < 2:
+        semihomogeneous = False
+    elif f.is_homogeneous():
+        semihomogeneous = mu is not None
+    else:
+        semihomogeneous = is_isolated(f.initial_form())
+    return GermInvariants(f.nvars, order, f.degree(), mu, semihomogeneous)
+
+
 def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
                        dmax: int | None = None) -> MilnorResult:
     """Dispatcher used by the CLI; method names are part of the wire format."""

@@ -58,14 +58,9 @@ def mobius(n: int) -> int:
 
 @dataclass(frozen=True)
 class ResolutionData:
-    """Multiplicity strata (m, chi(S_m)) with distinct m >= 1.
-
-    nvars is an optional annotation (the serialized form is just the strata
-    array; operations that need the variable count take it explicitly).
-    """
+    """Multiplicity strata (m, chi(S_m)) with distinct m >= 1."""
 
     strata: tuple[tuple[int, int], ...]
-    nvars: int | None = None
 
     def __post_init__(self):
         clean = []
@@ -289,7 +284,7 @@ def homogeneous_resolution(l: int, n: int) -> ResolutionData:
 
     A single stratum: multiplicity l with chi = (1 - (1-l)^n) / l.
     """
-    return ResolutionData(((l, chi_tangent_cone_complement(l, n)),), nvars=n)
+    return ResolutionData(((l, chi_tangent_cone_complement(l, n)),))
 
 
 # -- characteristic polynomial -----------------------------------------------

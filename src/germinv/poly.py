@@ -68,16 +68,6 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
             yield (first,) + rest
 
 
-def monomials_up_to(nvars: int, max_degree: int) -> Iterator[Monomial]:
-    """All exponent vectors of total degree <= max_degree, graded order."""
-    for d in range(max_degree + 1):
-        yield from monomials_of_degree(nvars, d)
-
-
-def _coerce_scalar(value) -> GaussianRational:
-    return GaussianRational.of(value)
-
-
 # -- the polynomial type -----------------------------------------------------
 
 class Poly:
@@ -95,7 +85,7 @@ class Poly:
                 )
             if any(e < 0 for e in mono):
                 raise InputError(f"negative exponent in {mono}")
-            c = _coerce_scalar(coeff)
+            c = GaussianRational.of(coeff)
             if c:
                 acc = clean.get(mono)
                 clean[mono] = c if acc is None else acc + c
@@ -116,7 +106,7 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, value) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: _coerce_scalar(value)})
+        return Poly(nvars, {(0,) * nvars: GaussianRational.of(value)})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
@@ -127,7 +117,7 @@ class Poly:
 
     @staticmethod
     def monomial(nvars: int, mono: Monomial, coeff=1) -> "Poly":
-        return Poly(nvars, {tuple(mono): _coerce_scalar(coeff)})
+        return Poly(nvars, {tuple(mono): GaussianRational.of(coeff)})
 
     # -- structural queries ------------------------------------------------
 
@@ -254,14 +244,14 @@ class Poly:
         return self.scale(other)
 
     def scale(self, scalar) -> "Poly":
-        c = _coerce_scalar(scalar)
+        c = GaussianRational.of(scalar)
         if not c:
             return Poly(self.nvars)
         return Poly(self.nvars, {m: c * v for m, v in self._terms.items()})
 
     def mul_term(self, mono: Monomial, coeff) -> "Poly":
         """Multiply by coeff * x^mono in one pass (reduction hot path)."""
-        c = _coerce_scalar(coeff)
+        c = GaussianRational.of(coeff)
         if not c:
             return Poly(self.nvars)
         mono = tuple(mono)
@@ -303,7 +293,7 @@ class Poly:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
-        values = [_coerce_scalar(p) for p in point]
+        values = [GaussianRational.of(p) for p in point]
         total = ZERO
         for m, c in self._terms.items():
             term = c

@@ -6,12 +6,29 @@ the terminal summary gets one PASS/FAIL line per acceptance criterion.
 
 import re
 
+import pytest
 from hypothesis import settings
+
+from germinv import milnor
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
+
+
+@pytest.fixture
+def standard_basis_calls(monkeypatch):
+    """Records every standard-basis computation requested through germinv.milnor."""
+    calls = []
+    original = milnor.standard_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(milnor, "standard_basis", counted)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -122,6 +122,34 @@ def test_discriminate_not_equisingular(capsys):
     assert data["mu"] == [5, 4]
 
 
+def test_discriminate_mixed_class_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "discriminate", "x^2*y + y^4", "x^3 + y^3")
+    assert code == 0
+    expected = {
+        "caveats": ["cone-complement-chi-unknown"],
+        "checks": [
+            {"detail": {"order": [3, 3]}, "fired": False,
+             "rule": "regular-singular-mismatch"},
+            {"detail": {"mu": [5, 4]}, "fired": True, "rule": "mu-mismatch"},
+            {"detail": {"windows": [[3, 4], [3, 3]]}, "fired": False,
+             "rule": "window-gap"},
+            {"detail": {"closedFormBound": [4, 4], "mu": [5, 4],
+                        "semihomogeneousSide": 1},
+             "fired": True, "rule": "mixed-class-constraint"},
+            {"detail": {"chi": [None, -1], "status": "Unknown"}, "fired": False,
+             "rule": "cone-chi-criterion"},
+        ],
+        "classA": [False, True],
+        "command": "discriminate",
+        "mu": [5, 4],
+        "polys": ["x^2*y + y^4", "x^3 + y^3"],
+        "vars": ["x", "y"],
+        "verdict": "NOT_EQUISINGULAR",
+        "windows": [[3, 4], [3, 3]],
+    }
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_discriminate_certificate(capsys):
     data = run_json(capsys, "discriminate", "x^3 + y^3",
                     "x^3 + 2*y^3 + x^2*y^2")
@@ -165,6 +193,27 @@ def test_family_find_line(capsys):
                     "--find-line")
     assert data["line"] is not None
     assert all(p["order"] == 3 for p in data["lineProfile"])
+
+
+def test_family_find_line_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "family", "--rescale", "x^2*y + y^5", "--find-line")
+    assert code == 0
+    ts = ["0", "1/4", "1/2", "3/4", "1"]
+    expected = {
+        "caveats": ["sampled-parameters-only"],
+        "command": "family",
+        "jump": None,
+        "line": "(-1, -1)",
+        "lineProfile": [{"order": 3, "t": t} for t in ts],
+        "mode": "mu-profile",
+        "muAtZero": None,
+        "pieces": [{"poly": "x^2*y", "tpower": 0}, {"poly": "y^5", "tpower": 2}],
+        "profile": [{"mu": None, "status": "not-isolated", "t": "0"}]
+        + [{"mu": 6, "status": "ok", "t": t} for t in ts[1:]],
+        "ts": ts,
+        "vars": ["x", "y"],
+    }
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_family_three_variable_caveat(capsys):

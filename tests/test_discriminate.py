@@ -27,6 +27,7 @@ from germinv.equising import (
     discriminate,
 )
 from germinv.errors import InputError
+from germinv.milnor import germ_invariants
 from germinv.poly import fermat, parse_poly
 
 XY = ("x", "y")
@@ -62,38 +63,52 @@ def test_regular_singular_mismatch():
 
 
 def test_cone_chi_certified_for_plane_cubics():
-    check = check_cone_chi_criterion(P("x^3 + y^3"), P("x^3 + 2*y^3 + x^2*y^2"))
+    check = check_cone_chi_criterion(
+        germ_invariants(P("x^3 + y^3")), germ_invariants(P("x^3 + 2*y^3 + x^2*y^2"))
+    )
     assert check.status == CONE_CHI_CERTIFIED
     assert check.chi == (-1, -1)
 
 
 def test_cone_chi_not_satisfied_for_plane_conics():
-    check = check_cone_chi_criterion(P("x^2 + y^2"), P("x^2 + x*y + y^2"))
+    check = check_cone_chi_criterion(
+        germ_invariants(P("x^2 + y^2")), germ_invariants(P("x^2 + x*y + y^2"))
+    )
     assert check.status == CONE_CHI_NOT_SATISFIED
     assert check.chi == (0, 0)
 
 
 def test_cone_chi_unknown_for_degenerate_cones():
-    check = check_cone_chi_criterion(P("x^2 + y^3"), P("x^2 + y^3"))
+    check = check_cone_chi_criterion(
+        germ_invariants(P("x^2 + y^3")), germ_invariants(P("x^2 + y^3"))
+    )
     assert check.status == CONE_CHI_UNKNOWN
     assert check.chi == (None, None)
 
 
 def test_mixed_class_requires_exactly_one_nondegenerate_side():
     with pytest.raises(InputError):
-        check_mixed_class_pair(P("x^3 + y^3"), P("x^4 + y^4"))
+        check_mixed_class_pair(
+            germ_invariants(P("x^3 + y^3")), germ_invariants(P("x^4 + y^4"))
+        )
     with pytest.raises(InputError):
-        check_mixed_class_pair(P("x^2 + y^3"), P("x^2*y + y^4"))
+        check_mixed_class_pair(
+            germ_invariants(P("x^2 + y^3")), germ_invariants(P("x^2*y + y^4"))
+        )
 
 
 def test_mixed_class_obstructed_on_mu_mismatch():
-    check = check_mixed_class_pair(P("x^2*y + y^4"), P("x^3 + y^3"))
+    check = check_mixed_class_pair(
+        germ_invariants(P("x^2*y + y^4")), germ_invariants(P("x^3 + y^3"))
+    )
     assert check.obstructed
 
 
 def test_mixed_class_constraint_when_mu_agrees():
     # mu(x^2 + y^5) = 4 = mu(x^3 + y^3); orders 2 and 3 are compatible
-    check = check_mixed_class_pair(P("x^2 + y^5"), P("x^3 + y^3"))
+    check = check_mixed_class_pair(
+        germ_invariants(P("x^2 + y^5")), germ_invariants(P("x^3 + y^3"))
+    )
     assert not check.obstructed
     assert check.constraint
 
@@ -216,6 +231,16 @@ def test_report_is_deterministic():
     a = discriminate(P("x^3 + y^3"), P("x^4 + y^4")).to_json_dict()
     b = discriminate(P("x^3 + y^3"), P("x^4 + y^4")).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_discriminate_computes_each_standard_basis_once(standard_basis_calls):
+    # the degenerate germ needs its own Jacobian and its initial form's; the
+    # homogeneous one answers both questions with a single basis
+    discriminate(P("x^2*y + y^4"), P("x^3 + y^3"))
+    assert len(standard_basis_calls) <= 4
+    standard_basis_calls.clear()
+    discriminate(P("x^3 + y^3"), P("x^4 + y^4"))
+    assert len(standard_basis_calls) == 2
 
 
 def test_regular_pair_is_certified_equimultiple():

@@ -96,6 +96,12 @@ def test_constant_profile_for_nondegenerate_tail():
     assert prof.is_constant()
 
 
+def test_profile_reuses_the_zero_sample(standard_basis_calls):
+    prof = mu_profile(rescaling_family(P("x^3 + y^3 + x^4")))
+    assert prof.mu_at_zero == 4
+    assert len(standard_basis_calls) == len(DEFAULT_SAMPLES)
+
+
 def test_jump_family():
     fam = GermFamily((FamilyPiece(P("x^3 + y^3"), 0), FamilyPiece(P("x*y"), 1)))
     prof = mu_profile(fam)

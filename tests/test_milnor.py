@@ -3,11 +3,14 @@ the closed form for germs with a nondegenerate leading form."""
 
 import pytest
 
+from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS
 from germinv.errors import InputError
 from germinv.milnor import (
     METHOD_FAST,
     METHOD_ORACLE,
     METHOD_STANDARD_BASIS,
+    GermInvariants,
+    germ_invariants,
     is_critical_point,
     is_isolated,
     is_semihomogeneous,
@@ -113,6 +116,24 @@ def test_semihomogeneous_predicate():
     assert not is_semihomogeneous(P("x^2 + y^3"))  # parabola: square line
     with pytest.raises(InputError):
         is_semihomogeneous(P("x + y^2"))  # order 1 is outside the domain
+
+
+def test_germ_invariants_agree_with_the_separate_queries():
+    for germ in ISOLATED_GERMS + NON_ISOLATED_GERMS:
+        f = germ.poly()
+        inv = germ_invariants(f)
+        assert inv == GermInvariants(
+            f.nvars,
+            f.order(),
+            f.degree(),
+            milnor_number(f).mu,
+            f.order() >= 2 and is_semihomogeneous(f),
+        ), germ.name
+        assert inv.semihomogeneous == germ.semihomogeneous, germ.name
+
+
+def test_germ_invariants_of_a_regular_germ():
+    assert germ_invariants(P("x + y^2")) == GermInvariants(2, 1, 2, 0, False)
 
 
 def test_closed_form_matches_engine():

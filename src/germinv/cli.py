@@ -203,7 +203,7 @@ def _cmd_milnor(args) -> dict:
 
 def _cmd_zeta(args) -> dict:
     res, n = _resolution_from_args(args)
-    horizon = args.K if args.K else 2 * res.max_multiplicity()
+    horizon = args.K if args.K is not None else 2 * res.max_multiplicity()
     lam = lefschetz_sequence(res, horizon)
     s = s_sequence(res)
     z = zeta(s)

@@ -201,6 +201,8 @@ def find_transverse_line(
     certificate is exact evaluation at every form; None when the budget is
     exhausted.
     """
+    if trials < 1:
+        raise InputError(f"need at least one trial, got {trials}")
     forms = list(forms)
     if not forms:
         raise InputError("need at least one form to probe")

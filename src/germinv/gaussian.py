@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-RationalLike = int | Fraction
-ScalarLike = "int | Fraction | GaussianRational"
-
 
 @dataclass(frozen=True)
 class GaussianRational:

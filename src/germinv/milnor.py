@@ -4,8 +4,10 @@ The primary route is the local standard-basis engine: mu(f) is the staircase
 size of the Jacobian ideal.  The second route, :func:`truncated_dim_oracle`,
 never touches that engine; it does degree-by-degree exact linear algebra on
 truncations and certifies its answer with the local Nakayama argument
-(m^D inside I + m^(D+1) forces m^D inside I).  The two are kept apart on
-purpose so each can catch the other lying.
+(m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
+quotient dimension are read off the pivot degrees of one row echelon per
+horizon.  The two are kept apart on purpose so each can catch the other
+lying.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, ZERO
 from .localring import DEFAULT_MAX_STEPS, standard_basis
-from .poly import Monomial, Poly, mono_degree, monomials_of_degree
+from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
 
 DEFAULT_ORACLE_DMAX = 32
 
@@ -69,17 +71,24 @@ def _col_key(mono: Monomial):
 
 
 class _Echelon:
-    """Row echelon over the Gaussian rationals, rows keyed by monomial."""
+    """Row echelon over the Gaussian rationals, rows keyed by monomial.
+
+    A row's pivot is its lowest term in (degree, monomial) order, so every
+    pivot row has all its terms in degrees at or above its pivot's.
+    """
 
     def __init__(self):
         self.pivots: dict[Monomial, dict[Monomial, GaussianRational]] = {}
 
-    def _reduce(self, row: dict[Monomial, GaussianRational]) -> dict:
+    def add(self, row: dict[Monomial, GaussianRational]):
+        """Reduce row (in place) against the pivots; keep it if nonzero."""
         while row:
             lead = min(row, key=_col_key)
             pivot = self.pivots.get(lead)
             if pivot is None:
-                return row
+                inv = GaussianRational.of(1) / row[lead]
+                self.pivots[lead] = {m: c * inv for m, c in row.items()}
+                return
             factor = row[lead]
             for mono, coeff in pivot.items():
                 s = row.get(mono, ZERO) - factor * coeff
@@ -87,23 +96,6 @@ class _Echelon:
                     row[mono] = s
                 else:
                     row.pop(mono, None)
-        return row
-
-    def add(self, row: dict) -> bool:
-        row = self._reduce(dict(row))
-        if not row:
-            return False
-        lead = min(row, key=_col_key)
-        inv = GaussianRational.of(1) / row[lead]
-        self.pivots[lead] = {m: c * inv for m, c in row.items()}
-        return True
-
-    def contains(self, row: dict) -> bool:
-        return not self._reduce(dict(row))
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
 
 
 def _ideal_rows(gens: list[Poly], below_degree: int) -> list[dict]:
@@ -111,25 +103,28 @@ def _ideal_rows(gens: list[Poly], below_degree: int) -> list[dict]:
     nvars = gens[0].nvars
     rows = []
     for g in gens:
-        start = g.order()
-        for shift in range(0, below_degree - start):
+        terms = g.terms()
+        for shift in range(below_degree - g.order()):
             for mono in monomials_of_degree(nvars, shift):
-                product = g.mul_term(mono, 1).truncate_jet(below_degree - 1)
-                if product:
-                    rows.append(product.terms())
+                rows.append({
+                    mono_mul(m, mono): c for m, c in terms.items()
+                    if mono_degree(m) + shift < below_degree
+                })
     return rows
 
 
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     """Quotient dimension by truncated linear algebra; None if unstable.
 
-    For D = 1..dmax, span all truncations of monomial*generator inside
-    polynomials of degree < D and test whether every degree-(D-1) monomial
-    falls in the span.  First success certifies m^(D-1) lies in the ideal
-    (Nakayama), so the quotient is the monomials of degree < D-1 modulo
-    the same span one level down.  Exact rational arithmetic throughout;
-    None means no stabilization by dmax: either the quotient is infinite
-    dimensional or dmax is too small for it.
+    For D = 1..dmax, echelonize all truncations of monomial*generator inside
+    polynomials of degree < D.  Pivots sit on each row's lowest term, so the
+    top pivots (degree D-1) span exactly the degree-(D-1) part of the span.
+    When they number all degree-(D-1) monomials, m^(D-1) lies in the ideal
+    (Nakayama), and the quotient is the monomials of degree < D-1 modulo the
+    span truncated one level down, whose rank is the count of the other
+    pivots.  Exact rational arithmetic throughout; None means no
+    stabilization by dmax: either the quotient is infinite dimensional or
+    dmax is too small for it.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -142,18 +137,9 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         span = _Echelon()
         for row in _ideal_rows(gens, d_stop):
             span.add(row)
-        one = GaussianRational.of(1)
-        stable = all(
-            span.contains({mono: one})
-            for mono in monomials_of_degree(nvars, d_stop - 1)
-        )
-        if stable:
-            if d_stop == 1:
-                return 0
-            lower = _Echelon()
-            for row in _ideal_rows(gens, d_stop - 1):
-                lower.add(row)
-            return comb(d_stop - 2 + nvars, nvars) - lower.rank
+        top = sum(1 for lead in span.pivots if mono_degree(lead) == d_stop - 1)
+        if top == comb(d_stop - 2 + nvars, nvars - 1):
+            return comb(d_stop - 2 + nvars, nvars) - (len(span.pivots) - top)
     return None
 
 

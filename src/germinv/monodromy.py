@@ -16,7 +16,7 @@ eigenvalue-product tests pin this one down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 
 from .errors import ConventionViolationError, InputError
 
@@ -54,6 +54,11 @@ def mobius(n: int) -> int:
     return result
 
 
+def _is_int(value) -> bool:
+    """An int proper: bool is an int subclass, and JSON true must not pass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # -- resolution data ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -66,7 +71,7 @@ class ResolutionData:
         clean = []
         seen = set()
         for m, chi in self.strata:
-            if not (isinstance(m, int) and isinstance(chi, int)):
+            if not (_is_int(m) and _is_int(chi)):
                 raise InputError("strata entries must be integer (m, chi) pairs")
             if m < 1:
                 raise InputError(f"stratum multiplicity {m} must be >= 1")
@@ -151,7 +156,7 @@ class SSequence:
         clean = []
         seen = set()
         for i, s in self.entries:
-            if not (isinstance(i, int) and isinstance(s, int)) or i < 1:
+            if not (_is_int(i) and _is_int(s)) or i < 1:
                 raise InputError("s-sequence wants integer entries at indices >= 1")
             if i in seen:
                 raise InputError(f"duplicate s-sequence index {i}")
@@ -226,7 +231,7 @@ class ZetaFunction:
         clean = []
         seen = set()
         for i, e in self.factors:
-            if not (isinstance(i, int) and isinstance(e, int)) or i < 1:
+            if not (_is_int(i) and _is_int(e)) or i < 1:
                 raise InputError("zeta factors want integer exponents at i >= 1")
             if i in seen:
                 raise InputError(f"duplicate zeta factor index {i}")
@@ -299,44 +304,26 @@ def _upoly_mul(a: list, b: list) -> list:
     return out
 
 
-def _upoly_pow(a: list, e: int) -> list:
-    out = [1]
-    for _ in range(e):
-        out = _upoly_mul(out, a)
+def _cyclotomic_power(i: int, k: int) -> list[int]:
+    """(t^i - 1)^k by the binomial theorem."""
+    out = [0] * (i * k + 1)
+    for j in range(k + 1):
+        out[i * j] = (-1) ** (k - j) * comb(k, j)
     return out
 
 
-def _upoly_shift(a: list, k: int) -> list:
-    return [0] * k + list(a)
-
-
-def _upoly_divexact(num: list, den: list) -> list[int]:
-    """Exact division with integrality check; anything else is a diagnostic."""
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    if not den:
-        raise ConventionViolationError("division by the zero polynomial")
-    if not num:
-        return [0]
-    if len(num) < len(den):
-        raise ConventionViolationError("the quotient is not a polynomial")
-    quot = [Fraction(0)] * (len(num) - len(den) + 1)
-    rem = num[:]
+def _upoly_divmonic(num: list, den: list) -> list[int]:
+    """Exact quotient by a monic divisor; a remainder is a diagnostic."""
+    quot = [0] * max(len(num) - len(den) + 1, 0)
+    rem = list(num)
     for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(den) - 1] / den[-1]
-        quot[k] = c
+        c = quot[k] = rem[k + len(den) - 1]
         if c:
             for j, d in enumerate(den):
                 rem[k + j] -= c * d
     if any(rem):
         raise ConventionViolationError("the quotient is not a polynomial")
-    if any(c.denominator != 1 for c in quot):
-        raise ConventionViolationError("the quotient is not integral")
-    return [int(c) for c in quot]
+    return quot
 
 
 @dataclass(frozen=True)
@@ -378,32 +365,35 @@ class CharPoly:
 def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
     """Delta(t) of the monodromy from its zeta function and mu.
 
-    Delta(t) = t^mu * [ (t-1)/t * Z(1/t) ]^((-1)^n).  Raises a
-    ConventionViolationError when the inputs are inconsistent: non-exact
-    division, wrong degree, or |Delta(0)| != 1.
+    Delta(t) = t^mu * [ (t-1)/t * Z(1/t) ]^((-1)^n).  With Z = prod
+    (1-t^i)^e_i and sign = (-1)^n this splits into a power of t and
+    cyclotomic factors:
+
+        Delta(t) = t^shift * prod (t^i - 1)^E_i,
+        shift = mu - sign * (1 + sum i*e_i),  E_i = sign * (e_i + [i = 1]),
+
+    and the factors with E_i < 0 divide out exactly, in integers, by a
+    monic polynomial.  The degree, shift + sum i*E_i, is mu identically.
+    Raises a ConventionViolationError when the inputs are inconsistent: a
+    negative shift or a non-exact division, or |Delta(0)| != 1.
     """
     if mu < 1:
         raise InputError("need mu >= 1 to assemble a characteristic polynomial")
-    num, den = [-1, 1], [0, 1]  # (t - 1) / t
+    sign = 1 if n % 2 == 0 else -1
+    shift = mu - sign * (1 + sum(i * e for i, e in z.factors))
+    if shift < 0:
+        raise ConventionViolationError("the quotient is not a polynomial")
+    exponents = {1: sign}
     for i, e in z.factors:
-        cyclic = [-1] + [0] * (i - 1) + [1]  # t^i - 1
-        if e > 0:
-            num = _upoly_mul(num, _upoly_pow(cyclic, e))
-            den = _upoly_mul(den, _upoly_shift([1], i * e))
-        else:
-            den = _upoly_mul(den, _upoly_pow(cyclic, -e))
-            num = _upoly_mul(num, _upoly_shift([1], i * (-e)))
-    if n % 2 == 0:
-        coeffs = _upoly_divexact(_upoly_shift(num, mu), den)
-    else:
-        coeffs = _upoly_divexact(_upoly_shift(den, mu), num)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) - 1 != mu:
-        raise ConventionViolationError(
-            f"characteristic polynomial has degree {len(coeffs) - 1}, expected {mu}"
-        )
-    if abs(coeffs[0]) != 1 or abs(coeffs[-1]) != 1:
+        exponents[i] = exponents.get(i, 0) + sign * e
+    num, den = [1], [1]
+    for i, k in exponents.items():
+        if k > 0:
+            num = _upoly_mul(num, _cyclotomic_power(i, k))
+        elif k < 0:
+            den = _upoly_mul(den, _cyclotomic_power(i, -k))
+    coeffs = [0] * shift + _upoly_divmonic(num, den)
+    if abs(coeffs[0]) != 1:
         raise ConventionViolationError(
             "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
         )

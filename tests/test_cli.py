@@ -91,6 +91,21 @@ def test_zeta_from_resolution_file(capsys, tmp_path):
     assert data["eulerFiber"] == -1
 
 
+def test_zeta_horizon_zero_exits_2(capsys):
+    code, out, err = run(capsys, "zeta", "--fermat", "l=3,n=2", "--K", "0")
+    assert code == 2
+    assert "input error" in err
+    assert not out
+
+
+def test_boolean_multiplicity_exits_2(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps([{"m": True, "chi": 1}]))
+    code, out, err = run(capsys, "zeta", "--res", str(path), "--n", "2")
+    assert code == 2
+    assert not out
+
+
 # -- charpoly ------------------------------------------------------------------
 
 def test_charpoly_fermat(capsys):
@@ -193,6 +208,14 @@ def test_family_find_line(capsys):
                     "--find-line")
     assert data["line"] is not None
     assert all(p["order"] == 3 for p in data["lineProfile"])
+
+
+def test_family_find_line_needs_a_trial(capsys):
+    for trials in ("0", "-5"):
+        code, out, err = run(capsys, "family", "--rescale", "x^3 + y^3 + x^4",
+                             "--find-line", "--trials", trials)
+        assert code == 2
+        assert "input error" in err
 
 
 def test_family_find_line_report_is_pinned(capsys):

@@ -174,6 +174,12 @@ def test_find_transverse_line_budget_exhaustion():
     assert found is not None and form.evaluate(found.entries)
 
 
+def test_find_transverse_line_needs_a_trial():
+    for trials in (0, -5):
+        with pytest.raises(InputError):
+            find_transverse_line([P("x*y")], trials=trials)
+
+
 def test_line_order_profile_constant_for_transverse_line():
     fam = rescaling_family(P("x^3 + y^3 + x^4"))
     profile = line_order_profile(fam, LineDirection.of((1, 1)))

@@ -184,6 +184,37 @@ def test_oracle_returns_none_when_unstable():
     assert milnor_oracle(P("x^4 + y^5"), dmax=3) is None
 
 
+# The first horizon at which the oracle certifies each corpus germ, as
+# recorded before the oracle read its certificate off the pivot degrees.
+ORACLE_STOP_DEGREE = {
+    "fermat-2-2": 2, "fermat-3-2": 4, "fermat-4-2": 6, "fermat-5-2": 8,
+    "fermat-2-3": 2, "fermat-3-3": 5, "cubic-tail-quartic": 4,
+    "cubic-tail-quintic": 4, "quartic-tail": 6, "scaled-cubic": 4,
+    "gaussian-quadric": 2, "binary-quartic": 6, "cubic-3d-tail": 5,
+    "a2-cusp": 3, "a4": 5, "d5": 5, "d6": 6, "e6": 5, "e7": 6, "e8": 6,
+    "brieskorn-4-5": 7, "t-5-5": 7, "t-5-6": 8, "a2-suspension": 3,
+    "join-3-3-4": 6,
+}
+
+
+@pytest.mark.parametrize("germ", ISOLATED_GERMS, ids=lambda g: g.name)
+def test_oracle_stops_at_the_recorded_horizon(germ):
+    d = ORACLE_STOP_DEGREE[germ.name]
+    assert milnor_oracle(germ.poly(), d) == germ.known_mu
+    assert milnor_oracle(germ.poly(), d - 1) is None
+
+
+def test_oracle_on_the_unit_ideal():
+    assert truncated_dim_oracle([P("1 + x"), P("y")], 1) == 0
+    assert truncated_dim_oracle([P("1 + x"), P("y")], 0) is None
+
+
+def test_oracle_on_an_ideal_that_is_not_a_jacobian():
+    # the quotient by (x^2, y^3) has basis x^a*y^b with a < 2, b < 3
+    assert truncated_dim_oracle([P("x^2"), P("y^3")], 5) == 6
+    assert truncated_dim_oracle([P("x^2"), P("y^3")], 4) is None
+
+
 def test_fermat_grid_small():
     for l in (2, 3, 4):
         for n in (2, 3):

@@ -11,6 +11,7 @@ from germinv.monodromy import (
     CharPoly,
     ResolutionData,
     SSequence,
+    ZetaFunction,
     chi_projective_cone,
     chi_tangent_cone_complement,
     char_poly,
@@ -59,6 +60,17 @@ def test_resolution_validation():
     with pytest.raises(InputError):
         ResolutionData(((2, 1), (2, 2)))
     assert ResolutionData(((6, -1), (2, 1))).strata == ((2, 1), (6, -1))
+
+
+def test_integer_checks_reject_booleans():
+    with pytest.raises(InputError):
+        ResolutionData.from_json([{"m": True, "chi": 1}])
+    with pytest.raises(InputError):
+        ResolutionData(((2, False),))
+    with pytest.raises(InputError):
+        SSequence(((True, 3),))
+    with pytest.raises(InputError):
+        ZetaFunction(((3, True),))
 
 
 def test_resolution_json_round_trip():
@@ -254,6 +266,16 @@ def test_charpoly_consistency_guard():
         char_poly(z, 3, 2)  # wrong Milnor number for this zeta
 
 
+def test_charpoly_diagnostics():
+    fermat_cubic = zeta(s_sequence(homogeneous_resolution(3, 2)))
+    with pytest.raises(ConventionViolationError):
+        char_poly(fermat_cubic, 5, 2)  # mu too large: Delta(0) = 0
+    with pytest.raises(ConventionViolationError):
+        char_poly(fermat_cubic, 3, 2)  # mu too small
+    with pytest.raises(ConventionViolationError):
+        char_poly(ZetaFunction(((2, -1),)), 3, 2)  # division is not exact
+
+
 def test_charpoly_ends_are_units():
     for l in range(2, 6):
         for n in (2, 3):
@@ -315,3 +337,21 @@ def test_charpoly_matches_plane_curve_eigenvalues():
                     root = cmath.exp(2j * cmath.pi * (i / a + j / b))
                     prod *= x - root
             assert abs(prod - exact) < 1e-6 * max(1.0, abs(exact))
+
+
+def test_charpoly_matches_three_variable_fermat_eigenvalues():
+    """x^l + y^l + z^l: the eigenvalues are w1*w2*w3 over nontrivial l-th
+    roots of unity wk, so Delta(2) is the product of 2 - w1*w2*w3."""
+    import cmath
+
+    for l in range(3, 8):
+        mu = (l - 1) ** 3
+        cp = char_poly(zeta(s_sequence(homogeneous_resolution(l, 3))), mu, 3)
+        assert cp.degree == mu
+        exact = sum(c * 2**k for k, c in enumerate(cp.coeffs))
+        prod = 1.0 + 0.0j
+        for i in range(1, l):
+            for j in range(1, l):
+                for k in range(1, l):
+                    prod *= 2 - cmath.exp(2j * cmath.pi * (i + j + k) / l)
+        assert abs(prod - exact) < 1e-6 * max(1.0, abs(exact)), l

@@ -14,10 +14,24 @@ smaller than every available reducer's, which is what makes the loop
 terminate in the local setting.  The result is a weak normal form: for the
 computed h there is a unit u with u*f = (combination of reducers) + h, and
 that is exactly what leading-ideal and dimension computations need.
+
+Completion bounds itself at its own highest corner (Greuel & Pfister, *A
+Singular Introduction to Commutative Algebra*, §1.7).  Once the leading
+monomials found so far contain a pure power of every variable, every
+monomial of degree k = 1 + (top degree of their staircase) lies in them,
+so m^k is inside the leading ideal of the input, and for a local degree
+order that forces m^k inside the ideal itself.  From then on all terms of
+degree >= k are dropped, from basis elements and from every normal-form
+step, and pairs whose lcm has degree >= k are skipped; k only shrinks as
+the basis grows.  That keeps dense germs from growing ever longer tails.
+The bound is read off this engine's own leading monomials, never from the
+truncated-dimension oracle in :mod:`germinv.milnor`, so the two Milnor
+engines stay independent.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import product as iter_product
 
@@ -68,11 +82,11 @@ def _monic(f: Poly) -> Poly:
     return f.scale(GaussianRational.of(1) / lc)
 
 
-def _reduce_leading(h: Poly, g: Poly) -> Poly:
-    """One division step: cancel LT(h) against LT(g)."""
-    mh, ch = leading_term(h)
-    mg, cg = leading_term(g)
-    return h - g.mul_term(mono_quotient(mh, mg), ch / cg)
+def _below(f: Poly, corner: int | None) -> Poly:
+    """f without its terms of degree >= corner; f itself when there is no corner."""
+    if corner is None or not f or f.degree() < corner:
+        return f
+    return f.truncate_jet(corner - 1)
 
 
 def spoly(f: Poly, g: Poly) -> Poly:
@@ -85,28 +99,41 @@ def spoly(f: Poly, g: Poly) -> Poly:
     )
 
 
-def mora_normal_form(f: Poly, reducers: list[Poly], budget: _Budget | None = None) -> Poly:
-    """Weak normal form of f against the reducers, Mora style."""
+def mora_normal_form(
+    f: Poly, reducers: list[Poly], budget: _Budget | None = None, _corner: int | None = None
+) -> Poly:
+    """Weak normal form of f against the reducers, Mora style.
+
+    ``_corner`` is the completion's highest-corner degree k (m^k lies in
+    the ideal): when given, f and every intermediate remainder are
+    truncated below degree k.
+    """
     if budget is None:
         budget = _Budget(DEFAULT_MAX_STEPS)
-    h = f
-    pool = list(reducers)
+    h = _below(f, _corner)
+    # (leading monomial, leading coefficient, ecart, polynomial), scanned once
+    pool = [(*leading_term(g), ecart(g), g) for g in reducers]
     while h:
-        mh = leading_monomial(h)
-        usable = [g for g in pool if mono_divides(leading_monomial(g), mh)]
+        mh, ch = leading_term(h)
+        usable = [entry for entry in pool if mono_divides(entry[0], mh)]
         if not usable:
             return h
-        g = min(usable, key=ecart)
-        if ecart(g) > ecart(h):
-            pool.append(h)
+        mg, cg, eg, g = min(usable, key=lambda entry: entry[2])
+        eh = h.degree() - mono_degree(mh)
+        if eg > eh:
+            pool.append((mh, ch, eh, h))
         budget.spend()
-        h = _reduce_leading(h, g)
+        h = _below(h - g.mul_term(mono_quotient(mh, mg), ch / cg), _corner)
     return h
 
 
 @dataclass(frozen=True)
 class StandardBasisResult:
     """Monic standard basis plus the combinatorics read off from it.
+
+    When the completion found a highest corner k (m^k lies in the ideal),
+    basis elements are truncated below degree k, and a leading generator
+    of degree k is represented by the monomial itself.
 
     staircase is the set of monomials outside the leading ideal when that
     set is finite, else None; its size is the quotient's vector space
@@ -164,6 +191,16 @@ def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Mo
     return frozenset(stairs)
 
 
+def _corner_degree(stairs: frozenset[Monomial] | None) -> int | None:
+    """1 + the top degree of a finite staircase: the least k with m^k outside it.
+
+    0 for the empty staircase (the unit ideal), None for an infinite one.
+    """
+    if stairs is None:
+        return None
+    return 1 + max(map(mono_degree, stairs), default=-1)
+
+
 def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisResult:
     """Mora's completion of the generators to a standard basis.
 
@@ -171,6 +208,16 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     yields an empty basis with infinite staircase.  Completion uses the
     product criterion and picks pairs by smallest lcm degree, so the run
     is deterministic for a given input order.
+
+    Whenever the leading monomials found so far have a finite staircase,
+    its highest corner k = 1 + (top staircase degree) bounds the work:
+    m^k is inside the leading monomials, hence inside the ideal (local
+    degree order), so basis elements and normal forms are truncated below
+    degree k and pairs with an lcm of degree >= k are never reduced (their
+    s-polynomials lie in m^k).  The corner comes from this engine's own
+    leading monomials, not from the oracle, so the two Milnor engines stay
+    independent.  Since m^k already lies in the leading monomials, the
+    leading ideal and staircase are those of the untruncated completion.
     """
     gens = list(gens)
     if not gens:
@@ -182,38 +229,52 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
         return StandardBasisResult((), (), None)
 
     lm = [leading_monomial(g) for g in basis]
-    pairs: list[tuple[int, int]] = [
-        (i, j) for j in range(len(basis)) for i in range(j)
-    ]
+    leading = _minimalize(lm)
+    stairs = staircase_of(leading, nvars)
+    corner = _corner_degree(stairs)
 
-    def pair_key(p):
-        i, j = p
-        return (mono_degree(mono_lcm(lm[i], lm[j])), i, j)
+    def lcm_degree(i, j):
+        return mono_degree(mono_lcm(lm[i], lm[j]))
 
+    def truncated():
+        # an element inside m^corner would truncate to 0: it stays as it is,
+        # and no pair or reduction below the corner can use it
+        return [g if mono_degree(m) >= corner else _below(g, corner) for g, m in zip(basis, lm)]
+
+    if corner is not None:
+        basis = truncated()
+    pairs = [(lcm_degree(i, j), i, j) for j in range(len(basis)) for i in range(j)]
+    heapq.heapify(pairs)
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        lcm = mono_lcm(lm[i], lm[j])
-        if mono_degree(lcm) == mono_degree(lm[i]) + mono_degree(lm[j]) and all(
-            a == 0 or b == 0 for a, b in zip(lm[i], lm[j])
-        ):
+        degree, i, j = heapq.heappop(pairs)
+        if corner is not None and degree >= corner:
+            break  # this and every later s-polynomial lies in m^corner
+        if degree == mono_degree(lm[i]) + mono_degree(lm[j]):
             continue  # coprime leading monomials: s-polynomial reduces to 0
-        h = mora_normal_form(spoly(basis[i], basis[j]), basis, budget)
+        h = mora_normal_form(spoly(basis[i], basis[j]), basis, budget, _corner=corner)
         if h:
             h = _monic(h)
             new_index = len(basis)
             basis.append(h)
             lm.append(leading_monomial(h))
-            pairs.extend((k, new_index) for k in range(new_index))
+            for other in range(new_index):
+                heapq.heappush(pairs, (lcm_degree(other, new_index), other, new_index))
+            leading = _minimalize(lm)
+            stairs = staircase_of(leading, nvars)
+            new_corner = _corner_degree(stairs)
+            if new_corner != corner:
+                corner = new_corner
+                basis = truncated()
 
-    leading = _minimalize(lm)
     kept = []
     seen_lm = set()
     for g, m in zip(basis, lm):
         if m in leading and m not in seen_lm:
+            if corner is not None and mono_degree(m) >= corner:
+                g = Poly.monomial(nvars, m)  # in m^corner, so in the ideal
             kept.append(g)
             seen_lm.add(m)
-    return StandardBasisResult(tuple(kept), leading, staircase_of(leading, nvars))
+    return StandardBasisResult(tuple(kept), leading, stairs)
 
 
 def ideal_quotient_dim(gens, max_steps: int = DEFAULT_MAX_STEPS) -> int | None:

@@ -2,9 +2,14 @@
 exit-code contract, and byte-for-byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import germinv
 from germinv.cli import main
 
 
@@ -68,6 +73,22 @@ def test_milnor_non_isolated(capsys):
     data = run_json(capsys, "milnor", "x^2*y^2")
     assert data["mu"] is None
     assert data["isolated"] is False
+
+
+def test_milnor_dense_germ_finishes_in_a_fresh_process():
+    # this germ ran for more than 10 minutes before the engine bounded its
+    # work at the highest corner; the timeout turns a hang into a failure
+    germ = ("x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4"
+            " - 3*x^5 - x^4*y - 3*x^3*y^2 + 3*x*y^4 + y^9")
+    src = str(Path(germinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from germinv.cli import main; sys.exit(main())",
+         "milnor", germ],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["mu"] == 5
 
 
 # -- zeta ----------------------------------------------------------------------

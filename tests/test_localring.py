@@ -146,10 +146,29 @@ def test_three_variables():
     assert res.quotient_dim == 8
 
 
+DENSE_GERM = (
+    "x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4"
+    " - 3*x^5 - x^4*y - 3*x^3*y^2 + 3*x*y^4 + y^9"
+)
+
+
 def test_standard_basis_budget():
-    gens = parse_poly("x^5 + y^6 + x^2*y^2", XY).jacobian()
+    # this dense germ needs more than two reduction steps
+    gens = parse_poly(DENSE_GERM, XY).jacobian()
     with pytest.raises(IterationLimitError):
         standard_basis(gens, max_steps=2)
+    # the highest corner is reached before any reduction step is needed
+    gens = parse_poly("x^5 + y^6 + x^2*y^2", XY).jacobian()
+    assert standard_basis(gens, max_steps=2).quotient_dim == 12
+
+
+def test_basis_is_truncated_below_the_corner():
+    res = standard_basis(parse_poly(DENSE_GERM, XY).jacobian(), max_steps=150)
+    corner = 1 + max(sum(m) for m in res.staircase)
+    assert corner == 4
+    assert sorted(leading_monomial(g) for g in res.basis) == sorted(res.leading_ideal_gens)
+    for g in res.basis:
+        assert g.degree() < corner or len(g) == 1
 
 
 def test_standard_basis_accepts_any_iterable():

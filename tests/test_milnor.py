@@ -1,10 +1,14 @@
 """Milnor numbers: the standard-basis engine, the truncation oracle, and
 the closed form for germs with a nondegenerate leading form."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS
 from germinv.errors import InputError
+from germinv.gaussian import GaussianRational
 from germinv.milnor import (
     METHOD_FAST,
     METHOD_ORACLE,
@@ -22,7 +26,7 @@ from germinv.milnor import (
     oracle_dmax_for,
     truncated_dim_oracle,
 )
-from germinv.poly import fermat, parse_poly
+from germinv.poly import Poly, fermat, monomials_of_degree, parse_poly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -63,6 +67,78 @@ def test_known_milnor_numbers(text, names, mu):
 def test_oracle_agrees(text, names, mu):
     f = parse_poly(text, names)
     assert milnor_oracle(f, dmax=oracle_dmax_for(mu)) == mu
+
+
+# Dense germs the engine could not finish within 150 reduction steps before
+# it bounded its work at the highest corner of its own leading ideal.
+DENSE_GERMS = [
+    pytest.param(
+        "x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4"
+        " - 3*x^5 - x^4*y - 3*x^3*y^2 + 3*x*y^4 + y^9",
+        XY, 5, id="two-variable-integer",
+    ),
+    pytest.param(
+        "(-1-1/3*i)*x^2*y^2 + 2/3*x*y^3 + (-2/3-1/3*i)*x^4*y - 2/3*i*x^2*y^3"
+        " + (-2/3+1/3*i)*x*y^4 + x^6 + y^7",
+        XY, 11, id="two-variable-gaussian",
+    ),
+    pytest.param(
+        "(1+2/3*i)*x^2*y + (1/3-i)*x*z^2 + (-1/3-2/3*i)*y*z^2 + x^4 + x^3*y"
+        " - i*x^2*y^2 + (-1/3-i)*x^2*y*z + 1/3*x*y^2*z + (-1/3-i)*x*y*z^2 + x*z^3"
+        " + y^4 + 2/3*i*y^3*z + (1/3-i)*y^2*z^2 + (2/3+2/3*i)*y*z^3 + z^4",
+        XYZ, 9, id="three-variable-gaussian",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,names,mu", DENSE_GERMS)
+def test_dense_germs_finish_within_150_steps(text, names, mu):
+    f = parse_poly(text, names)
+    assert milnor_number(f, max_steps=150).mu == mu
+    assert milnor_oracle(f, dmax=oracle_dmax_for(mu)) == mu
+
+
+def test_dense_germ_staircase():
+    f = parse_poly(DENSE_GERMS[0].values[0], XY)
+    # 1, x, y, y^2, y^3
+    assert milnor_number(f, max_steps=150).staircase == {(0, 0), (1, 0), (0, 1), (0, 2), (0, 3)}
+
+
+_SMALL = st.integers(-3, 3)
+COEFFICIENTS = {
+    "integer": _SMALL.map(GaussianRational),
+    "rational": st.builds(Fraction, st.integers(-5, 5), st.integers(1, 5)).map(GaussianRational),
+    "gaussian": st.builds(
+        lambda re, im: GaussianRational(Fraction(re, 3), Fraction(im, 3)), _SMALL, _SMALL
+    ),
+}
+
+
+@st.composite
+def dense_germs(draw):
+    """Each monomial of degree low..top (2 <= low <= 4, top <= 6) with
+    probability 1/2, in 2 or 3 variables, plus x_i^(a_i) for every variable,
+    so mu is finite for generic coefficients."""
+    nvars = draw(st.integers(2, 3))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    low = draw(st.integers(2, 4))
+    terms = {}
+    for degree in range(low, draw(st.integers(low, 6)) + 1):
+        for mono in monomials_of_degree(nvars, degree):
+            if draw(st.booleans()):
+                terms[mono] = draw(coefficient)
+    for i in range(nvars):
+        terms[tuple(draw(st.integers(2, 6)) if j == i else 0 for j in range(nvars))] = 1
+    return Poly(nvars, terms)
+
+
+@settings(max_examples=50)
+@given(dense_germs())
+def test_engines_agree_on_dense_germs(f):
+    mu = milnor_number(f, max_steps=1000).mu
+    assert milnor_oracle(f, dmax=oracle_dmax_for(mu) if mu is not None else 12) == mu
+    if is_semihomogeneous(f):
+        assert mu == (f.order() - 1) ** f.nvars
 
 
 def test_regular_germ_has_mu_zero():

@@ -41,7 +41,7 @@ from .monodromy import (
     s_sequence,
     zeta,
 )
-from .poly import Poly, format_poly, parse_poly
+from .poly import LineDirection, Poly, format_poly, parse_poly
 from .vectorfields import VectorField, vf_milnor, vf_multiplicity
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -54,7 +54,7 @@ def _read_expr(text: str) -> str:
         try:
             with open(text[1:], "r", encoding="utf-8") as handle:
                 return handle.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {text[1:]}: {exc}") from exc
     return text
 
@@ -82,6 +82,13 @@ def _resolve_vars(args, texts) -> tuple[str, ...]:
     if getattr(args, "vars", None):
         return _parse_vars(args.vars)
     return _infer_vars(texts)
+
+
+def _read_polys(args, exprs) -> tuple[list[Poly], tuple[str, ...]]:
+    """Read each expression (inline or @file), resolve the names, parse."""
+    texts = [_read_expr(e) for e in exprs]
+    names = _resolve_vars(args, texts)
+    return [parse_poly(t, names) for t in texts], names
 
 
 def _parse_samples(raw: str) -> tuple[Fraction, ...]:
@@ -118,7 +125,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -166,9 +173,7 @@ def _staircase_strings(staircase, names) -> list[str]:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_mult(args) -> dict:
-    text = _read_expr(args.expr)
-    names = _resolve_vars(args, [text])
-    f = parse_poly(text, names)
+    (f,), names = _read_polys(args, [args.expr])
     if not f:
         raise InputError("the zero polynomial has no multiplicity")
     return {
@@ -182,9 +187,7 @@ def _cmd_mult(args) -> dict:
 
 
 def _cmd_milnor(args) -> dict:
-    text = _read_expr(args.expr)
-    names = _resolve_vars(args, [text])
-    f = parse_poly(text, names)
+    (f,), names = _read_polys(args, [args.expr])
     result = milnor_with_method(f, args.method, args.dmax)
     report = {
         "command": "milnor",
@@ -242,10 +245,7 @@ def _cmd_charpoly(args) -> dict:
 
 
 def _cmd_discriminate(args) -> dict:
-    texts = [_read_expr(args.first), _read_expr(args.second)]
-    names = _resolve_vars(args, texts)
-    f = parse_poly(texts[0], names)
-    g = parse_poly(texts[1], names)
+    (f, g), names = _read_polys(args, [args.first, args.second])
     report = discriminate(f, g).to_json_dict()
     report.update(
         {
@@ -260,18 +260,15 @@ def _cmd_discriminate(args) -> dict:
 def _family_from_args(args) -> tuple[GermFamily, tuple[str, ...]]:
     if args.file:
         return family_from_json(_load_json(args.file))
-    text = _read_expr(args.rescale)
-    names = _resolve_vars(args, [text])
-    return rescaling_family(parse_poly(text, names)), names
+    (f,), names = _read_polys(args, [args.rescale])
+    return rescaling_family(f), names
 
 
 def _cmd_family(args) -> dict:
     ts = _parse_samples(args.ts) if args.ts else DEFAULT_SAMPLES
 
     if args.find_alpha:
-        text = _read_expr(args.find_alpha)
-        names = _resolve_vars(args, [text])
-        target = parse_poly(text, names)
+        (target,), names = _read_polys(args, [args.find_alpha])
         candidates = (
             [_parse_scalar(tok) for tok in args.candidates.split(",")]
             if args.candidates
@@ -312,7 +309,7 @@ def _cmd_family(args) -> dict:
 
     direction = None
     if args.line:
-        direction = [ _parse_scalar(tok) for tok in args.line.split(",") ]
+        direction = LineDirection.of(_parse_scalar(tok) for tok in args.line.split(","))
     elif args.find_line:
         forms = []
         seen = set()
@@ -324,25 +321,22 @@ def _cmd_family(args) -> dict:
             if form not in seen:
                 seen.add(form)
                 forms.append(form)
-        found = find_transverse_line(forms, trials=args.trials, seed=args.seed)
-        report["line"] = None if found is None else str(found)
-        if found is None:
+        direction = find_transverse_line(forms, trials=args.trials, seed=args.seed)
+        if direction is None:
+            report["line"] = None
             return report
-        direction = found
     if direction is not None:
         line_profile = line_order_profile(family, direction, ts)
+        report["line"] = str(direction)
         report["lineProfile"] = [
             {"order": order, "t": str(t)} for t, order in line_profile
         ]
-        if "line" not in report:
-            report["line"] = "(" + ", ".join(str(c) for c in direction) + ")"
     return report
 
 
 def _cmd_foliation(args) -> dict:
-    texts = [_read_expr(c) for c in args.components]
-    names = _resolve_vars(args, texts)
-    field = VectorField(tuple(parse_poly(t, names) for t in texts))
+    components, names = _read_polys(args, args.components)
+    field = VectorField(tuple(components))
     index = vf_milnor(field)
     return {
         "command": "foliation",

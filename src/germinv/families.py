@@ -12,11 +12,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, I, ONE
 from .milnor import is_isolated, milnor_number
+from .monodromy import _is_int
 from .poly import LineDirection, Poly, fermat, parse_poly
 
 DEFAULT_SAMPLES = (
@@ -107,8 +108,10 @@ def family_from_json(data) -> tuple[GermFamily, tuple[str, ...]]:
     for entry in raw_pieces:
         if not isinstance(entry, dict) or set(entry) != {"poly", "tpower"}:
             raise InputError('each piece is an object with keys "poly" and "tpower"')
-        if not isinstance(entry["tpower"], int):
+        if not _is_int(entry["tpower"]):
             raise InputError('"tpower" must be an integer')
+        if not isinstance(entry["poly"], str):
+            raise InputError('"poly" must be a polynomial expression string')
         pieces.append(FamilyPiece(parse_poly(entry["poly"], names), entry["tpower"]))
     return GermFamily(tuple(pieces)), tuple(names)
 
@@ -273,10 +276,13 @@ def find_alpha(
 
     The family is (1-t) * (sum of k-th powers) + t * alpha * target with k
     the degree of the homogeneous isolated target.  alpha is accepted when
-    the family stays isolated at every sample.  Candidates default to a
-    fixed ladder followed by seeded bounded-height random Gaussian
-    rationals; None means the candidate set is exhausted (enlarge it or
-    the sample set).
+    the family stays isolated at every sample.  Samples t = 0 and t = 1 are
+    decided by construction and never reach the engine: at t = 0 the germ
+    is the reference, isolated since k >= 2, and at t = 1 it is alpha *
+    target with alpha nonzero, and the target's isolation is checked on
+    entry.  Candidates default to a fixed ladder followed by seeded
+    bounded-height random Gaussian rationals; None means the candidate set
+    is exhausted (enlarge it or the sample set).
     """
     if not target:
         raise ZeroPolynomialError("the target form is zero")
@@ -284,33 +290,31 @@ def find_alpha(
         raise InputError("the target must be homogeneous of degree >= 2")
     if not is_isolated(target):
         raise InputError("the target form must have an isolated critical point")
-    degree = target.order()
-    reference = fermat(degree, target.nvars)
+    reference = fermat(target.order(), target.nvars)
     ts = [GaussianRational.of(t) for t in ts]
+    # GaussianRational(0) == 0 is False (dataclass equality): test truthiness.
+    interior = [t for t in ts if t and t != ONE]
+
+    if candidates is not None:
+        stream = [GaussianRational.of(c) for c in candidates]
+    else:
+        rng = random.Random(seed)
+        stream = chain(DEFAULT_ALPHA_LADDER, (
+            GaussianRational(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            )
+            for _ in range(RANDOM_ALPHA_TRIALS)
+        ))
 
     def acceptable(alpha: GaussianRational) -> bool:
-        for t in ts:
+        for t in interior:
             germ = reference.scale(ONE - t) + target.scale(t * alpha)
             if not germ or not is_isolated(germ):
                 return False
         return True
 
-    if candidates is not None:
-        pool = [GaussianRational.of(c) for c in candidates]
-        for alpha in pool:
-            if alpha and acceptable(alpha):
-                return alpha
-        return None
-
-    for alpha in DEFAULT_ALPHA_LADDER:
-        if acceptable(alpha):
-            return alpha
-    rng = random.Random(seed)
-    for _ in range(RANDOM_ALPHA_TRIALS):
-        alpha = GaussianRational(
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        )
+    for alpha in stream:
         if alpha and acceptable(alpha):
             return alpha
     return None

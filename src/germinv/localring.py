@@ -277,6 +277,6 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     return StandardBasisResult(tuple(kept), leading, stairs)
 
 
-def ideal_quotient_dim(gens, max_steps: int = DEFAULT_MAX_STEPS) -> int | None:
+def ideal_quotient_dim(gens) -> int | None:
     """dim of local ring modulo the ideal, or None when infinite."""
-    return standard_basis(gens, max_steps).quotient_dim
+    return standard_basis(gens).quotient_dim

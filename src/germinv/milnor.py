@@ -183,8 +183,12 @@ def milnor_semihomogeneous(f: Poly) -> int:
 class GermInvariants:
     """The facts every screening check reads about one germ.
 
-    mu is None when the germ is not isolated; semihomogeneous is False for
-    regular germs (order 1), where the notion does not apply.
+    mu is None when the germ is not isolated.  semihomogeneous is read off
+    mu: an isolated germ of order m >= 2 in n variables has
+    mu >= (m-1)^n, with equality exactly when its initial form has an
+    isolated critical point (Fulton, Intersection Theory, Cor. 12.4).  It
+    is False for non-isolated germs and for regular germs (order 1), where
+    the notion does not apply.
     """
 
     nvars: int
@@ -195,19 +199,15 @@ class GermInvariants:
 
 
 def germ_invariants(f: Poly) -> GermInvariants:
-    """mu, order, degree and class of f, with one standard basis per ideal.
+    """mu, order, degree and class of f, from one standard basis.
 
-    A homogeneous germ is its own initial form, so its mu answers the
-    semihomogeneity question too.
+    The class needs no second basis on the initial form: by the
+    inequality on GermInvariants, f is semihomogeneous iff
+    mu == (order-1)^nvars.
     """
     mu = milnor_number(f).mu
     order = f.order()
-    if order < 2:
-        semihomogeneous = False
-    elif f.is_homogeneous():
-        semihomogeneous = mu is not None
-    else:
-        semihomogeneous = is_isolated(f.initial_form())
+    semihomogeneous = order >= 2 and mu == (order - 1) ** f.nvars
     return GermInvariants(f.nvars, order, f.degree(), mu, semihomogeneous)
 
 

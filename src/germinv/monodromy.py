@@ -59,6 +59,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _sparse_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int], ...]:
+    """Integer (index >= 1, value) pairs, sorted by index, zero values dropped."""
+    clean = {}
+    for i, v in pairs:
+        if not (_is_int(i) and _is_int(v)) or i < 1:
+            raise InputError(malformed)
+        if i in clean:
+            raise InputError(f"{duplicate} {i}")
+        clean[i] = v
+    return tuple(sorted((i, v) for i, v in clean.items() if v))
+
+
 # -- resolution data ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -153,28 +165,18 @@ class SSequence:
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        clean = []
-        seen = set()
-        for i, s in self.entries:
-            if not (_is_int(i) and _is_int(s)) or i < 1:
-                raise InputError("s-sequence wants integer entries at indices >= 1")
-            if i in seen:
-                raise InputError(f"duplicate s-sequence index {i}")
-            seen.add(i)
-            if s:
-                clean.append((i, s))
-        clean.sort()
-        object.__setattr__(self, "entries", tuple(clean))
+        object.__setattr__(self, "entries", _sparse_pairs(
+            self.entries,
+            "s-sequence wants integer entries at indices >= 1",
+            "duplicate s-sequence index",
+        ))
 
     @staticmethod
     def from_map(values: dict[int, int]) -> "SSequence":
         return SSequence(tuple(values.items()))
 
     def get(self, i: int) -> int:
-        for j, s in self.entries:
-            if j == i:
-                return s
-        return 0
+        return dict(self.entries).get(i, 0)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.entries)
@@ -228,24 +230,14 @@ class ZetaFunction:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        clean = []
-        seen = set()
-        for i, e in self.factors:
-            if not (_is_int(i) and _is_int(e)) or i < 1:
-                raise InputError("zeta factors want integer exponents at i >= 1")
-            if i in seen:
-                raise InputError(f"duplicate zeta factor index {i}")
-            seen.add(i)
-            if e:
-                clean.append((i, e))
-        clean.sort()
-        object.__setattr__(self, "factors", tuple(clean))
+        object.__setattr__(self, "factors", _sparse_pairs(
+            self.factors,
+            "zeta factors want integer exponents at i >= 1",
+            "duplicate zeta factor index",
+        ))
 
     def exponent(self, i: int) -> int:
-        for j, e in self.factors:
-            if j == i:
-                return e
-        return 0
+        return dict(self.factors).get(i, 0)
 
     def __str__(self) -> str:
         if not self.factors:

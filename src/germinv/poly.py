@@ -395,7 +395,7 @@ class LineDirection:
 
     @staticmethod
     def of(values: Iterable) -> "LineDirection":
-        return LineDirection(tuple(GaussianRational.of(v) for v in values))
+        return LineDirection(tuple(values))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -405,17 +405,13 @@ class LineDirection:
 
 
 def _direction_entries(direction, nvars: int) -> tuple[GaussianRational, ...]:
-    if isinstance(direction, LineDirection):
-        entries = direction.entries
-    else:
-        entries = tuple(GaussianRational.of(v) for v in direction)
-        if not any(entries):
-            raise InputError("direction vector must have a nonzero entry")
-    if len(entries) != nvars:
+    if not isinstance(direction, LineDirection):
+        direction = LineDirection.of(direction)
+    if len(direction) != nvars:
         raise InputError(
-            f"direction has {len(entries)} entries, expected {nvars}"
+            f"direction has {len(direction)} entries, expected {nvars}"
         )
-    return entries
+    return direction.entries
 
 
 # -- parsing -----------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .localring import DEFAULT_MAX_STEPS, ideal_quotient_dim
+from .localring import ideal_quotient_dim
 from .poly import Poly
 
 
@@ -49,9 +49,9 @@ def vf_multiplicity(field: VectorField) -> int:
     return min(c.order() for c in field.components if c)
 
 
-def vf_milnor(field: VectorField, max_steps: int = DEFAULT_MAX_STEPS) -> int | None:
+def vf_milnor(field: VectorField) -> int | None:
     """dim of the local ring modulo the component ideal; None if infinite."""
-    return ideal_quotient_dim(field.components, max_steps)
+    return ideal_quotient_dim(field.components)
 
 
 def gradient_field(f: Poly) -> VectorField:

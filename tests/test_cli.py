@@ -299,6 +299,19 @@ def test_foliation_degenerate(capsys):
     assert data["isolated"] is False
 
 
+@pytest.mark.parametrize("piece, message", [
+    ({"poly": 3, "tpower": 0}, '"poly" must be'),
+    ({"poly": "x^2 + y^2", "tpower": True}, '"tpower" must be an integer'),
+], ids=["non-string-poly", "boolean-tpower"])
+def test_malformed_family_file_exits_2(capsys, tmp_path, piece, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "pieces": [piece]}))
+    code, out, err = run(capsys, "family", "--file", str(path))
+    assert code == 2
+    assert message in err
+    assert not out
+
+
 # -- corpus --------------------------------------------------------------------
 
 def test_corpus_sweep(capsys):
@@ -315,6 +328,20 @@ def test_expression_from_file(capsys, tmp_path):
     path.write_text("x^3 + y^3\n")
     data = run_json(capsys, "milnor", "@" + str(path))
     assert data["mu"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("milnor", "@{}"),
+    ("zeta", "--res", "{}", "--n", "2"),
+    ("family", "--file", "{}"),
+], ids=["expression", "resolution", "family"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("x^2 + \u00e9".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert code == 2
+    assert f"cannot read {path}" in err
+    assert not out
 
 
 def test_text_format_both_positions(capsys):

@@ -50,6 +50,11 @@ def test_run_corpus_report():
         assert entry["classA"] == entry["semihomogeneousComputed"]
 
 
+def test_run_corpus_computes_one_standard_basis_per_entry(standard_basis_calls):
+    run_corpus()
+    assert len(standard_basis_calls) == len(ISOLATED_GERMS)
+
+
 def test_corpus_texts_parse_with_their_own_variables():
     for germ in ISOLATED_GERMS + NON_ISOLATED_GERMS:
         f = parse_poly(germ.text, germ.vars)

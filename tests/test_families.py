@@ -102,6 +102,13 @@ def test_profile_reuses_the_zero_sample(standard_basis_calls):
     assert len(standard_basis_calls) == len(DEFAULT_SAMPLES)
 
 
+def test_find_alpha_sends_only_interior_samples_to_the_engine(standard_basis_calls):
+    # the target on entry, then t = 1/4, 1/2, 3/4 for the first ladder alpha;
+    # t = 0 and t = 1 are isolated by construction
+    assert find_alpha(P("x^3 + 2*y^3")) == GaussianRational.of(1)
+    assert len(standard_basis_calls) == 4
+
+
 def test_jump_family():
     fam = GermFamily((FamilyPiece(P("x^3 + y^3"), 0), FamilyPiece(P("x*y"), 1)))
     prof = mu_profile(fam)

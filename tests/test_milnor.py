@@ -137,8 +137,10 @@ def dense_germs(draw):
 def test_engines_agree_on_dense_germs(f):
     mu = milnor_number(f, max_steps=1000).mu
     assert milnor_oracle(f, dmax=oracle_dmax_for(mu) if mu is not None else 12) == mu
-    if is_semihomogeneous(f):
-        assert mu == (f.order() - 1) ** f.nvars
+    # mu >= (order-1)^n, with equality exactly for an isolated initial form
+    semihomogeneous = is_semihomogeneous(f)
+    assert semihomogeneous == (mu == (f.order() - 1) ** f.nvars)
+    assert germ_invariants(f).semihomogeneous == semihomogeneous
 
 
 def test_regular_germ_has_mu_zero():

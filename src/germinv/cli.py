@@ -9,6 +9,7 @@ success, 2 for input errors, 3 for engine diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -79,7 +80,7 @@ def _infer_vars(texts) -> tuple[str, ...]:
 
 
 def _resolve_vars(args, texts) -> tuple[str, ...]:
-    if getattr(args, "vars", None):
+    if getattr(args, "vars", None) is not None:
         return _parse_vars(args.vars)
     return _infer_vars(texts)
 
@@ -258,20 +259,20 @@ def _cmd_discriminate(args) -> dict:
 
 
 def _family_from_args(args) -> tuple[GermFamily, tuple[str, ...]]:
-    if args.file:
+    if args.file is not None:
         return family_from_json(_load_json(args.file))
     (f,), names = _read_polys(args, [args.rescale])
     return rescaling_family(f), names
 
 
 def _cmd_family(args) -> dict:
-    ts = _parse_samples(args.ts) if args.ts else DEFAULT_SAMPLES
+    ts = _parse_samples(args.ts) if args.ts is not None else DEFAULT_SAMPLES
 
-    if args.find_alpha:
+    if args.find_alpha is not None:
         (target,), names = _read_polys(args, [args.find_alpha])
         candidates = (
             [_parse_scalar(tok) for tok in args.candidates.split(",")]
-            if args.candidates
+            if args.candidates is not None
             else None
         )
         alpha = find_alpha(target, ts, candidates, seed=args.seed)
@@ -308,7 +309,7 @@ def _cmd_family(args) -> dict:
     }
 
     direction = None
-    if args.line:
+    if args.line is not None:
         direction = LineDirection.of(_parse_scalar(tok) for tok in args.line.split(","))
     elif args.find_line:
         forms = []
@@ -459,9 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() and reused by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = args.handler(args)
     except InputError as exc:

@@ -292,7 +292,7 @@ def find_alpha(
         raise InputError("the target form must have an isolated critical point")
     reference = fermat(target.order(), target.nvars)
     ts = [GaussianRational.of(t) for t in ts]
-    # GaussianRational(0) == 0 is False (dataclass equality): test truthiness.
+    # GaussianRational(0) == 0 is False (only scalars compare equal): test truthiness.
     interior = [t for t in ts if t and t != ONE]
 
     if candidates is not None:

@@ -21,9 +21,10 @@ monomials found so far contain a pure power of every variable, every
 monomial of degree k = 1 + (top degree of their staircase) lies in them,
 so m^k is inside the leading ideal of the input, and for a local degree
 order that forces m^k inside the ideal itself.  From then on all terms of
-degree >= k are dropped, from basis elements and from every normal-form
-step, and pairs whose lcm has degree >= k are skipped; k only shrinks as
-the basis grows.  That keeps dense germs from growing ever longer tails.
+degree >= k are dropped, from basis elements, from s-polynomials (those
+terms are never formed) and from every normal-form step, and pairs whose
+lcm has degree >= k are skipped; k only shrinks as the basis grows.  That
+keeps dense germs from growing ever longer tails.
 The bound is read off this engine's own leading monomials, never from the
 truncated-dimension oracle in :mod:`germinv.milnor`, so the two Milnor
 engines stay independent.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .errors import IterationLimitError
-from .gaussian import GaussianRational
+from .gaussian import ONE, GaussianRational
 from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm, mono_quotient
 
 DEFAULT_MAX_STEPS = 200_000
@@ -79,7 +80,7 @@ class _Budget:
 
 def _monic(f: Poly) -> Poly:
     _, lc = leading_term(f)
-    return f.scale(GaussianRational.of(1) / lc)
+    return f.scale(ONE / lc)
 
 
 def _below(f: Poly, corner: int | None) -> Poly:
@@ -89,14 +90,17 @@ def _below(f: Poly, corner: int | None) -> Poly:
     return f.truncate_jet(corner - 1)
 
 
-def spoly(f: Poly, g: Poly) -> Poly:
+def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
+    """The s-polynomial of f and g; with ``_corner`` k, only its terms of
+    degree < k, without forming the others."""
     mf, cf = leading_term(f)
     mg, cg = leading_term(g)
     lcm = mono_lcm(mf, mg)
-    one = GaussianRational.of(1)
-    return f.mul_term(mono_quotient(lcm, mf), one / cf) - g.mul_term(
-        mono_quotient(lcm, mg), one / cg
-    )
+    qf, qg = mono_quotient(lcm, mf), mono_quotient(lcm, mg)
+    if _corner is not None:
+        f = _below(f, _corner - mono_degree(qf))
+        g = _below(g, _corner - mono_degree(qg))
+    return f.mul_term(qf, ONE / cf) + g.mul_term(qg, -(ONE / cg))
 
 
 def mora_normal_form(
@@ -123,7 +127,7 @@ def mora_normal_form(
         if eg > eh:
             pool.append((mh, ch, eh, h))
         budget.spend()
-        h = _below(h - g.mul_term(mono_quotient(mh, mg), ch / cg), _corner)
+        h = _below(h + g.mul_term(mono_quotient(mh, mg), -(ch / cg)), _corner)
     return h
 
 
@@ -212,9 +216,9 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     Whenever the leading monomials found so far have a finite staircase,
     its highest corner k = 1 + (top staircase degree) bounds the work:
     m^k is inside the leading monomials, hence inside the ideal (local
-    degree order), so basis elements and normal forms are truncated below
-    degree k and pairs with an lcm of degree >= k are never reduced (their
-    s-polynomials lie in m^k).  The corner comes from this engine's own
+    degree order), so basis elements, s-polynomials and normal forms are
+    truncated below degree k and pairs with an lcm of degree >= k are
+    never reduced (their s-polynomials lie in m^k).  The corner comes from this engine's own
     leading monomials, not from the oracle, so the two Milnor engines stay
     independent.  Since m^k already lies in the leading monomials, the
     leading ideal and staircase are those of the untruncated completion.
@@ -251,7 +255,8 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
             break  # this and every later s-polynomial lies in m^corner
         if degree == mono_degree(lm[i]) + mono_degree(lm[j]):
             continue  # coprime leading monomials: s-polynomial reduces to 0
-        h = mora_normal_form(spoly(basis[i], basis[j]), basis, budget, _corner=corner)
+        s = spoly(basis[i], basis[j], _corner=corner)
+        h = mora_normal_form(s, basis, budget, _corner=corner)
         if h:
             h = _monic(h)
             new_index = len(basis)

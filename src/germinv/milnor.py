@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InputError, ZeroPolynomialError
-from .gaussian import GaussianRational, ZERO
+from .gaussian import ONE, GaussianRational
 from .localring import DEFAULT_MAX_STEPS, standard_basis
 from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
 
@@ -86,16 +86,20 @@ class _Echelon:
             lead = min(row, key=_col_key)
             pivot = self.pivots.get(lead)
             if pivot is None:
-                inv = GaussianRational.of(1) / row[lead]
+                inv = ONE / row[lead]
                 self.pivots[lead] = {m: c * inv for m, c in row.items()}
                 return
-            factor = row[lead]
+            factor = -row[lead]
             for mono, coeff in pivot.items():
-                s = row.get(mono, ZERO) - factor * coeff
+                old = row.get(mono)
+                if old is None:
+                    row[mono] = factor * coeff
+                    continue
+                s = old + factor * coeff
                 if s:
                     row[mono] = s
                 else:
-                    row.pop(mono, None)
+                    del row[mono]
 
 
 def _ideal_rows(gens: list[Poly], below_degree: int) -> list[dict]:

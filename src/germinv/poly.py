@@ -95,6 +95,17 @@ class Poly:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @staticmethod
+    def _clean(nvars: int, terms: dict[Monomial, GaussianRational]) -> "Poly":
+        """A Poly that adopts terms without checking them: every key must be
+        an exponent vector of length nvars, every value a nonzero
+        GaussianRational.  For results built from another Poly's terms."""
+        poly = object.__new__(Poly)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -169,7 +180,7 @@ class Poly:
         return min(mono_degree(m) for m in self._terms)
 
     def homogeneous_component(self, degree: int) -> "Poly":
-        return Poly(
+        return Poly._clean(
             self.nvars,
             {m: c for m, c in self._terms.items() if mono_degree(m) == degree},
         )
@@ -186,7 +197,7 @@ class Poly:
 
     def truncate_jet(self, max_degree: int) -> "Poly":
         """Drop every term of total degree > max_degree."""
-        return Poly(
+        return Poly._clean(
             self.nvars,
             {m: c for m, c in self._terms.items() if mono_degree(m) <= max_degree},
         )
@@ -205,17 +216,21 @@ class Poly:
         self._check_same_vars(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            s = acc.get(m, ZERO) + c
+            old = acc.get(m)
+            if old is None:
+                acc[m] = c
+                continue
+            s = old + c
             if s:
                 acc[m] = s
             else:
-                acc.pop(m, None)
-        return Poly(self.nvars, acc)
+                del acc[m]
+        return Poly._clean(self.nvars, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._clean(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -233,12 +248,16 @@ class Poly:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = mono_mul(m1, m2)
-                s = acc.get(m, ZERO) + c1 * c2
+                old = acc.get(m)
+                if old is None:
+                    acc[m] = c1 * c2
+                    continue
+                s = old + c1 * c2
                 if s:
                     acc[m] = s
                 else:
-                    acc.pop(m, None)
-        return Poly(self.nvars, acc)
+                    del acc[m]
+        return Poly._clean(self.nvars, acc)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -247,7 +266,7 @@ class Poly:
         c = GaussianRational.of(scalar)
         if not c:
             return Poly(self.nvars)
-        return Poly(self.nvars, {m: c * v for m, v in self._terms.items()})
+        return Poly._clean(self.nvars, {m: c * v for m, v in self._terms.items()})
 
     def mul_term(self, mono: Monomial, coeff) -> "Poly":
         """Multiply by coeff * x^mono in one pass (reduction hot path)."""
@@ -255,7 +274,11 @@ class Poly:
         if not c:
             return Poly(self.nvars)
         mono = tuple(mono)
-        return Poly(self.nvars, {mono_mul(m, mono): c * v for m, v in self._terms.items()})
+        if len(mono) != self.nvars or any(e < 0 for e in mono):
+            raise InputError(f"bad exponent vector {mono} for {self.nvars} variables")
+        return Poly._clean(
+            self.nvars, {mono_mul(m, mono): c * v for m, v in self._terms.items()}
+        )
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -538,7 +561,11 @@ class _Parser:
     def atom(self) -> Poly:
         kind, value, pos = self.toks.take()
         if kind == "number":
-            return Poly.constant(self.nvars, Fraction(value))
+            try:
+                number = Fraction(value)
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {value!r}", pos) from None
+            return Poly.constant(self.nvars, number)
         if kind == "name":
             if value == "i":
                 return Poly.constant(self.nvars, GaussianRational(0, 1))

@@ -369,6 +369,34 @@ def test_parse_error_exits_2(capsys):
     assert not out
 
 
+@pytest.mark.parametrize("argv", [
+    ("milnor", "x^2 + 1/0*y^2"),
+    ("family", "--rescale", "x^2+y^3", "--line", "1,1/0"),
+    ("family", "--find-alpha", "x^3+y^3", "--candidates", "1/0"),
+], ids=["expression", "line", "candidates"])
+def test_zero_denominator_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator in '1/0'" in err
+    assert not out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("milnor", "x^2 + y^3", "--vars", ""), "empty variable list"),
+    (("family", "--find-alpha", ""), "no variables found"),
+    (("family", "--file", ""), "cannot read"),
+    (("family", "--rescale", "x^2+y^3", "--ts", ""), "empty sample list"),
+    (("family", "--rescale", "x^2+y^3", "--line", ""), "expected a number"),
+    (("family", "--find-alpha", "x^3+y^3", "--candidates", ""), "expected a number"),
+], ids=["vars", "find-alpha", "file", "ts", "line", "candidates"])
+def test_empty_option_value_exits_2(capsys, argv, message):
+    # an empty value is an input error, never a silent fall-back to the default
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert not out
+
+
 def test_zero_polynomial_exits_2(capsys):
     code, _, err = run(capsys, "milnor", "0")
     assert code == 2

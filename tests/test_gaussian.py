@@ -1,5 +1,8 @@
 """Exact complex-rational scalar arithmetic."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -110,3 +113,90 @@ def test_field_inverses(a):
 @given(scalars)
 def test_norm_is_multiplicative_with_conjugate(a):
     assert a * a.conjugate() == GaussianRational(a.norm_sq(), 0)
+
+
+# -- the scalar contract -------------------------------------------------------
+
+real_scalars = st.builds(GaussianRational, rationals)
+nonreal_scalars = st.builds(GaussianRational, rationals, rationals.filter(bool))
+
+
+def reference(op, a, b):
+    """op on (re, im) pairs of Fractions, by the textbook formulas."""
+    p, q, r, s = a.re, a.im, b.re, b.im
+    if op == "+":
+        return p + r, q + s
+    if op == "-":
+        return p - r, q - s
+    if op == "*":
+        return p * r - q * s, p * s + q * r
+    n = r * r + s * s
+    return (p * r + q * s) / n, (q * r - p * s) / n
+
+
+@given(real_scalars, real_scalars, nonreal_scalars, nonreal_scalars)
+def test_operations_match_the_textbook_formulas(r1, r2, n1, n2):
+    # every pairing of real and non-real operands, so each fast path and
+    # the general path is exercised
+    ops = {"+": GaussianRational.__add__, "-": GaussianRational.__sub__,
+           "*": GaussianRational.__mul__, "/": GaussianRational.__truediv__}
+    for a, b in ((r1, r2), (r1, n2), (n1, r2), (n1, n2)):
+        for op, method in ops.items():
+            if op == "/" and not b:
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+                continue
+            result = method(a, b)
+            assert (result.re, result.im) == reference(op, a, b)
+            assert type(result.re) is Fraction and type(result.im) is Fraction
+
+
+def test_mixed_operands_are_coerced():
+    a = gq(1, 2)
+    assert a + 1 == 1 + a == gq(2, 2)
+    assert a - 1 == gq(0, 2) and 1 - a == gq(0, -2)
+    assert 2 * a == a * Fraction(2) == gq(2, 4)
+    assert a / 2 == gq(Fraction(1, 2), 1)
+    assert 1 / I == gq(0, -1)
+    with pytest.raises(TypeError):
+        a + 0.5
+    with pytest.raises(TypeError):
+        GaussianRational.of(0.5)
+
+
+def test_equality_is_only_between_scalars():
+    assert not GaussianRational(0) == 0
+    assert ZERO != 0
+    assert gq(1) != Fraction(1)
+    assert GaussianRational() == ZERO
+    assert GaussianRational(re=1, im=2) == gq(1, 2)
+
+
+def test_hash_is_the_hash_of_the_parts():
+    for g in (ZERO, ONE, I, gq(Fraction(-3, 4), 5), -I):
+        assert hash(g) == hash((g.re, g.im))
+
+
+def test_fields_are_frozen():
+    g = gq(1, 2)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 're'$"):
+        g.re = Fraction(0)
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'other'$"):
+        g.other = 1
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'im'$"):
+        del g.im
+    assert g == gq(1, 2)
+
+
+@pytest.mark.parametrize("value", [ZERO, ONE, I, gq(Fraction(-3, 4), 5), gq(7)])
+def test_pickle_and_deepcopy_round_trip(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert copied == value and repr(copied) == repr(value)
+        assert type(copied.re) is Fraction and type(copied.im) is Fraction
+
+
+@pytest.mark.parametrize("dividend", [ONE, gq(0, 1), gq(2, -3)])
+def test_division_by_zero_message(dividend):
+    for zero in (ZERO, GaussianRational(0, 0), 0):
+        with pytest.raises(ZeroDivisionError, match="^division by zero Gaussian rational$"):
+            dividend / zero

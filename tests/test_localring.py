@@ -58,6 +58,14 @@ def test_spoly_cancels_leading_terms():
     assert local_key(lead) < local_key((2, 1))
 
 
+def test_spoly_below_a_corner_is_the_truncated_spoly():
+    f = P("x^2 + 2*x*y^3 + (1+i)*y^5 + x^6")
+    g = P("x*y + 3*x^3 - y^4 + 1/2*x^2*y^3")
+    for corner in range(3, 9):
+        expected = spoly(f, g).truncate_jet(corner - 1)
+        assert spoly(f, g, _corner=corner) == expected
+
+
 # -- Mora weak normal form ---------------------------------------------------
 
 def test_mora_classic_unit_multiple():

@@ -168,6 +168,21 @@ def test_slash_only_forms_rational_literals():
         P("x/2")  # no general division in the grammar
 
 
+def test_parse_rejects_zero_denominators():
+    with pytest.raises(ParseError) as err:
+        P("x^2 + 1/0*y^2")
+    assert err.value.position == 6
+    assert "zero denominator in '1/0'" in str(err.value)
+
+
+def test_mul_term_rejects_bad_exponent_vectors():
+    f = P("x + y")
+    assert f.mul_term((1, 2), 3) == P("3*x^2*y^2 + 3*x*y^3")
+    for mono in ((1,), (1, 0, 0), (0, -1)):
+        with pytest.raises(InputError):
+            f.mul_term(mono, 1)
+
+
 def test_parse_rejects_negative_exponents():
     with pytest.raises(ParseError) as err:
         P("x^-2")
@@ -292,3 +307,24 @@ def test_derivative_of_product_rule(f):
     lhs = (f * g).partial(0)
     rhs = f.partial(0) * g + f * g.partial(0)
     assert lhs == rhs
+
+
+gaussian_coeffs = st.builds(GaussianRational, coeffs, coeffs)
+
+
+@st.composite
+def gaussian_polys(draw):
+    return Poly(2, draw(st.dictionaries(exponents, gaussian_coeffs, max_size=6)))
+
+
+@settings(max_examples=60)
+@given(gaussian_polys(), gaussian_polys(), gaussian_coeffs, exponents)
+def test_results_are_canonical(f, g, c, mono):
+    # results built without re-validation must still store no zero
+    # coefficient and equal what the checking constructor makes of them
+    results = [f + g, f - g, -f, f * g, f.scale(c), f.mul_term(mono, c), f + (-f),
+               f.truncate_jet(3), f.homogeneous_component(2)]
+    for r in results:
+        assert all(r.terms().values())
+        assert r == Poly(2, r.terms())
+    assert f + (-f) == Poly.zero(2)

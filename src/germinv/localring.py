@@ -49,7 +49,11 @@ def local_key(mono: Monomial):
 
 
 def leading_monomial(f: Poly) -> Monomial:
-    return max(f.terms(), key=local_key)
+    # local_key ranks lower total degree higher, so only the terms of the
+    # lowest degree compete; f's own terms are scanned, not copied
+    monos = f.monomials()
+    low = min(map(sum, monos))
+    return max((m for m in monos if sum(m) == low), key=local_key)
 
 
 def leading_term(f: Poly) -> tuple[Monomial, GaussianRational]:

@@ -5,9 +5,9 @@ size of the Jacobian ideal.  The second route, :func:`truncated_dim_oracle`,
 never touches that engine; it does degree-by-degree exact linear algebra on
 truncations and certifies its answer with the local Nakayama argument
 (m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
-quotient dimension are read off the pivot degrees of one row echelon per
-horizon.  The two are kept apart on purpose so each can catch the other
-lying.
+quotient dimension are read off the pivot degrees of one row echelon that
+grows a degree layer at a time, each row entering once.  The two are kept
+apart on purpose so each can catch the other lying.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ METHOD_FAST = "class-A-fast-path"
 
 @dataclass(frozen=True)
 class MilnorResult:
-    """mu plus how it was obtained; mu None means not isolated.
+    """mu plus how it was obtained; mu None means not isolated, except
+    from the oracle, where it means undecided.
 
     mu == 0 happens exactly when the germ is regular at 0 (some partial has
     a nonzero constant term).
@@ -41,7 +42,10 @@ class MilnorResult:
     note: str | None = None
 
     @property
-    def isolated(self) -> bool:
+    def isolated(self) -> bool | None:
+        """None when undecided: the oracle's missing mu proves nothing."""
+        if self.mu is None and self.method == METHOD_ORACLE:
+            return None
         return self.mu is not None
 
 
@@ -66,69 +70,99 @@ def is_isolated(f: Poly) -> bool:
 
 # -- the independent oracle --------------------------------------------------
 
-def _col_key(mono: Monomial):
-    return (mono_degree(mono), mono)
+class _Row:
+    """One row mono*g of the layered echelon, kept so it can be rebuilt.
 
-
-class _Echelon:
-    """Row echelon over the Gaussian rationals, rows keyed by monomial.
-
-    A row's pivot is its lowest term in (degree, monomial) order, so every
-    pivot row has all its terms in degrees at or above its pivot's.
+    ``layer`` holds the row's reduced terms of the current degree only.  Any
+    later layer is the source's (``parts`` is g split by degree, shifted by
+    ``shift`` of degree ``offset``) plus the ``steps`` multiples of their
+    pivots' layers, times ``inv`` once the row is a pivot (a one-term
+    pivot that leaves the replay at once needs none).  No term of degree
+    above ``top`` can appear.
     """
 
-    def __init__(self):
-        self.pivots: dict[Monomial, dict[Monomial, GaussianRational]] = {}
+    __slots__ = ("shift", "offset", "parts", "steps", "inv", "top", "layer")
 
-    def add(self, row: dict[Monomial, GaussianRational]):
-        """Reduce row (in place) against the pivots; keep it if nonzero."""
-        while row:
-            lead = min(row, key=_col_key)
-            pivot = self.pivots.get(lead)
+    def __init__(self, shift: Monomial, parts: dict, top: int, d: int):
+        self.shift = shift
+        self.offset = mono_degree(shift)
+        self.parts = parts
+        self.steps: list[tuple[GaussianRational, _Row]] = []
+        self.inv: GaussianRational | None = None
+        self.top = top
+        self.layer = self.source(d)
+
+    def source(self, d: int) -> dict[Monomial, GaussianRational]:
+        shift = self.shift
+        return {mono_mul(m, shift): c for m, c in self.parts.get(d - self.offset, ())}
+
+    def rebuild(self, d: int):
+        """Replace the layer by the degree-d one; every step pivot must
+        already hold its own degree-d layer."""
+        layer = self.source(d)
+        for factor, pivot in self.steps:
+            _add_multiple(layer, factor, pivot.layer)
+        inv = self.inv
+        self.layer = layer if inv is None else {m: c * inv for m, c in layer.items()}
+
+    def reduce(self, pivots: dict, d: int) -> bool:
+        """Reduce the layer against the pivots; True if it becomes one."""
+        layer = self.layer
+        while layer:
+            lead = min(layer)
+            pivot = pivots.get(lead)
             if pivot is None:
-                inv = ONE / row[lead]
-                self.pivots[lead] = {m: c * inv for m, c in row.items()}
-                return
-            factor = -row[lead]
-            for mono, coeff in pivot.items():
-                old = row.get(mono)
-                if old is None:
-                    row[mono] = factor * coeff
-                    continue
-                s = old + factor * coeff
-                if s:
-                    row[mono] = s
+                pivots[lead] = self
+                if len(layer) == 1 and self.top == d:
+                    self.layer = {lead: ONE}  # leaves the replay: no inverse needed
                 else:
-                    del row[mono]
+                    self.inv = inv = ONE / layer[lead]
+                    self.layer = {m: c * inv for m, c in layer.items()}
+                return True
+            factor = -layer[lead]
+            self.steps.append((factor, pivot))
+            if pivot.top > self.top:
+                self.top = pivot.top
+            _add_multiple(layer, factor, pivot.layer)
+        return False
 
 
-def _ideal_rows(gens: list[Poly], below_degree: int) -> list[dict]:
-    """Truncations of monomial * generator spanning the ideal mod m^below."""
-    nvars = gens[0].nvars
-    rows = []
-    for g in gens:
-        terms = g.terms()
-        for shift in range(below_degree - g.order()):
-            for mono in monomials_of_degree(nvars, shift):
-                rows.append({
-                    mono_mul(m, mono): c for m, c in terms.items()
-                    if mono_degree(m) + shift < below_degree
-                })
-    return rows
+def _add_multiple(layer: dict, factor: GaussianRational, other: dict):
+    """layer += factor * other, dropping terms that cancel."""
+    for mono, coeff in other.items():
+        old = layer.get(mono)
+        if old is None:
+            layer[mono] = factor * coeff
+            continue
+        s = old + factor * coeff
+        if s:
+            layer[mono] = s
+        else:
+            del layer[mono]
 
 
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     """Quotient dimension by truncated linear algebra; None if unstable.
 
-    For D = 1..dmax, echelonize all truncations of monomial*generator inside
-    polynomials of degree < D.  Pivots sit on each row's lowest term, so the
-    top pivots (degree D-1) span exactly the degree-(D-1) part of the span.
-    When they number all degree-(D-1) monomials, m^(D-1) lies in the ideal
-    (Nakayama), and the quotient is the monomials of degree < D-1 modulo the
-    span truncated one level down, whose rank is the count of the other
-    pivots.  Exact rational arithmetic throughout; None means no
+    One echelon of the rows mono*g, grown a degree layer at a time for
+    d = 0..dmax-1 (Lazard's degree-by-degree Macaulay matrices).  A row's
+    pivot is its lowest term, so the degree-d pivots span the degree-d
+    initial forms of the ideal.  When they number all degree-d monomials,
+    m^d lies in the ideal (Nakayama), and the quotient is the monomials of
+    degree < d modulo the span truncated there, whose rank is the count of
+    lower pivots.  Exact rational arithmetic throughout; None means no
     stabilization by dmax: either the quotient is infinite dimensional or
     dmax is too small for it.
+
+    Each row enters once, at its lowest degree, and holds only its terms of
+    the current degree.  Moving to degree d rebuilds every pivot's layer
+    from its source and its reduction steps, in creation order; adds the
+    rows of lowest degree d; and resumes the pending rows, those that
+    cancelled in every degree so far.  A row with no term left at or above
+    d leaves the replay.  Layer d of every row is what an untruncated
+    echelon holds in degree d, and the lowest monomials of a span do not
+    depend on the row order, so the pivot counts per degree are those of a
+    fresh echelon of all rows truncated above d.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -137,13 +171,40 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     for g in gens:
         if g.nvars != nvars:
             raise InputError("generators disagree on variable count")
-    for d_stop in range(1, dmax + 1):
-        span = _Echelon()
-        for row in _ideal_rows(gens, d_stop):
-            span.add(row)
-        top = sum(1 for lead in span.pivots if mono_degree(lead) == d_stop - 1)
-        if top == comb(d_stop - 2 + nvars, nvars - 1):
-            return comb(d_stop - 2 + nvars, nvars) - (len(span.pivots) - top)
+    split = []
+    for g in gens:
+        parts: dict[int, list] = {}
+        for m, c in g.terms().items():
+            parts.setdefault(mono_degree(m), []).append((m, c))
+        split.append((g.order(), g.degree(), parts))
+    pivots: dict[Monomial, _Row] = {}
+    replay: list[_Row] = []  # pivots that can still gain terms, in creation order
+    pending: list[_Row] = []
+    for d in range(dmax):
+        live = []
+        for row in replay:
+            if row.top < d:
+                row.layer = {}
+            else:
+                row.rebuild(d)
+                live.append(row)
+        for row in pending:
+            row.rebuild(d)
+        # new rows reduce before the pending ones: the other way round is
+        # slower on dense ideals
+        rows = [_Row(shift, parts, d - low + high, d)
+                for low, high, parts in split if d >= low
+                for shift in monomials_of_degree(nvars, d - low)]
+        rows += pending
+        below = len(pivots)
+        replay, pending = live, []
+        for row in rows:
+            if row.reduce(pivots, d):
+                replay.append(row)
+            elif row.top > d:
+                pending.append(row)
+        if len(pivots) - below == comb(d - 1 + nvars, nvars - 1):
+            return comb(d - 1 + nvars, nvars) - below
     return None
 
 
@@ -218,6 +279,8 @@ def germ_invariants(f: Poly) -> GermInvariants:
 def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
                        dmax: int | None = None) -> MilnorResult:
     """Dispatcher used by the CLI; method names are part of the wire format."""
+    if dmax is not None and dmax < 0:
+        raise InputError(f"dmax must be non-negative, got {dmax}")
     if method == METHOD_STANDARD_BASIS:
         return milnor_number(f)
     if method == METHOD_ORACLE:

@@ -139,6 +139,10 @@ class Poly:
     def terms(self) -> dict[Monomial, GaussianRational]:
         return dict(self._terms)
 
+    def monomials(self):
+        """The exponent vectors present, as a read-only view (no copy)."""
+        return self._terms.keys()
+
     def support(self) -> frozenset[Monomial]:
         return frozenset(self._terms)
 
@@ -441,6 +445,15 @@ def _direction_entries(direction, nvars: int) -> tuple[GaussianRational, ...]:
 
 _DEFAULTS = ("x", "y", "z")
 
+# The largest exponent the parser accepts after '^'.  It is checked on the
+# digits, before any power is formed: x^99999999999 would otherwise reach
+# the engines, whose work grows with the exponent (the staircase of x^e
+# alone has e-1 monomials).  The bundled corpus, the benchmark and the
+# tests use exponents up to 101; at 10000, milnor x^10000 still reports
+# within a second.  The cap bounds a single power, not the expanded size
+# of a product or of a germ in several variables.
+MAX_EXPONENT = 10_000
+
 
 def default_names(nvars: int) -> tuple[str, ...]:
     if nvars == 1:
@@ -554,6 +567,9 @@ class _Parser:
                 raise ParseError("negative exponent", pos)
             if kind != "number" or "/" in value:
                 raise ParseError("exponent must be a non-negative integer", pos)
+            digits = value.lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ParseError(f"exponent above the maximum of {MAX_EXPONENT}", pos)
             self.toks.take()
             base = base ** int(value)
         return base
@@ -565,6 +581,9 @@ class _Parser:
                 number = Fraction(value)
             except ZeroDivisionError:
                 raise ParseError(f"zero denominator in {value!r}", pos) from None
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number literal of {len(value)} characters is too long",
+                                 pos) from None
             return Poly.constant(self.nvars, number)
         if kind == "name":
             if value == "i":
@@ -594,7 +613,8 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     Grammar: + - * ^ and parentheses over integer/rational/Gaussian-rational
     literals (``i`` is the imaginary unit) and the given variable names.
     Raises :class:`ParseError` with a character position on bad syntax,
-    unknown variables, or negative exponents.
+    unknown variables, or exponents that are negative or above
+    :data:`MAX_EXPONENT`.
     """
     if len(names) < 1:
         raise InputError("at least one variable name is required")

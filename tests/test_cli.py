@@ -75,6 +75,44 @@ def test_milnor_non_isolated(capsys):
     assert data["isolated"] is False
 
 
+def test_undecided_oracle_reports_isolated_null(capsys):
+    # no stabilisation by dmax proves nothing: x^2 + y^2 has mu = 1
+    for dmax in ("0", "1"):
+        data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle",
+                        "--dmax", dmax)
+        assert data["isolated"] is None
+        assert data["mu"] is None
+        assert data["note"].startswith("no stabilization within dmax")
+    data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle", "--dmax", "3")
+    assert data["isolated"] is True and data["mu"] == 1 and "note" not in data
+
+
+@pytest.mark.parametrize("method", ["truncated-oracle", "standard-basis"])
+def test_negative_dmax_exits_2(capsys, method):
+    code, out, err = run(capsys, "milnor", "x^2+y^2", "--method", method, "--dmax", "-3")
+    assert code == 2
+    assert "dmax must be non-negative" in err
+    assert not out
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("x^99999999999", "exponent above the maximum of 10000"),
+    ("x^10001", "exponent above the maximum of 10000"),
+    ("x^" + "9" * 5000, "exponent above the maximum of 10000"),
+    ("x^2 + " + "1" * 5000 + "*y^2", "number literal of 5000 characters is too long"),
+], ids=["huge", "just-above", "5000-digit-exponent", "5000-digit-literal"])
+def test_oversized_numbers_exit_2(capsys, expr, message):
+    code, out, err = run(capsys, "milnor", expr)
+    assert code == 2
+    assert message in err
+    assert not out
+
+
+def test_largest_exponent_is_accepted(capsys):
+    data = run_json(capsys, "mult", "x^10000 + y^0010000")
+    assert data["order"] == data["degree"] == 10000
+
+
 def test_milnor_dense_germ_finishes_in_a_fresh_process():
     # this germ ran for more than 10 minutes before the engine bounded its
     # work at the highest corner; the timeout turns a hang into a failure

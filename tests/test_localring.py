@@ -45,6 +45,14 @@ def test_leading_data():
     assert mono == (2, 0) and coeff == GaussianRational.of(3)
 
 
+@pytest.mark.parametrize("text", [
+    "x^2 + x*y + y^2 + x^3", "y^3 + x*y^2 + x^2*y + 1 + x", "x*y^4 + y^5 + x^2*y^3", "y^7",
+])
+def test_leading_monomial_is_the_largest_in_the_local_order(text):
+    f = P(text)
+    assert leading_monomial(f) == max(f.terms(), key=local_key)
+
+
 def test_ecart():
     assert ecart(P("x + x^2")) == 1
     assert ecart(P("x^2")) == 0

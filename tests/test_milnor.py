@@ -4,7 +4,7 @@ the closed form for germs with a nondegenerate leading form."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS
 from germinv.errors import InputError
@@ -262,6 +262,16 @@ def test_oracle_returns_none_when_unstable():
     assert milnor_oracle(P("x^4 + y^5"), dmax=3) is None
 
 
+def test_an_undecided_oracle_leaves_isolation_open():
+    f = P("x^4 + y^5")
+    undecided = milnor_with_method(f, METHOD_ORACLE, dmax=3)
+    assert undecided.mu is None and undecided.isolated is None and undecided.note
+    assert milnor_with_method(f, METHOD_ORACLE, dmax=9).isolated is True
+    assert milnor_with_method(P("x^2*y^2"), METHOD_STANDARD_BASIS).isolated is False
+    with pytest.raises(InputError):
+        milnor_with_method(f, METHOD_ORACLE, dmax=-1)
+
+
 # The first horizon at which the oracle certifies each corpus germ, as
 # recorded before the oracle read its certificate off the pivot degrees.
 ORACLE_STOP_DEGREE = {
@@ -291,6 +301,65 @@ def test_oracle_on_an_ideal_that_is_not_a_jacobian():
     # the quotient by (x^2, y^3) has basis x^a*y^b with a < 2, b < 3
     assert truncated_dim_oracle([P("x^2"), P("y^3")], 5) == 6
     assert truncated_dim_oracle([P("x^2"), P("y^3")], 4) is None
+
+
+def reference_oracle(gens, dmax):
+    """The oracle's specification: a fresh echelon of every truncated row
+    mono*g at each horizon D = 1..dmax, its pivots on lowest terms."""
+    gens = [g for g in gens if g]
+    if not gens:
+        return None
+    nvars = gens[0].nvars
+    for d_stop in range(1, dmax + 1):
+        pivots = {}
+        for g in gens:
+            for shift in range(d_stop - g.order()):
+                for mono in monomials_of_degree(nvars, shift):
+                    row = {tuple(a + b for a, b in zip(m, mono)): c
+                           for m, c in g.terms().items() if sum(m) + shift < d_stop}
+                    while row:
+                        lead = min(row, key=lambda m: (sum(m), m))
+                        if lead not in pivots:
+                            pivots[lead] = {m: c / row[lead] for m, c in row.items()}
+                            break
+                        factor = row[lead]
+                        for m, c in pivots[lead].items():
+                            row[m] = row.get(m, GaussianRational(0)) - factor * c
+                            if not row[m]:
+                                del row[m]
+        top = sum(1 for lead in pivots if sum(lead) == d_stop - 1)
+        if top == len(list(monomials_of_degree(nvars, d_stop - 1))):
+            return sum(len(list(monomials_of_degree(nvars, k))) for k in range(d_stop - 1)) \
+                - (len(pivots) - top)
+    return None
+
+
+@st.composite
+def small_ideals(draw):
+    """n-1..3 generators in n = 1..3 variables, each 1-4 terms of degree
+    1..4 and now and then a constant: unit ideals, finite and infinite
+    quotients."""
+    nvars = draw(st.integers(1, 3))
+    coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
+    gens = []
+    for _ in range(draw(st.integers(max(1, nvars - 1), 3))):
+        terms = {}
+        if draw(st.integers(0, 7)) == 0:
+            terms[(0,) * nvars] = draw(coefficient)
+        for _ in range(draw(st.integers(1, 4))):
+            monos = list(monomials_of_degree(nvars, draw(st.integers(1, 4))))
+            terms[draw(st.sampled_from(monos))] = draw(coefficient)
+        gens.append(Poly(nvars, terms))
+    return gens
+
+
+@settings(max_examples=300)
+@given(small_ideals(), st.integers(0, 9))
+@example([P("1 + x"), P("y")], 3)
+@example([P("x^2*y + y^3")], 9)
+@example([P("x^2"), P("y^3"), P("x*y")], 9)
+def test_oracle_matches_the_per_horizon_specification(gens, dmax):
+    assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
 
 
 def test_fermat_grid_small():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
 from germinv.poly import (
+    MAX_EXPONENT,
     LineDirection,
     Poly,
     default_names,
@@ -173,6 +174,16 @@ def test_parse_rejects_zero_denominators():
         P("x^2 + 1/0*y^2")
     assert err.value.position == 6
     assert "zero denominator in '1/0'" in str(err.value)
+
+
+def test_parse_caps_exponents_before_forming_powers():
+    assert P(f"x^{MAX_EXPONENT}") == Poly.monomial(2, (MAX_EXPONENT, 0))
+    assert P("y^007") == P("y^7")
+    for exponent in (str(MAX_EXPONENT + 1), "99999999999", "0" * 9 + "10001"):
+        with pytest.raises(ParseError) as err:
+            P(f"x + y^{exponent}")
+        assert err.value.position == 6
+        assert f"exponent above the maximum of {MAX_EXPONENT}" in str(err.value)
 
 
 def test_mul_term_rejects_bad_exponent_vectors():

@@ -1,46 +1,75 @@
 """Gaussian rationals: exact scalars a + b*i with rational a, b.
 
-All coefficient arithmetic in this package runs over this field.  The two
-components are arbitrary-precision ``fractions.Fraction`` values, so every
-operation is exact; there is deliberately no float conversion anywhere.
+All coefficient arithmetic in this package runs over this field, exactly;
+there is deliberately no float conversion anywhere.
 
-Scalars are immutable and slotted.  The public constructor and :meth:`of`
-coerce their inputs through ``Fraction``; results of arithmetic are built
-by a private constructor that skips that coercion, because both parts are
-already ``Fraction`` values, and re-normalising them was most of the cost
-of an operation.  Almost every scalar the engines meet is real, so the
-ring operations take real fast paths: a sum of two reals adds one part,
-a product with a real factor costs one or two ``Fraction`` products
-instead of four, and a division by a real divides each part once instead
-of going through the norm.  Equality, hashing, printing and immutability
-behave as for a frozen dataclass with fields ``re`` and ``im``.
+A scalar is stored as three Python ints ``(a, b, d)``, the value
+``(a + b*i) / d``, always in canonical form: ``d > 0`` and
+``gcd(a, b, d) == 1``.  Each value has exactly one such triple, so
+equality compares the triples and a scalar is zero exactly when
+``a == b == 0``.  Every ``+ - * /`` works on the ints and restores the
+canonical form with one ``math.gcd`` over the result (Knuth, TAOCP
+vol. 2, 4.5.1, on a rational kept as a reduced integer pair), and skips
+even that when it can prove the result already canonical: a sum over a
+common denominator of 1, a sum over coprime denominators, a product of
+two integers.  Almost every scalar the engines meet is real, so products
+and quotients with a real factor compute one or two integer products
+instead of four.
+
+``fractions.Fraction`` appears only at the boundary: the constructor and
+:meth:`of` coerce through it, and the read-only properties ``re`` and
+``im`` return the parts as Fractions, which printing, hashing and
+pickling use.  No arithmetic goes through ``Fraction``.
+
+Scalars are immutable and slotted.  Equality, hashing, printing and
+immutability behave as for a frozen dataclass with fields ``re`` and
+``im``: ``hash(g) == hash((g.re, g.im))`` and ``GaussianRational(0) != 0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-
-_Q0 = Fraction(0)
+from math import gcd
 
 
 class GaussianRational:
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
     __match_args__ = ("re", "im")
 
-    def __init__(self, re=_Q0, im=_Q0):
+    def __init__(self, re=0, im=0):
         # Accept ints (and anything Fraction accepts exactly) in either slot.
-        _set_re(self, Fraction(re))
-        _set_im(self, Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
+        # Over the lcm of two reduced denominators the triple is canonical:
+        # a prime of d divides the denominator of the part that holds its
+        # full power, and so not that part's numerator.
+        g = gcd(q, s)
+        _set_a(self, p * (s // g))
+        _set_b(self, r * (q // g))
+        _set_d(self, q // g * s)
 
     @staticmethod
     def of(value) -> "GaussianRational":
         """Coerce an int, Fraction or GaussianRational."""
         if isinstance(value, GaussianRational):
             return value
+        if value.__class__ is int:
+            return _make(value, 0, 1)
         if isinstance(value, (int, Fraction)):
             return GaussianRational(Fraction(value))
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    # -- the parts, as Fractions ---------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- immutability, equality, hashing, pickling ---------------------------
 
@@ -54,7 +83,7 @@ class GaussianRational:
         # Like a dataclass: only another GaussianRational compares, so
         # GaussianRational(0) == 0 is False.
         if other.__class__ is GaussianRational:
-            return (self.re, self.im) == (other.re, other.im)
+            return self._a == other._a and self._b == other._b and self._d == other._d
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -68,14 +97,31 @@ class GaussianRational:
     def __add__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        if self.im or other.im:
-            return _make(self.re + other.re, self.im + other.im)
-        return _make(self.re + other.re, _Q0)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            a += c
+            b += e
+            if d == 1:
+                return _make(a, b, 1)
+            g = gcd(d, a, b)
+            return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+        g = gcd(d, f)
+        if g == 1:
+            # a prime of d*f divides exactly one of d, f: no common factor
+            return _make(a * f + c * d, b * f + e * d, d * f)
+        d1, f1 = d // g, f // g
+        a = a * f1 + c * d1
+        b = b * f1 + e * d1
+        d = d1 * f
+        # only the primes of gcd(d, f) can divide the sum
+        g = gcd(g, a, b)
+        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return _make(-self.re, -self.im if self.im else _Q0)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
         return self + (-GaussianRational.of(other))
@@ -86,27 +132,44 @@ class GaussianRational:
     def __mul__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
             if not b:
-                return _make(a * c, _Q0)
-            return _make(a * c, b * c)
-        if not b:
-            return _make(a * c, a * d)
-        return _make(a * c - b * d, a * d + b * c)
+                a *= c
+                d *= f
+                if d == 1:
+                    return _make(a, 0, 1)
+                g = gcd(a, d)
+                return _make(a // g, 0, d // g) if g != 1 else _make(a, 0, d)
+            a, b = a * c, b * c
+        elif not b:
+            a, b = a * c, a * e
+        else:
+            a, b = a * c - b * e, a * e + b * c
+        d *= f
+        g = gcd(d, a, b)
+        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
         if other.__class__ is not GaussianRational:
             other = GaussianRational.of(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not d:
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if not e:
             if not c:
                 raise ZeroDivisionError("division by zero Gaussian rational")
-            return _make(a / c, b / c if b else _Q0)
-        n = c * c + d * d
-        return _make((a * c + b * d) / n, (b * c - a * d) / n)
+            if c < 0:
+                c, f = -c, -f
+            a, b, d = a * f, b * f, d * c
+        else:
+            # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei) f / (d (c^2+e^2))
+            a, b = (a * c + b * e) * f, (b * c - a * e) * f
+            d *= c * c + e * e
+        g = gcd(d, a, b)
+        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
 
     def __rtruediv__(self, other) -> "GaussianRational":
         return GaussianRational.of(other) / self
@@ -125,55 +188,51 @@ class GaussianRational:
     # -- queries -----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "GaussianRational":
-        return _make(self.re, -self.im if self.im else _Q0)
+        return _make(self._a, -self._b, self._d)
 
     def norm_sq(self) -> Fraction:
         """|a+bi|^2 = a^2 + b^2, as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     @property
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        if self.im == 0:
-            return str(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.im}*i"
-        if self.re == 0:
-            return imag
-        sign = "+" if self.im > 0 else "-"
-        mag = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
-        return f"{self.re}{sign}{mag}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        mag = "i" if abs(im) == 1 else f"{abs(im)}*i"
+        return f"{re}{sign}{mag}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
 _new = object.__new__
 
 
-def _make(re: Fraction, im: Fraction) -> GaussianRational:
-    """A scalar from two parts that are already Fractions, uncoerced."""
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The scalar (a + b*i)/d from a triple that is already canonical."""
     g = _new(GaussianRational)
-    _set_re(g, re)
-    _set_im(g, im)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
     return g
 
 
 ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)

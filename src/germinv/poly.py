@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, ZeroPolynomialError
@@ -451,8 +452,18 @@ _DEFAULTS = ("x", "y", "z")
 # alone has e-1 monomials).  The bundled corpus, the benchmark and the
 # tests use exponents up to 101; at 10000, milnor x^10000 still reports
 # within a second.  The cap bounds a single power, not the expanded size
-# of a product or of a germ in several variables.
+# of a product or of a germ in several variables: MAX_TERMS does that.
 MAX_EXPONENT = 10_000
+
+# The most terms a power or product in the parser may expand to.  Each is
+# bounded before it is formed (_Parser._check_expansion), so
+# (x+y+z)^10000, about 5*10^7 terms, is refused at once rather than
+# expanded.  The bundled corpus, the benchmark's CLI calls and the tests
+# expand to at most 4 terms per power or product.  The cap bounds terms,
+# not coefficient size: on a 2-vCPU VM with Python 3.11, (x+y)^1000 (1001
+# terms) parses in about 1.5 s, and the costliest accepted power, the
+# univariate (x+1)^1999, in about 8 s.
+MAX_TERMS = 2_000
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -550,10 +561,14 @@ class _Parser:
     def term(self) -> Poly:
         poly = self.factor()
         while True:
-            kind, value, _ = self.toks.peek()
+            kind, value, pos = self.toks.peek()
             if kind == "op" and value == "*":
                 self.toks.take()
-                poly = poly * self.factor()
+                rhs = self.factor()
+                if poly and rhs:
+                    self._check_expansion(len(poly) * len(rhs), poly.order() + rhs.order(),
+                                          poly.degree() + rhs.degree(), pos)
+                poly = poly * rhs
             else:
                 return poly
 
@@ -571,8 +586,25 @@ class _Parser:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the maximum of {MAX_EXPONENT}", pos)
             self.toks.take()
-            base = base ** int(value)
+            e = int(value)
+            if base and e > 1:
+                self._check_expansion(comb(len(base) + e - 1, e), base.order() * e,
+                                      base.degree() * e, pos)
+            base = base ** e
         return base
+
+    def _check_expansion(self, products: int, low: int, high: int, pos: int):
+        """Refuse a power or product whose result could exceed MAX_TERMS.
+
+        Its terms number at most ``products`` (the distinct products of
+        its factors' terms) and at most the monomials of degree low..high.
+        """
+        n = self.nvars
+        window = comb(high + n, n) - comb(low - 1 + n, n)
+        bound = min(products, window)
+        if bound > MAX_TERMS:
+            raise ParseError(f"expansion of up to {bound} terms above the maximum of "
+                             f"{MAX_TERMS}", pos)
 
     def atom(self) -> Poly:
         kind, value, pos = self.toks.take()
@@ -613,8 +645,9 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     Grammar: + - * ^ and parentheses over integer/rational/Gaussian-rational
     literals (``i`` is the imaginary unit) and the given variable names.
     Raises :class:`ParseError` with a character position on bad syntax,
-    unknown variables, or exponents that are negative or above
-    :data:`MAX_EXPONENT`.
+    unknown variables, exponents that are negative or above
+    :data:`MAX_EXPONENT`, or a power or product that could expand to more
+    than :data:`MAX_TERMS` terms.
     """
     if len(names) < 1:
         raise InputError("at least one variable name is required")
@@ -635,16 +668,17 @@ def _format_monomial(mono: Monomial, names: Sequence[str]) -> str:
 
 def _format_coeff(c: GaussianRational, with_monomial: bool) -> tuple[str, str]:
     """Return (sign, magnitude-string); mixed coefficients keep their parens."""
-    if c.re != 0 and c.im != 0:
+    re, im = c.re, c.im  # each read builds a Fraction
+    if re != 0 and im != 0:
         return "+", f"({c})"
-    if c.im != 0:
-        sign = "+" if c.im > 0 else "-"
-        mag = abs(c.im)
+    if im != 0:
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         if mag == 1:
             return sign, "i"
         return sign, f"{mag}*i"
-    sign = "+" if c.re > 0 else "-"
-    mag = abs(c.re)
+    sign = "+" if re > 0 else "-"
+    mag = abs(re)
     if mag == 1 and with_monomial:
         return sign, ""
     return sign, str(mag)

@@ -5,6 +5,8 @@ the terminal summary gets one PASS/FAIL line per acceptance criterion.
 """
 
 import re
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -28,6 +30,26 @@ def standard_basis_calls(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(milnor, "standard_basis", counted)
+    return calls
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+@pytest.fixture
+def fraction_arithmetic_calls(monkeypatch):
+    """Counts calls of Fraction's + - * / (plain and reflected), by name."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
     return calls
 
 

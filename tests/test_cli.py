@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
 import germinv
 from germinv.cli import main
+from germinv.poly import MAX_TERMS
 
 
 def run(capsys, *argv):
@@ -111,6 +113,22 @@ def test_oversized_numbers_exit_2(capsys, expr, message):
 def test_largest_exponent_is_accepted(capsys):
     data = run_json(capsys, "mult", "x^10000 + y^0010000")
     assert data["order"] == data["degree"] == 10000
+
+
+@pytest.mark.parametrize("expr", ["(x+y+z)^10000", "(x+y+z)^10000*(x+y+z)^10000"],
+                         ids=["power", "product-of-powers"])
+def test_oversized_expansions_exit_2_at_once(capsys, expr):
+    start = perf_counter()
+    code, out, err = run(capsys, "milnor", expr)
+    assert perf_counter() - start < 0.1
+    assert code == 2
+    assert f"expansion of up to 50015001 terms above the maximum of {MAX_TERMS}" in err
+    assert not out
+
+
+def test_large_expansion_is_accepted(capsys):
+    data = run_json(capsys, "mult", "(x+y)^1000")
+    assert data["order"] == data["degree"] == 1000
 
 
 def test_milnor_dense_germ_finishes_in_a_fresh_process():

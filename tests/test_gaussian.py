@@ -200,3 +200,49 @@ def test_division_by_zero_message(dividend):
     for zero in (ZERO, GaussianRational(0, 0), 0):
         with pytest.raises(ZeroDivisionError, match="^division by zero Gaussian rational$"):
             dividend / zero
+
+
+# -- canonical form ------------------------------------------------------------
+
+# integer, rational and Gaussian operands; the denominators are drawn with
+# either sign and up to 2^80, so the parts of one operand differ in sign and
+# size of denominator (1/2 + 1/3*i, -5/(2^80) + 7*i, ...)
+denominators = st.one_of(st.integers(1, 12), st.integers(2, 2**80)).flatmap(
+    lambda q: st.sampled_from((q, -q)))
+parts = st.builds(Fraction, st.integers(-10**6, 10**6), denominators)
+operands = st.one_of(
+    st.integers(-10**6, 10**6).map(GaussianRational),
+    parts.map(GaussianRational),
+    st.builds(GaussianRational, parts, parts),
+    st.sampled_from([gq(Fraction(1, 2), Fraction(1, 3)), gq(Fraction(-1, 6), Fraction(1, 6)),
+                     gq(Fraction(5, 4), Fraction(-3, 4)), gq(0, Fraction(1, -2))]),
+)
+
+
+def assert_canonical(g):
+    """A value has one representation: rebuilding it from its parts gives an
+    equal scalar with an equal hash."""
+    assert type(g.re) is Fraction and type(g.im) is Fraction
+    assert g == GaussianRational(g.re, g.im)
+    assert hash(g) == hash(GaussianRational(g.re, g.im))
+
+
+@given(operands, operands, st.integers(-4, 6))
+def test_every_result_is_in_canonical_form(a, b, exponent):
+    assert_canonical(a)
+    results = [a + b, a - b, a * b, -a, a.conjugate(), a + 1, 1 - a, a * 3, 2 / (a or ONE)]
+    if b:
+        results.append(a / b)
+    if a or exponent >= 0:
+        results.append(a ** exponent)
+    for g in results:
+        assert_canonical(g)
+    assert a - a == ZERO and a + (-a) == ZERO and a * ZERO == ZERO
+
+
+def test_equal_values_from_different_inputs_are_equal():
+    assert GaussianRational(Fraction(2, 4), 0.5) == GaussianRational(Fraction(1, 2), Fraction(1, 2))
+    assert gq(Fraction(1, 2)) + gq(Fraction(1, 2)) == ONE
+    assert gq(Fraction(1, 6), Fraction(1, 3)) * 6 == gq(1, 2)
+    assert gq(3) / gq(-6) == gq(Fraction(-1, 2))
+    assert hash(gq(Fraction(6, 4))) == hash((Fraction(3, 2), Fraction(0)))

@@ -98,6 +98,23 @@ def test_dense_germs_finish_within_150_steps(text, names, mu):
     assert milnor_oracle(f, dmax=oracle_dmax_for(mu)) == mu
 
 
+GAUSSIAN_DENSE_GERM = parse_poly(DENSE_GERMS[2].values[0], XYZ)
+
+
+def test_engines_do_no_fraction_arithmetic(fraction_arithmetic_calls):
+    # scalars compute on machine integers; Fraction is for their boundary
+    assert milnor_number(GAUSSIAN_DENSE_GERM, max_steps=150).mu == 9
+    assert milnor_oracle(GAUSSIAN_DENSE_GERM, dmax=oracle_dmax_for(9)) == 9
+    assert fraction_arithmetic_calls == {}
+
+
+def test_fraction_arithmetic_is_counted(fraction_arithmetic_calls):
+    half = Fraction(1, 2)
+    assert (half + half, 1 - half, half * 2, 1 / half) == (1, half, 1, 2)
+    assert fraction_arithmetic_calls == {"__add__": 1, "__rsub__": 1, "__mul__": 1,
+                                         "__rtruediv__": 1}
+
+
 def test_dense_germ_staircase():
     f = parse_poly(DENSE_GERMS[0].values[0], XY)
     # 1, x, y, y^2, y^3

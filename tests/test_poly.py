@@ -9,6 +9,7 @@ from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
 from germinv.poly import (
     MAX_EXPONENT,
+    MAX_TERMS,
     LineDirection,
     Poly,
     default_names,
@@ -184,6 +185,20 @@ def test_parse_caps_exponents_before_forming_powers():
             P(f"x + y^{exponent}")
         assert err.value.position == 6
         assert f"exponent above the maximum of {MAX_EXPONENT}" in str(err.value)
+
+
+def test_parse_caps_expansions_before_forming_them():
+    names = tuple(f"a{k}" for k in range(41)) + tuple(f"b{k}" for k in range(50))
+    a40 = " + ".join(names[:40])
+    b50 = " + ".join(names[41:])
+    assert len(parse_poly(f"({a40})*({b50})", names)) == MAX_TERMS == 2000
+    a41 = f"({a40} + a40)*({b50})"
+    for text, position in ((a41, a41.index(")*(") + 1), ("(x+y+z+w)^11 * (x+y+z+w)^11", 13),
+                           ("(x+y+z)^62", 8), ("x*(x+y+z)^10000", 10)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, names + ("x", "y", "z", "w"))
+        assert err.value.position == position
+        assert f"terms above the maximum of {MAX_TERMS}" in str(err.value)
 
 
 def test_mul_term_rejects_bad_exponent_vectors():

@@ -28,42 +28,73 @@ keeps dense germs from growing ever longer tails.
 The bound is read off this engine's own leading monomials, never from the
 truncated-dimension oracle in :mod:`germinv.milnor`, so the two Milnor
 engines stay independent.
+
+Internally a term x^e is indexed by the key (degree, e_n, ..., e_1).  A
+larger monomial in the local order has a smaller key, so the leading term
+is the least key and the degree is the first entry of the greatest, both
+plain tuple comparisons; and keys add when monomials multiply.  Each Poly
+gets its sorted keys and coefficients (its view) once, on first use, and
+keeps them in a cache slot, so leading terms, ecarts and truncation tests
+never rescan it.  A normal form reduces a dict of keyed terms in place,
+takes every reducer's terms from its view, and builds a Poly only for its
+result; s-polynomials are formed the same way.  With a corner k, a
+reducer's terms are cut where the shifted degree reaches k, so no term of
+degree >= k is ever formed.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
+from operator import add, le, sub
 
-from .errors import IterationLimitError
+from .errors import IterationLimitError, ZeroPolynomialError
 from .gaussian import ONE, GaussianRational
-from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm, mono_quotient
+from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
 
 DEFAULT_MAX_STEPS = 200_000
 
 
 def local_key(mono: Monomial):
-    """Sort key; larger key means larger monomial in the local order."""
+    """Sort key; larger key means larger monomial in the local order.
+
+    It is the componentwise negation of the index key (degree, e_n, ..., e_1)
+    that :func:`_view` sorts terms by."""
     return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
 
 
+def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[GaussianRational, ...]]:
+    """f's terms under the local order: their keys (degree, e_n, ..., e_1)
+    in ascending order, so the leading term comes first and the highest
+    degree last, and the coefficients in the same order.
+
+    Built on first use and cached on f.
+    """
+    view = f._view
+    if view is None:
+        if not f:
+            raise ZeroPolynomialError("the zero polynomial has no leading term")
+        keyed = sorted(((sum(m),) + m[::-1], c) for m, c in f._terms.items())
+        view = tuple(zip(*keyed))
+        object.__setattr__(f, "_view", view)
+    return view
+
+
 def leading_monomial(f: Poly) -> Monomial:
-    # local_key ranks lower total degree higher, so only the terms of the
-    # lowest degree compete; f's own terms are scanned, not copied
-    monos = f.monomials()
-    low = min(map(sum, monos))
-    return max((m for m in monos if sum(m) == low), key=local_key)
+    return _view(f)[0][0][:0:-1]
 
 
 def leading_term(f: Poly) -> tuple[Monomial, GaussianRational]:
-    m = leading_monomial(f)
-    return m, f.coeff(m)
+    keys, coeffs = _view(f)
+    return keys[0][:0:-1], coeffs[0]
 
 
 def ecart(f: Poly) -> int:
     """deg(f) - deg(LM(f)) >= 0; zero exactly for homogeneous f."""
-    return f.degree() - mono_degree(leading_monomial(f))
+    keys = _view(f)[0]
+    return keys[-1][0] - keys[0][0]
 
 
 class _Budget:
@@ -83,28 +114,57 @@ class _Budget:
 
 
 def _monic(f: Poly) -> Poly:
-    _, lc = leading_term(f)
-    return f.scale(ONE / lc)
+    return f.scale(ONE / _view(f)[1][0])
 
 
 def _below(f: Poly, corner: int | None) -> Poly:
     """f without its terms of degree >= corner; f itself when there is no corner."""
-    if corner is None or not f or f.degree() < corner:
+    if corner is None or not f or _view(f)[0][-1][0] < corner:
         return f
     return f.truncate_jet(corner - 1)
+
+
+def _add_shifted(h: dict, keys, coeffs, q: tuple[int, ...], factor: GaussianRational,
+                 corner: int | None):
+    """h += factor * x^q * (the view's terms after its lead, of degree < corner).
+
+    h is keyed as in :func:`_view`, and q is a key too: keys add under
+    multiplication.  No term of degree >= corner is formed.
+    """
+    stop = len(keys) if corner is None else bisect_left(keys, (corner - q[0],))
+    for k, c in islice(zip(keys, coeffs), 1, stop):
+        k = tuple(map(add, k, q))
+        old = h.get(k)
+        if old is None:
+            h[k] = factor * c
+        else:
+            s = old + factor * c
+            if s:
+                h[k] = s
+            else:
+                del h[k]
+
+
+def _poly(nvars: int, h: dict) -> Poly:
+    """The polynomial of the keyed terms h."""
+    return Poly._clean(nvars, {k[:0:-1]: c for k, c in h.items()})
+
+
+def _reducer(keys, coeffs):
+    """(lead key, lead coefficient, ecart, keys, coefficients) of a view."""
+    return keys[0], coeffs[0], keys[-1][0] - keys[0][0], keys, coeffs
 
 
 def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
     """The s-polynomial of f and g; with ``_corner`` k, only its terms of
     degree < k, without forming the others."""
-    mf, cf = leading_term(f)
-    mg, cg = leading_term(g)
-    lcm = mono_lcm(mf, mg)
-    qf, qg = mono_quotient(lcm, mf), mono_quotient(lcm, mg)
-    if _corner is not None:
-        f = _below(f, _corner - mono_degree(qf))
-        g = _below(g, _corner - mono_degree(qg))
-    return f.mul_term(qf, ONE / cf) + g.mul_term(qg, -(ONE / cg))
+    (kf, cf), (kg, cg) = _view(f), _view(g)
+    tail = tuple(map(max, kf[0][1:], kg[0][1:]))
+    lcm = (sum(tail),) + tail
+    s: dict = {}  # the two leading terms cancel, so neither is formed
+    _add_shifted(s, kf, cf, tuple(map(sub, lcm, kf[0])), ONE / cf[0], _corner)
+    _add_shifted(s, kg, cg, tuple(map(sub, lcm, kg[0])), -(ONE / cg[0]), _corner)
+    return _poly(f.nvars, s)
 
 
 def mora_normal_form(
@@ -114,25 +174,34 @@ def mora_normal_form(
 
     ``_corner`` is the completion's highest-corner degree k (m^k lies in
     the ideal): when given, f and every intermediate remainder are
-    truncated below degree k.
+    truncated below degree k, and no term of degree >= k is formed.
     """
     if budget is None:
         budget = _Budget(DEFAULT_MAX_STEPS)
-    h = _below(f, _corner)
-    # (leading monomial, leading coefficient, ecart, polynomial), scanned once
-    pool = [(*leading_term(g), ecart(g), g) for g in reducers]
+    if not f:
+        return f
+    keys, coeffs = _view(f)
+    stop = len(keys) if _corner is None else bisect_left(keys, (_corner,))
+    h = dict(zip(keys[:stop], coeffs[:stop]))  # the remainder, keyed as in _view
+    pool = [_reducer(*_view(g)) for g in reducers]
     while h:
-        mh, ch = leading_term(h)
-        usable = [entry for entry in pool if mono_divides(entry[0], mh)]
-        if not usable:
-            return h
-        mg, cg, eg, g = min(usable, key=lambda entry: entry[2])
-        eh = h.degree() - mono_degree(mh)
+        lead = min(h)
+        best = None
+        for entry in pool:  # the first usable reducer of least ecart
+            if (best is None or entry[2] < best[2]) and all(map(le, entry[0], lead)):
+                best = entry
+        if best is None:
+            break
+        lg, cg, eg, keys, coeffs = best
+        eh = max(h)[0] - lead[0]
         if eg > eh:
-            pool.append((mh, ch, eh, h))
+            stored = sorted(h)
+            pool.append(_reducer(stored, [h[k] for k in stored]))
         budget.spend()
-        h = _below(h + g.mul_term(mono_quotient(mh, mg), -(ch / cg)), _corner)
-    return h
+        # h -= (ch/cg) * x^(lead - lg) * g: the leading terms cancel
+        ch = h.pop(lead)
+        _add_shifted(h, keys, coeffs, tuple(map(sub, lead, lg)), -(ch / cg), _corner)
+    return _poly(f.nvars, h)
 
 
 @dataclass(frozen=True)
@@ -191,11 +260,14 @@ def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Mo
         if not pure:
             return None
         bounds.append(min(pure))
-    stairs = [
-        mono
-        for mono in iter_product(*(range(b) for b in bounds))
-        if not any(mono_divides(g, mono) for g in leading_gens)
-    ]
+    # one column of the last variable per point of the box of the others:
+    # its height is the least last exponent among the generators dividing
+    # there, at most bounds[-1] from the pure power
+    heads = [(g[:-1], g[-1]) for g in leading_gens]
+    stairs = []
+    for point in iter_product(*(range(b) for b in bounds[:-1])):
+        height = min(e for head, e in heads if mono_divides(head, point))
+        stairs.extend(point + (e,) for e in range(height))
     return frozenset(stairs)
 
 

@@ -72,7 +72,9 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 # -- the polynomial type -----------------------------------------------------
 
 class Poly:
-    __slots__ = ("nvars", "_terms", "_hash")
+    # _view: germinv.localring's index of the terms under the local order,
+    # built on first use there and cached like _hash
+    __slots__ = ("nvars", "_terms", "_hash", "_view")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -95,6 +97,7 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_view", None)
 
     @staticmethod
     def _clean(nvars: int, terms: dict[Monomial, GaussianRational]) -> "Poly":
@@ -105,10 +108,15 @@ class Poly:
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "_terms", terms)
         object.__setattr__(poly, "_hash", None)
+        object.__setattr__(poly, "_view", None)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checked constructor; the caches are not kept
+        return Poly, (self.nvars, self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -303,14 +311,13 @@ class Poly:
         """d/dx_index."""
         if not 0 <= index < self.nvars:
             raise InputError(f"variable index {index} out of range")
+        # m -> m - e_index is injective on the terms kept, so nothing merges
         acc: dict[Monomial, GaussianRational] = {}
         for m, c in self._terms.items():
             e = m[index]
-            if e == 0:
-                continue
-            dm = m[:index] + (e - 1,) + m[index + 1:]
-            acc[dm] = acc.get(dm, ZERO) + c * e
-        return Poly(self.nvars, acc)
+            if e:
+                acc[m[:index] + (e - 1,) + m[index + 1:]] = c * e
+        return Poly._clean(self.nvars, acc)
 
     def jacobian(self) -> tuple["Poly", ...]:
         """All first partials, in variable order."""

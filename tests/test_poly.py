@@ -1,5 +1,7 @@
 """Sparse multivariate polynomials: parsing, printing, arithmetic, calculus."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
+from germinv.localring import ecart
 from germinv.poly import (
     MAX_EXPONENT,
     MAX_TERMS,
@@ -354,3 +357,24 @@ def test_results_are_canonical(f, g, c, mono):
         assert all(r.terms().values())
         assert r == Poly(2, r.terms())
     assert f + (-f) == Poly.zero(2)
+
+
+@settings(max_examples=60)
+@given(gaussian_polys())
+def test_partials_are_canonical(f):
+    for i in range(f.nvars):
+        d = f.partial(i)
+        assert all(d.terms().values())
+        assert d == Poly(2, d.terms())
+
+
+@pytest.mark.parametrize("text", ["0", "x", "3/4*x^2*y - (1+2*i)*y^5 + 7"])
+def test_pickle_and_copy_round_trip(text):
+    f = P(text)
+    hash(f)
+    if f:
+        ecart(f)  # fills the local-order view cache
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert type(copied) is Poly
+        assert copied == f and repr(copied) == repr(f) and hash(copied) == hash(f)
+        assert copied._view is None  # caches are rebuilt, never carried over

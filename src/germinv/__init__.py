@@ -8,16 +8,16 @@ and vector field indices.  Everything is exact; no floats anywhere.
 """
 
 from .equising import (
-    DegreeWindow,
+    CheckRecord,
     DiscriminationReport,
     EQUIMULTIPLE_IF_EQUISINGULAR,
     INCONCLUSIVE,
     NOT_EQUISINGULAR,
     check_cone_chi_criterion,
     check_mixed_class_pair,
+    check_mu_mismatch,
     check_regular_singular_mismatch,
     check_window_obstruction,
-    degree_window,
     discriminate,
 )
 from .errors import (

@@ -1,7 +1,9 @@
 """Necessary and conditional-sufficient screening for germ pairs.
 
 Given two isolated (or regular) germs in the same variables, the
-discriminator runs a fixed battery of checks:
+discriminator reads one GermInvariants record per germ (mu, order, degree
+and class, from one standard basis) and runs a fixed battery of rules on
+the two records:
 
 * regular-vs-singular mismatch (one germ smooth, one not),
 * Milnor number mismatch,
@@ -10,6 +12,9 @@ discriminator runs a fixed battery of checks:
   semihomogeneous),
 * the cone-complement Euler-characteristic criterion, which when it
   certifies makes equimultiplicity a consequence of equisingularity.
+
+Every rule has the same shape, ``(a, b) -> CheckRecord``: the record it
+contributes to the report, fired or not, with the facts it read.
 
 A NOT_EQUISINGULAR verdict is a proof (some necessary condition failed).
 EQUIMULTIPLE_IF_EQUISINGULAR and INCONCLUSIVE never assert that the pair
@@ -41,43 +46,66 @@ RULE_CONE_CHI = "cone-chi-criterion"
 
 
 @dataclass(frozen=True)
-class DegreeWindow:
-    """[order, top degree] of a germ; every term's degree lands inside."""
+class CheckRecord:
+    """One rule's outcome as the report prints it: fired, and the facts read."""
 
-    low: int
-    high: int
-
-
-def degree_window(f: Poly) -> DegreeWindow:
-    if not f:
-        raise ZeroPolynomialError("the zero polynomial has no degree window")
-    return DegreeWindow(f.order(), f.degree())
+    rule: str
+    fired: bool
+    detail: dict
 
 
-def check_window_obstruction(f: Poly, g: Poly) -> bool:
-    """True iff the windows are disjoint with a gap, in either direction."""
-    wf, wg = degree_window(f), degree_window(g)
-    return wf.high < wg.low or wg.high < wf.low
+def check_regular_singular_mismatch(a: GermInvariants, b: GermInvariants) -> CheckRecord:
+    """Fires iff exactly one of the germs is regular (order 1) at 0."""
+    return CheckRecord(RULE_REGULAR_SINGULAR, (a.order == 1) != (b.order == 1),
+                       {"order": [a.order, b.order]})
 
 
-def check_regular_singular_mismatch(f: Poly, g: Poly) -> bool:
-    """True iff exactly one of the germs is regular (order 1) at 0."""
-    return (f.order() == 1) != (g.order() == 1)
+def check_mu_mismatch(a: GermInvariants, b: GermInvariants) -> CheckRecord:
+    """Fires iff the Milnor numbers differ."""
+    return CheckRecord(RULE_MU_MISMATCH, a.mu != b.mu, {"mu": [a.mu, b.mu]})
 
 
-@dataclass(frozen=True)
-class ConeChiCheck:
-    """Nonvanishing test for the cone complements' Euler numbers.
+def check_window_obstruction(a: GermInvariants, b: GermInvariants) -> CheckRecord:
+    """Fires iff the degree windows [order, degree] are disjoint, either way.
 
-    chi entries are None when unknown (initial form with non-isolated
-    critical point, so no closed form applies).
+    Every term of a germ has its degree inside its window.
     """
+    return CheckRecord(RULE_WINDOW_GAP, a.degree < b.order or b.degree < a.order,
+                       {"windows": [[a.order, a.degree], [b.order, b.degree]]})
 
-    status: str
-    chi: tuple[int | None, int | None]
+
+def check_mixed_class_pair(a: GermInvariants, b: GermInvariants) -> CheckRecord:
+    """Constraint from one semihomogeneous and one non-semihomogeneous germ.
+
+    The semihomogeneous side has mu exactly (order-1)^n; the other side
+    sits strictly above its own bound.  Equal orders therefore force a mu
+    mismatch, and matching mu values force the non-semihomogeneous order
+    to be strictly smaller.
+    """
+    if min(a.order, b.order) < 2:
+        raise InputError("semihomogeneity is only defined for germs of order >= 2")
+    if a.semihomogeneous == b.semihomogeneous:
+        raise InputError("mixed-class check needs exactly one semihomogeneous germ")
+    if a.mu is None or b.mu is None:
+        raise InputError("mixed-class check needs isolated germs")
+    detail = {
+        "closedFormBound": [(a.order - 1) ** a.nvars, (b.order - 1) ** b.nvars],
+        "mu": [a.mu, b.mu],
+        "semihomogeneousSide": 0 if a.semihomogeneous else 1,
+    }
+    fired = a.mu != b.mu
+    if not fired:
+        sem, non = (a, b) if a.semihomogeneous else (b, a)
+        detail["constraint"] = (
+            f"equal mu forces the non-semihomogeneous order ({non.order}) "
+            f"strictly below the semihomogeneous order ({sem.order})"
+        )
+    return CheckRecord(RULE_MIXED_CLASS, fired, detail)
 
 
 def _cone_chi(germ: GermInvariants) -> int | None:
+    """Euler number of the cone complement; None when no closed form applies
+    (initial form with a non-isolated critical point)."""
     if germ.order == 1:
         # Regular germ: the projectivized cone is a hyperplane, complement
         # an affine space, Euler number 1.
@@ -87,81 +115,32 @@ def _cone_chi(germ: GermInvariants) -> int | None:
     return None
 
 
-def check_cone_chi_criterion(a: GermInvariants, b: GermInvariants) -> ConeChiCheck:
-    chi_a = _cone_chi(a)
-    chi_b = _cone_chi(b)
-    if chi_a is not None and chi_b is not None:
-        status = (
-            CONE_CHI_CERTIFIED if chi_a != 0 and chi_b != 0 else CONE_CHI_NOT_SATISFIED
-        )
-    else:
+def check_cone_chi_criterion(a: GermInvariants, b: GermInvariants) -> CheckRecord:
+    """Fires (certifies) iff both cone complements have nonzero Euler numbers."""
+    chi = [_cone_chi(a), _cone_chi(b)]
+    if None in chi:
         status = CONE_CHI_UNKNOWN
-    return ConeChiCheck(status, (chi_a, chi_b))
-
-
-@dataclass(frozen=True)
-class MixedClassCheck:
-    """Constraint from one semihomogeneous and one non-semihomogeneous germ.
-
-    The semihomogeneous side has mu exactly (order-1)^n; the other side
-    sits strictly above its own bound.  Equal orders therefore force a mu
-    mismatch, and matching mu values force the non-semihomogeneous order
-    to be strictly smaller.
-    """
-
-    obstructed: bool
-    constraint: str | None
-    semihomogeneous_side: int  # 0 = first argument, 1 = second
-    bounds: tuple[int, int]  # ((order-1)^n for each germ, in argument order)
-
-
-def check_mixed_class_pair(a: GermInvariants, b: GermInvariants) -> MixedClassCheck:
-    if min(a.order, b.order) < 2:
-        raise InputError("semihomogeneity is only defined for germs of order >= 2")
-    if a.semihomogeneous == b.semihomogeneous:
-        raise InputError(
-            "mixed-class check needs exactly one semihomogeneous germ"
-        )
-    if a.mu is None or b.mu is None:
-        raise InputError("mixed-class check needs isolated germs")
-    side = 0 if a.semihomogeneous else 1
-    bounds = (
-        (a.order - 1) ** a.nvars,
-        (b.order - 1) ** b.nvars,
-    )
-    obstructed = a.mu != b.mu
-    constraint = None
-    if not obstructed:
-        sem, non = (a, b) if a.semihomogeneous else (b, a)
-        constraint = (
-            f"equal mu forces the non-semihomogeneous order ({non.order}) "
-            f"strictly below the semihomogeneous order ({sem.order})"
-        )
-    return MixedClassCheck(obstructed, constraint, side, bounds)
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    rule: str
-    fired: bool
-    detail: dict
+    elif 0 in chi:
+        status = CONE_CHI_NOT_SATISFIED
+    else:
+        status = CONE_CHI_CERTIFIED
+    return CheckRecord(RULE_CONE_CHI, status == CONE_CHI_CERTIFIED,
+                       {"chi": chi, "status": status})
 
 
 @dataclass(frozen=True)
 class DiscriminationReport:
     verdict: str
-    mu: tuple[int, int]
-    windows: tuple[DegreeWindow, DegreeWindow]
-    class_a: tuple[bool, bool]
+    germs: tuple[GermInvariants, GermInvariants]
     checks: tuple[CheckRecord, ...]
     caveats: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "mu": list(self.mu),
-            "windows": [[w.low, w.high] for w in self.windows],
-            "classA": list(self.class_a),
+            "mu": [g.mu for g in self.germs],
+            "windows": [[g.order, g.degree] for g in self.germs],
+            "classA": [g.semihomogeneous for g in self.germs],
             "checks": [
                 {"detail": c.detail, "fired": c.fired, "rule": c.rule}
                 for c in self.checks
@@ -202,66 +181,19 @@ def discriminate(f: Poly, g: Poly) -> DiscriminationReport:
     every recorded check are symmetric in the two arguments.
     """
     a, b = _validated_pair(f, g)
-    windows = (DegreeWindow(a.order, a.degree), DegreeWindow(b.order, b.degree))
-    semi = (a.semihomogeneous, b.semihomogeneous)
-
-    checks: list[CheckRecord] = []
-    checks.append(
-        CheckRecord(
-            RULE_REGULAR_SINGULAR,
-            check_regular_singular_mismatch(f, g),
-            {"order": [a.order, b.order]},
-        )
-    )
-    checks.append(
-        CheckRecord(RULE_MU_MISMATCH, a.mu != b.mu, {"mu": [a.mu, b.mu]})
-    )
-    checks.append(
-        CheckRecord(
-            RULE_WINDOW_GAP,
-            check_window_obstruction(f, g),
-            {"windows": [[w.low, w.high] for w in windows]},
-        )
-    )
-    if semi[0] != semi[1] and min(a.order, b.order) >= 2:
-        mixed = check_mixed_class_pair(a, b)
-        detail = {
-            "closedFormBound": list(mixed.bounds),
-            "mu": [a.mu, b.mu],
-            "semihomogeneousSide": mixed.semihomogeneous_side,
-        }
-        if mixed.constraint:
-            detail["constraint"] = mixed.constraint
-        checks.append(CheckRecord(RULE_MIXED_CLASS, mixed.obstructed, detail))
-
+    necessary = [check_regular_singular_mismatch, check_mu_mismatch,
+                 check_window_obstruction]
+    if a.semihomogeneous != b.semihomogeneous and min(a.order, b.order) >= 2:
+        necessary.append(check_mixed_class_pair)
+    checks = [rule(a, b) for rule in necessary]
     cone = check_cone_chi_criterion(a, b)
-    checks.append(
-        CheckRecord(
-            RULE_CONE_CHI,
-            cone.status == CONE_CHI_CERTIFIED,
-            {"chi": list(cone.chi), "status": cone.status},
-        )
-    )
 
-    obstructed = any(
-        c.fired for c in checks if c.rule != RULE_CONE_CHI
-    )
-    if obstructed:
+    if any(c.fired for c in checks):
         verdict = NOT_EQUISINGULAR
-    elif cone.status == CONE_CHI_CERTIFIED:
+    elif cone.fired:
         verdict = EQUIMULTIPLE_IF_EQUISINGULAR
     else:
         verdict = INCONCLUSIVE
-
-    caveats = []
-    if cone.status == CONE_CHI_UNKNOWN:
-        caveats.append("cone-complement-chi-unknown")
-
-    return DiscriminationReport(
-        verdict=verdict,
-        mu=(a.mu, b.mu),
-        windows=windows,
-        class_a=semi,
-        checks=tuple(checks),
-        caveats=tuple(caveats),
-    )
+    unknown = cone.detail["status"] == CONE_CHI_UNKNOWN
+    caveats = ("cone-complement-chi-unknown",) if unknown else ()
+    return DiscriminationReport(verdict, (a, b), (*checks, cone), caveats)

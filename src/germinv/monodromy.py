@@ -124,9 +124,16 @@ def euler_fiber(res: ResolutionData) -> int:
     return sum(m * chi for m, chi in res.strata)
 
 
+def _milnor_sign(n: int) -> int:
+    """(-1)^(n-1) for an ambient variable count n >= 1."""
+    if n < 1:
+        raise InputError(f"need n >= 1 variables, got {n}")
+    return 1 if n % 2 else -1
+
+
 def milnor_from_resolution(res: ResolutionData, n: int) -> int:
     """mu = (-1)^(n-1) * (euler_fiber - 1); negative means corrupt data."""
-    mu = (-1) ** (n - 1) * (euler_fiber(res) - 1)
+    mu = _milnor_sign(n) * (euler_fiber(res) - 1)
     if mu < 0:
         raise InputError(
             f"inconsistent resolution data: it implies Milnor number {mu}"
@@ -197,10 +204,9 @@ def lefschetz_from_s(s: SSequence, horizon: int) -> LefschetzSequence:
     """Lambda(h^k) = sum of s_i over i dividing k."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    values = []
-    for k in range(1, horizon + 1):
-        values.append(sum(s.get(d) for d in divisors(k)))
-    return LefschetzSequence(tuple(values))
+    return LefschetzSequence(tuple(
+        sum(s_i for i, s_i in s.entries if k % i == 0) for k in range(1, horizon + 1)
+    ))
 
 
 def invert_lefschetz(lam: LefschetzSequence) -> SSequence:
@@ -215,7 +221,7 @@ def invert_lefschetz(lam: LefschetzSequence) -> SSequence:
 
 def milnor_from_s(s: SSequence, n: int) -> int:
     """mu = (-1)^(n-1) * (sum of s_i - 1); negative means corrupt data."""
-    mu = (-1) ** (n - 1) * (s.total() - 1)
+    mu = _milnor_sign(n) * (s.total() - 1)
     if mu < 0:
         raise InputError(f"inconsistent s-sequence: it implies Milnor number {mu}")
     return mu
@@ -371,7 +377,7 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
     """
     if mu < 1:
         raise InputError("need mu >= 1 to assemble a characteristic polynomial")
-    sign = 1 if n % 2 == 0 else -1
+    sign = -_milnor_sign(n)  # (-1)^n
     shift = mu - sign * (1 + sum(i * e for i, e in z.factors))
     if shift < 0:
         raise ConventionViolationError("the quotient is not a polynomial")

@@ -497,16 +497,16 @@ class _Tokenizer:
         ch = text[pos]
         if ch in "+-*^()":
             return ("op", ch, pos)
-        if ch.isdigit():
+        if ch.isdecimal():
             end = pos
-            while end < n and text[end].isdigit():
+            while end < n and text[end].isdecimal():
                 end += 1
             # A rational literal may continue with /denominator.
             if end < n and text[end] == "/":
                 d = end + 1
-                if d < n and text[d].isdigit():
+                if d < n and text[d].isdecimal():
                     end = d
-                    while end < n and text[end].isdigit():
+                    while end < n and text[end].isdecimal():
                         end += 1
             return ("number", text[pos:end], pos)
         if ch.isalpha() or ch == "_":

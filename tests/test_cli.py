@@ -110,6 +110,23 @@ def test_oversized_numbers_exit_2(capsys, expr, message):
     assert not out
 
 
+@pytest.mark.parametrize("argv", [
+    ("mult", "x^\u00b2"),
+    ("milnor", "x^2+y^\u00b9\u2070"),
+    ("milnor", "x^2 + \u00b2*y"),
+], ids=["superscript-exponent", "superscript-digits", "superscript-coefficient"])
+def test_non_decimal_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "unexpected character" in err
+    assert not out
+
+
+def test_decimal_digits_of_any_script_parse(capsys):
+    data = run_json(capsys, "mult", "x^\u0663 + y^3")
+    assert data["order"] == data["degree"] == 3
+
+
 def test_largest_exponent_is_accepted(capsys):
     data = run_json(capsys, "mult", "x^10000 + y^0010000")
     assert data["order"] == data["degree"] == 10000
@@ -180,6 +197,19 @@ def test_boolean_multiplicity_exits_2(capsys, tmp_path):
     path.write_text(json.dumps([{"m": True, "chi": 1}]))
     code, out, err = run(capsys, "zeta", "--res", str(path), "--n", "2")
     assert code == 2
+    assert not out
+
+
+@pytest.mark.parametrize("command, strata", [
+    ("zeta", [{"m": 1, "chi": 0}]),
+    ("charpoly", [{"m": 2, "chi": -1}]),
+])
+def test_nonpositive_variable_count_exits_2(capsys, tmp_path, command, strata):
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps(strata))
+    code, out, err = run(capsys, command, "--res", str(path), "--n", "0")
+    assert code == 2
+    assert "n >= 1" in err
     assert not out
 
 

@@ -18,12 +18,11 @@ from germinv.equising import (
     RULE_MU_MISMATCH,
     RULE_REGULAR_SINGULAR,
     RULE_WINDOW_GAP,
-    DegreeWindow,
     check_cone_chi_criterion,
     check_mixed_class_pair,
+    check_mu_mismatch,
     check_regular_singular_mismatch,
     check_window_obstruction,
-    degree_window,
     discriminate,
 )
 from germinv.errors import InputError
@@ -37,6 +36,10 @@ def P(text, names=XY):
     return parse_poly(text, names)
 
 
+def G(text, names=XY):
+    return germ_invariants(P(text, names))
+
+
 def fired_rules(report):
     return {c.rule for c in report.checks if c.fired}
 
@@ -44,73 +47,58 @@ def fired_rules(report):
 # -- individual checks ---------------------------------------------------------
 
 def test_degree_window():
-    w = degree_window(P("x^2 + y^3"))
-    assert w == DegreeWindow(2, 3)
-    assert degree_window(P("x^3 + y^3")) == DegreeWindow(3, 3)
+    check = check_window_obstruction(G("x^2 + y^3"), G("x^3 + y^3"))
+    assert check.detail["windows"] == [[2, 3], [3, 3]]
 
 
 def test_window_obstruction_is_symmetric():
-    f, g = P("x^2 + y^3"), P("x^5 + y^5")
-    assert check_window_obstruction(f, g)
-    assert check_window_obstruction(g, f)
-    assert not check_window_obstruction(f, P("x^3 + y^3"))
+    f, g = G("x^2 + y^3"), G("x^5 + y^5")
+    assert check_window_obstruction(f, g).fired
+    assert check_window_obstruction(g, f).fired
+    assert not check_window_obstruction(f, G("x^3 + y^3")).fired
 
 
 def test_regular_singular_mismatch():
-    assert check_regular_singular_mismatch(P("x + y^2"), P("x^2 + y^3"))
-    assert not check_regular_singular_mismatch(P("x + y"), P("y + x^3"))
-    assert not check_regular_singular_mismatch(P("x^2 + y^3"), P("x^3 + y^3"))
+    assert check_regular_singular_mismatch(G("x + y^2"), G("x^2 + y^3")).fired
+    assert not check_regular_singular_mismatch(G("x + y"), G("y + x^3")).fired
+    assert not check_regular_singular_mismatch(G("x^2 + y^3"), G("x^3 + y^3")).fired
 
 
 def test_cone_chi_certified_for_plane_cubics():
-    check = check_cone_chi_criterion(
-        germ_invariants(P("x^3 + y^3")), germ_invariants(P("x^3 + 2*y^3 + x^2*y^2"))
-    )
-    assert check.status == CONE_CHI_CERTIFIED
-    assert check.chi == (-1, -1)
+    check = check_cone_chi_criterion(G("x^3 + y^3"), G("x^3 + 2*y^3 + x^2*y^2"))
+    assert check.detail["status"] == CONE_CHI_CERTIFIED
+    assert check.detail["chi"] == [-1, -1]
 
 
 def test_cone_chi_not_satisfied_for_plane_conics():
-    check = check_cone_chi_criterion(
-        germ_invariants(P("x^2 + y^2")), germ_invariants(P("x^2 + x*y + y^2"))
-    )
-    assert check.status == CONE_CHI_NOT_SATISFIED
-    assert check.chi == (0, 0)
+    check = check_cone_chi_criterion(G("x^2 + y^2"), G("x^2 + x*y + y^2"))
+    assert check.detail["status"] == CONE_CHI_NOT_SATISFIED
+    assert check.detail["chi"] == [0, 0]
 
 
 def test_cone_chi_unknown_for_degenerate_cones():
-    check = check_cone_chi_criterion(
-        germ_invariants(P("x^2 + y^3")), germ_invariants(P("x^2 + y^3"))
-    )
-    assert check.status == CONE_CHI_UNKNOWN
-    assert check.chi == (None, None)
+    check = check_cone_chi_criterion(G("x^2 + y^3"), G("x^2 + y^3"))
+    assert check.detail["status"] == CONE_CHI_UNKNOWN
+    assert check.detail["chi"] == [None, None]
 
 
 def test_mixed_class_requires_exactly_one_nondegenerate_side():
     with pytest.raises(InputError):
-        check_mixed_class_pair(
-            germ_invariants(P("x^3 + y^3")), germ_invariants(P("x^4 + y^4"))
-        )
+        check_mixed_class_pair(G("x^3 + y^3"), G("x^4 + y^4"))
     with pytest.raises(InputError):
-        check_mixed_class_pair(
-            germ_invariants(P("x^2 + y^3")), germ_invariants(P("x^2*y + y^4"))
-        )
+        check_mixed_class_pair(G("x^2 + y^3"), G("x^2*y + y^4"))
 
 
 def test_mixed_class_obstructed_on_mu_mismatch():
-    check = check_mixed_class_pair(
-        germ_invariants(P("x^2*y + y^4")), germ_invariants(P("x^3 + y^3"))
-    )
-    assert check.obstructed
+    check = check_mixed_class_pair(G("x^2*y + y^4"), G("x^3 + y^3"))
+    assert check.fired
 
 
 def test_mixed_class_constraint_when_mu_agrees():
     # mu(x^2 + y^5) = 4 = mu(x^3 + y^3); orders 2 and 3 are compatible
-    check = check_mixed_class_pair(
-        germ_invariants(P("x^2 + y^5")), germ_invariants(P("x^3 + y^3"))
-    )
-    assert not check.obstructed
-    assert check.constraint
+    check = check_mixed_class_pair(G("x^2 + y^5"), G("x^3 + y^3"))
+    assert not check.fired
+    assert check.detail["constraint"]
 
 
 # -- full reports --------------------------------------------------------------
@@ -166,17 +154,33 @@ def test_mixed_pair_with_equal_mu():
     assert mixed.fired is False
 
 
+PAIRS = [
+    ("x^2 + y^3", "x^5 + y^5"),
+    ("x^3 + y^3", "x^4 + y^4"),
+    ("x + y^2", "x^2 + y^3"),
+    ("x^3 + y^3", "x^3 + 2*y^3 + x^2*y^2"),
+    ("x^2 + y^2", "x^2 + x*y + y^2"),
+    ("x^2 + y^5", "x^3 + y^3"),
+]
+
+
 def test_verdicts_are_symmetric():
-    pairs = [
-        ("x^2 + y^3", "x^5 + y^5"),
-        ("x^3 + y^3", "x^4 + y^4"),
-        ("x + y^2", "x^2 + y^3"),
-        ("x^3 + y^3", "x^3 + 2*y^3 + x^2*y^2"),
-        ("x^2 + y^2", "x^2 + x*y + y^2"),
-        ("x^2 + y^5", "x^3 + y^3"),
-    ]
-    for a, b in pairs:
+    for a, b in PAIRS:
         assert discriminate(P(a), P(b)).verdict == discriminate(P(b), P(a)).verdict
+
+
+def test_report_checks_are_the_rules_records():
+    # exactly one germ semihomogeneous, both singular: first and last pair
+    for k, (f, g) in enumerate(PAIRS):
+        a, b = G(f), G(g)
+        rules = [check_regular_singular_mismatch, check_mu_mismatch,
+                 check_window_obstruction]
+        if k in (0, len(PAIRS) - 1):
+            rules.append(check_mixed_class_pair)
+        rules.append(check_cone_chi_criterion)
+        report = discriminate(P(f), P(g))
+        assert report.germs == (a, b)
+        assert list(report.checks) == [rule(a, b) for rule in rules], (f, g)
 
 
 def test_self_comparison_never_rules_out():

@@ -124,6 +124,18 @@ def test_negative_milnor_is_rejected():
         milnor_from_resolution(bad, 2)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_variable_count_is_rejected(n):
+    # (-1)^(n-1) is a float for n <= 0: no Milnor number may come out of it
+    res = ResolutionData(((1, 0),))
+    with pytest.raises(InputError, match="n >= 1"):
+        milnor_from_resolution(res, n)
+    with pytest.raises(InputError, match="n >= 1"):
+        milnor_from_s(s_sequence(res), n)
+    with pytest.raises(InputError, match="n >= 1"):
+        char_poly(ZetaFunction(()), 1, n)
+
+
 # -- the sparse sequence and its inversion -------------------------------------
 
 def test_cusp_s_sequence():

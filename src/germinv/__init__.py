@@ -58,8 +58,6 @@ from .milnor import (
 )
 from .monodromy import (
     CharPoly,
-    LefschetzSequence,
-    MultiplicityBound,
     ResolutionData,
     SSequence,
     ZetaFunction,

@@ -110,11 +110,9 @@ def _parse_scalar(text: str) -> GaussianRational:
 
 
 def _parse_fermat(raw: str) -> tuple[int, int]:
-    fields = {}
-    for part in raw.split(","):
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    if set(fields) != {"l", "n"}:
+    parts = [part.partition("=") for part in raw.split(",")]
+    fields = {key.strip(): value.strip() for key, _, value in parts}
+    if len(parts) != 2 or set(fields) != {"l", "n"}:
         raise InputError('expected --fermat l=<degree>,n=<variables>')
     try:
         return int(fields["l"]), int(fields["n"])
@@ -130,6 +128,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer, deep nesting
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _resolution_from_args(args) -> tuple[ResolutionData, int]:
@@ -210,18 +210,17 @@ def _cmd_zeta(args) -> dict:
     horizon = args.K if args.K is not None else 2 * res.max_multiplicity()
     lam = lefschetz_sequence(res, horizon)
     s = s_sequence(res)
-    z = zeta(s)
     bound = multiplicity_bound(lam)
     return {
         "K": horizon,
-        "Lambda": list(lam.values),
-        "Z": str(z),
+        "Lambda": list(lam),
+        "Z": str(zeta(s)),
         "command": "zeta",
         "eulerFiber": euler_fiber(res),
         "mu": milnor_from_resolution(res, n),
         "multiplicityBound": {
-            "firstNonzero": bound.first_nonzero,
-            "lowerBound": bound.lower_bound,
+            "firstNonzero": bound if bound <= horizon else None,
+            "lowerBound": bound,
         },
         "n": n,
         "s": {str(i): v for i, v in s.entries},

@@ -1,10 +1,12 @@
 """Monodromy arithmetic from resolution data.
 
-Everything here is integer bookkeeping: Lefschetz numbers of monodromy
-iterates from the multiplicity strata of a resolution, the finitely
-supported s-sequence recovered by Moebius inversion, the zeta function as
-a product of (1-t^i)^e factors, and the characteristic polynomial of the
-monodromy assembled from the zeta function and the Milnor number.
+Everything here is integer bookkeeping on plain values: the Lefschetz
+numbers of the monodromy iterates, a tuple with Lambda(h^k) at index k - 1,
+from the multiplicity strata of a resolution; the finitely supported
+s-sequence recovered by Moebius inversion; the zeta function as a product
+of (1-t^i)^e factors; the characteristic polynomial of the monodromy from
+the zeta function and the Milnor number; and the multiplicity bound, an
+int.  Every size built here is checked against MAX_SIZE first.
 
 Sign convention for the characteristic polynomial: with E = Euler number
 of the fiber, Delta(t) = t^mu * [ (t-1)/t * Z(1/t) ]^epsilon where epsilon
@@ -15,10 +17,20 @@ eigenvalue-product tests pin this one down.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
 from .errors import ConventionViolationError, InputError
+
+# The largest size the monodromy functions build, checked before building
+# it: a Lefschetz horizon (zeta --K), a Milnor number (charpoly --mu), a
+# stratum's |chi|, either cyclotomic degree in char_poly, and twice a
+# stratum's multiplicity m, so that the default horizon 2 * max m fits.
+# char_poly's work grows about as the cube of its degrees, because its
+# coefficients grow with them: on a 2-vCPU VM the slowest strata found
+# take 0.4 s at 2000, and 130 s at 10000.  The goldens reach mu 216, K 26.
+MAX_SIZE = 5_000
 
 
 # -- little number theory ----------------------------------------------------
@@ -59,8 +71,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _sparse_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int], ...]:
-    """Integer (index >= 1, value) pairs, sorted by index, zero values dropped."""
+def _check_size(what: str, value: int):
+    # The value itself is not printed: it may have more digits than str() converts.
+    if value > MAX_SIZE:
+        raise InputError(f"{what} above the maximum of {MAX_SIZE}")
+
+
+def _int_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int], ...]:
+    """Integer (index >= 1, value) pairs with distinct indices, sorted by index."""
     clean = {}
     for i, v in pairs:
         if not (_is_int(i) and _is_int(v)) or i < 1:
@@ -68,31 +86,32 @@ def _sparse_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int
         if i in clean:
             raise InputError(f"{duplicate} {i}")
         clean[i] = v
-    return tuple(sorted((i, v) for i, v in clean.items() if v))
+    return tuple(sorted(clean.items()))
+
+
+def _sparse_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int], ...]:
+    """_int_pairs with the zero values dropped."""
+    return tuple((i, v) for i, v in _int_pairs(pairs, malformed, duplicate) if v)
 
 
 # -- resolution data ---------------------------------------------------------
 
 @dataclass(frozen=True)
 class ResolutionData:
-    """Multiplicity strata (m, chi(S_m)) with distinct m >= 1."""
+    """Multiplicity strata (m, chi(S_m)), distinct m >= 1, sorted; chi = 0 kept."""
 
     strata: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        clean = []
-        seen = set()
-        for m, chi in self.strata:
-            if not (_is_int(m) and _is_int(chi)):
-                raise InputError("strata entries must be integer (m, chi) pairs")
-            if m < 1:
-                raise InputError(f"stratum multiplicity {m} must be >= 1")
-            if m in seen:
-                raise InputError(f"duplicate stratum multiplicity {m}")
-            seen.add(m)
-            clean.append((m, chi))
-        clean.sort()
-        object.__setattr__(self, "strata", tuple(clean))
+        strata = _int_pairs(
+            self.strata,
+            "strata must be integer (m, chi) pairs with m >= 1",
+            "duplicate stratum multiplicity",
+        )
+        for m, chi in strata:
+            _check_size("twice a stratum multiplicity", 2 * m)
+            _check_size("stratum Euler number |chi|", abs(chi))
+        object.__setattr__(self, "strata", strata)
 
     @staticmethod
     def from_json(data) -> "ResolutionData":
@@ -144,28 +163,6 @@ def milnor_from_resolution(res: ResolutionData, n: int) -> int:
 # -- Lefschetz sequences and their inversion ---------------------------------
 
 @dataclass(frozen=True)
-class LefschetzSequence:
-    """Lambda(h^k) for k = 1..horizon, as a plain tuple."""
-
-    values: tuple[int, ...]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.values)
-
-    def at(self, k: int) -> int:
-        if not 1 <= k <= self.horizon:
-            raise InputError(f"iterate {k} outside horizon 1..{self.horizon}")
-        return self.values[k - 1]
-
-
-def lefschetz_sequence(res: ResolutionData, horizon: int) -> LefschetzSequence:
-    if horizon < 1:
-        raise InputError("horizon must be >= 1")
-    return LefschetzSequence(tuple(lefschetz(res, k) for k in range(1, horizon + 1)))
-
-
-@dataclass(frozen=True)
 class SSequence:
     """Finitely supported integer sequence s_i, stored sparse without zeros."""
 
@@ -182,15 +179,6 @@ class SSequence:
     def from_map(values: dict[int, int]) -> "SSequence":
         return SSequence(tuple(values.items()))
 
-    def get(self, i: int) -> int:
-        return dict(self.entries).get(i, 0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.entries)
-
-    def to_map(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def total(self) -> int:
         return sum(s for _, s in self.entries)
 
@@ -200,20 +188,30 @@ def s_sequence(res: ResolutionData) -> SSequence:
     return SSequence(tuple((m, m * chi) for m, chi in res.strata))
 
 
-def lefschetz_from_s(s: SSequence, horizon: int) -> LefschetzSequence:
-    """Lambda(h^k) = sum of s_i over i dividing k."""
+def lefschetz_from_s(s: SSequence, horizon: int) -> tuple[int, ...]:
+    """Lambda(h^k) = sum of s_i over i dividing k, for k = 1..horizon: each
+    s_i is added at the multiples of i, so the cost is about horizon * log."""
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    return LefschetzSequence(tuple(
-        sum(s_i for i, s_i in s.entries if k % i == 0) for k in range(1, horizon + 1)
-    ))
+    _check_size("horizon", horizon)
+    lam = [0] * horizon
+    for i, s_i in s.entries:
+        for k in range(i - 1, horizon, i):
+            lam[k] += s_i
+    return tuple(lam)
 
 
-def invert_lefschetz(lam: LefschetzSequence) -> SSequence:
-    """Recover s from Lambda by Moebius inversion over the divisor lattice."""
+def lefschetz_sequence(res: ResolutionData, horizon: int) -> tuple[int, ...]:
+    """Lambda(h^k) for k = 1..horizon, from the strata's s-sequence."""
+    return lefschetz_from_s(s_sequence(res), horizon)
+
+
+def invert_lefschetz(lam: Sequence[int]) -> SSequence:
+    """Recover s from Lambda(h^d) = lam[d - 1] by Moebius inversion over the
+    divisor lattice."""
     values = {}
-    for k in range(1, lam.horizon + 1):
-        s_k = sum(mobius(k // d) * lam.at(d) for d in divisors(k))
+    for k in range(1, len(lam) + 1):
+        s_k = sum(mobius(k // d) * lam[d - 1] for d in divisors(k))
         if s_k:
             values[k] = s_k
     return SSequence.from_map(values)
@@ -241,9 +239,6 @@ class ZetaFunction:
             "zeta factors want integer exponents at i >= 1",
             "duplicate zeta factor index",
         ))
-
-    def exponent(self, i: int) -> int:
-        return dict(self.factors).get(i, 0)
 
     def __str__(self) -> str:
         if not self.factors:
@@ -285,8 +280,12 @@ def chi_projective_cone(l: int, n: int) -> int:
 def homogeneous_resolution(l: int, n: int) -> ResolutionData:
     """Resolution strata of the degree-l sum-of-powers germ in n variables.
 
-    A single stratum: multiplicity l with chi = (1 - (1-l)^n) / l.
+    A single stratum: multiplicity l with chi = (1 - (1-l)^n) / l.  Its
+    Milnor number (l-1)^n is capped at MAX_SIZE before the power is formed:
+    for l > 2 the power exceeds the cap once n reaches the cap's bit length.
     """
+    if l > 2 and n > 0 and (n >= MAX_SIZE.bit_length() or (l - 1) ** n > MAX_SIZE):
+        raise InputError(f"Milnor number (l-1)^n above the maximum of {MAX_SIZE}")
     return ResolutionData(((l, chi_tangent_cone_complement(l, n)),))
 
 
@@ -334,30 +333,17 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def constant_term(self) -> int:
-        return self.coeffs[0]
-
     def __str__(self) -> str:
-        if all(c == 0 for c in self.coeffs):
-            return "0"
-        pieces = []
+        out = ""
         for e in range(self.degree, -1, -1):
             c = self.coeffs[e]
-            if not c:
-                continue
-            if e == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            if c:
+                coeff = "" if abs(c) == 1 and e else str(abs(c))
+                var = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+                body = "*".join(filter(None, (coeff, var)))
+                sign = "-" if c < 0 else "+"
+                out += f" {sign} {body}" if out else body if c > 0 else "-" + body
+        return out or "0"
 
 
 def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
@@ -368,62 +354,48 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
     cyclotomic factors:
 
         Delta(t) = t^shift * prod (t^i - 1)^E_i,
-        shift = mu - sign * (1 + sum i*e_i),  E_i = sign * (e_i + [i = 1]),
+        shift = mu - sum i*E_i,  E_i = sign * (e_i + [i = 1]).
 
-    and the factors with E_i < 0 divide out exactly, in integers, by a
-    monic polynomial.  The degree, shift + sum i*E_i, is mu identically.
-    Raises a ConventionViolationError when the inputs are inconsistent: a
-    negative shift or a non-exact division, or |Delta(0)| != 1.
+    As t^i - 1 is the product of the cyclotomic Phi_d over d | i, this is a
+    polynomial exactly when each Phi_d's total exponent is >= 0, and then
+    Delta(0) = +-1 exactly when shift = 0.  Both are checked before anything
+    is built (ConventionViolationError), and so are the sizes (InputError).
     """
     if mu < 1:
         raise InputError("need mu >= 1 to assemble a characteristic polynomial")
+    _check_size("Milnor number", mu)
     sign = -_milnor_sign(n)  # (-1)^n
-    shift = mu - sign * (1 + sum(i * e for i, e in z.factors))
-    if shift < 0:
-        raise ConventionViolationError("the quotient is not a polynomial")
     exponents = {1: sign}
     for i, e in z.factors:
         exponents[i] = exponents.get(i, 0) + sign * e
+    _check_size("numerator degree", sum(i * k for i, k in exponents.items() if k > 0))
+    _check_size("denominator degree", sum(-i * k for i, k in exponents.items() if k < 0))
+    phi_exponents = {}
+    for i, k in exponents.items():
+        for d in divisors(i):
+            phi_exponents[d] = phi_exponents.get(d, 0) + k
+    shift = mu - sum(i * k for i, k in exponents.items())
+    if shift < 0 or min(phi_exponents.values()) < 0:
+        raise ConventionViolationError("the quotient is not a polynomial")
+    if shift > 0:
+        raise ConventionViolationError(
+            "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
+        )
     num, den = [1], [1]
     for i, k in exponents.items():
         if k > 0:
             num = _upoly_mul(num, _cyclotomic_power(i, k))
         elif k < 0:
             den = _upoly_mul(den, _cyclotomic_power(i, -k))
-    coeffs = [0] * shift + _upoly_divmonic(num, den)
-    if abs(coeffs[0]) != 1:
-        raise ConventionViolationError(
-            "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
-        )
-    return CharPoly(tuple(coeffs))
+    return CharPoly(tuple(_upoly_divmonic(num, den)))
 
 
 # -- multiplicity detection --------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiplicityBound:
-    """Smallest iterate with nonzero Lefschetz number, if seen in horizon.
-
-    first_nonzero None means every Lambda(h^k) vanished up to the horizon,
-    so all we know is a lower bound of horizon + 1.  Even when found, the
-    value is the exact multiplicity only under the nonvanishing hypothesis
-    for the cone complement's Euler number; callers certify that.
+def multiplicity_bound(lam: Sequence[int]) -> int:
+    """The least k with Lambda(h^k) = lam[k - 1] nonzero, else len(lam) + 1,
+    a lower bound.  Even when found, it is the exact multiplicity only under
+    the nonvanishing hypothesis for the cone complement's Euler number;
+    callers certify that.
     """
-
-    first_nonzero: int | None
-    horizon: int
-
-    @property
-    def known(self) -> bool:
-        return self.first_nonzero is not None
-
-    @property
-    def lower_bound(self) -> int:
-        return self.first_nonzero if self.known else self.horizon + 1
-
-
-def multiplicity_bound(lam: LefschetzSequence) -> MultiplicityBound:
-    for k in range(1, lam.horizon + 1):
-        if lam.at(k):
-            return MultiplicityBound(k, lam.horizon)
-    return MultiplicityBound(None, lam.horizon)
+    return next((k for k, value in enumerate(lam, 1) if value), len(lam) + 1)

@@ -453,13 +453,16 @@ def _direction_entries(direction, nvars: int) -> tuple[GaussianRational, ...]:
 
 _DEFAULTS = ("x", "y", "z")
 
-# The largest exponent the parser accepts after '^'.  It is checked on the
-# digits, before any power is formed: x^99999999999 would otherwise reach
-# the engines, whose work grows with the exponent (the staircase of x^e
-# alone has e-1 monomials).  The bundled corpus, the benchmark and the
-# tests use exponents up to 101; at 10000, milnor x^10000 still reports
-# within a second.  The cap bounds a single power, not the expanded size
-# of a product or of a germ in several variables: MAX_TERMS does that.
+# The largest degree of any term the parser forms, and so the largest
+# exponent it accepts after '^'.  A literal is checked on its digits, and a
+# power or product on its result's top degree, before it is formed:
+# x^99999999999, (x^100)^1000 or x^10000*x^10000 would otherwise reach the
+# engines, whose work grows with the degree (the staircase of x^e alone has
+# e-1 monomials), and (x^10000)^10000 ran out of memory.  The bundled
+# corpus, the benchmark and the tests use degrees up to 101; at 10000,
+# milnor x^10000 still reports within a second.  The cap bounds degrees,
+# not the expanded size of a product or of a germ in several variables:
+# MAX_TERMS does that.
 MAX_EXPONENT = 10_000
 
 # The most terms a power or product in the parser may expand to.  Each is
@@ -601,11 +604,14 @@ class _Parser:
         return base
 
     def _check_expansion(self, products: int, low: int, high: int, pos: int):
-        """Refuse a power or product whose result could exceed MAX_TERMS.
+        """Refuse a power or product whose result has a term of degree above
+        MAX_EXPONENT or could exceed MAX_TERMS terms.
 
         Its terms number at most ``products`` (the distinct products of
         its factors' terms) and at most the monomials of degree low..high.
         """
+        if high > MAX_EXPONENT:
+            raise ParseError(f"degree {high} above the maximum of {MAX_EXPONENT}", pos)
         n = self.nvars
         window = comb(high + n, n) - comb(low - 1 + n, n)
         bound = min(products, window)
@@ -652,7 +658,7 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     Grammar: + - * ^ and parentheses over integer/rational/Gaussian-rational
     literals (``i`` is the imaginary unit) and the given variable names.
     Raises :class:`ParseError` with a character position on bad syntax,
-    unknown variables, exponents that are negative or above
+    unknown variables, exponents that are negative, a term of degree above
     :data:`MAX_EXPONENT`, or a power or product that could expand to more
     than :data:`MAX_TERMS` terms.
     """

@@ -515,3 +515,48 @@ def test_missing_resolution_source_exits_2(capsys):
 def test_unknown_variable_exits_2(capsys):
     code, _, err = run(capsys, "milnor", "x + w", "--vars", "x,y")
     assert code == 2
+
+
+LONG_INT = "1" * 5001  # more digits than int() converts
+HOSTILE_FILES = {
+    "huge_m": '[{"m": 100000000, "chi": -1}, {"m": 1, "chi": 0}]',
+    "huge_chi": '[{"m": 1, "chi": 1000000}, {"m": 2, "chi": -500000}]',
+    "long_chi": '[{"m": 2, "chi": %s}]' % LONG_INT,
+    "long_family": '{"vars": ["x"], "pieces": [{"poly": "x^2", "tpower": %s}]}' % LONG_INT,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    # degrees of parsed terms
+    ("milnor", "(x^100)^1000 + y^2"),
+    ("milnor", "x^10000*x^10000*x^10000 + y^2"),
+    ("milnor", "(x^10000)^10000"),
+    # monodromy sizes
+    ("zeta", "--fermat", "l=3,n=2", "--K", "1000000"),
+    ("zeta", "--fermat", "l=100000,n=2"),
+    ("zeta", "--fermat", "l=3,n=15000"),
+    ("zeta", "--fermat", "l=1000000000,n=1000000000"),
+    ("charpoly", "--fermat", "l=30,n=4"),
+    ("charpoly", "--fermat", "l=3,n=40"),
+    ("charpoly", "--fermat", "l=3,n=100000"),
+    ("charpoly", "--fermat", "l=3,n=2", "--mu", "100000000"),
+    ("zeta", "--res", "{huge_m}", "--n", "2"),
+    ("charpoly", "--res", "{huge_m}", "--n", "2"),
+    ("charpoly", "--res", "{huge_chi}", "--n", "2"),
+    # input files and options
+    ("zeta", "--res", "{long_chi}", "--n", "2"),
+    ("family", "--file", "{long_family}"),
+    ("zeta", "--fermat", "l=3,n=2,l=4"),
+], ids=lambda argv: " ".join(argv))
+def test_hostile_inputs_exit_2_at_once(capsys, tmp_path, argv):
+    paths = {name: tmp_path / f"{name}.json" for name in HOSTILE_FILES}
+    for name, text in HOSTILE_FILES.items():
+        paths[name].write_text(text)
+    argv = [a.format_map(paths) for a in argv]
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 2
+    assert code == 2
+    assert not out
+    assert "input error:" in err
+    assert "Traceback" not in err

@@ -2,13 +2,16 @@
 sparse sequence, zeta factorisation and the characteristic polynomial."""
 
 import random
+import re
+from math import isqrt
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from germinv.errors import ConventionViolationError, InputError
 from germinv.monodromy import (
-    CharPoly,
+    MAX_SIZE,
     ResolutionData,
     SSequence,
     ZetaFunction,
@@ -84,6 +87,13 @@ def test_resolution_json_round_trip():
         ResolutionData.from_json([{"m": 2}])
 
 
+def test_resolution_keeps_strata_with_zero_chi():
+    res = ResolutionData(((3, 0), (1, 2)))
+    assert res.strata == ((1, 2), (3, 0))
+    assert res.to_json() == [{"chi": 2, "m": 1}, {"chi": 0, "m": 3}]
+    assert s_sequence(res).entries == ((1, 2),)
+
+
 def test_max_multiplicity():
     assert CUSP.max_multiplicity() == 6
     assert ResolutionData(()).max_multiplicity() == 1
@@ -94,10 +104,10 @@ def test_max_multiplicity():
 def test_fermat_cubic_lefschetz_list():
     res = homogeneous_resolution(3, 2)
     seq = lefschetz_sequence(res, 9)
-    assert list(seq.values) == [0, 0, -3, 0, 0, -3, 0, 0, -3]
-    assert seq.horizon == 9
-    assert seq.at(3) == -3
-    assert seq.at(1) == 0
+    assert seq == (0, 0, -3, 0, 0, -3, 0, 0, -3)
+    assert len(seq) == 9
+    assert seq[3 - 1] == -3
+    assert seq[1 - 1] == 0
 
 
 def test_cusp_lefschetz_numbers():
@@ -140,9 +150,9 @@ def test_nonpositive_variable_count_is_rejected(n):
 
 def test_cusp_s_sequence():
     s = s_sequence(CUSP)
-    assert s.to_map() == {2: 2, 3: 3, 6: -6}
-    assert s.support() == (2, 3, 6)
-    assert s.get(2) == 2 and s.get(5) == 0
+    assert dict(s.entries) == {2: 2, 3: 3, 6: -6}
+    assert tuple(i for i, _ in s.entries) == (2, 3, 6)
+    assert dict(s.entries).get(2) == 2 and dict(s.entries).get(5, 0) == 0
     assert s.total() == -1
 
 
@@ -150,13 +160,13 @@ def test_lefschetz_from_s_matches_direct_computation():
     s = s_sequence(CUSP)
     seq = lefschetz_from_s(s, 12)
     for k in range(1, 13):
-        assert seq.at(k) == lefschetz(CUSP, k)
+        assert seq[k - 1] == lefschetz(CUSP, k)
 
 
 def test_inversion_round_trip_on_the_cusp():
     s = s_sequence(CUSP)
     lam = lefschetz_from_s(s, 6)
-    assert invert_lefschetz(lam).to_map() == s.to_map()
+    assert invert_lefschetz(lam) == s
 
 
 @settings(max_examples=120, deadline=None)
@@ -169,9 +179,9 @@ def test_inversion_round_trip_on_the_cusp():
 )
 def test_inversion_round_trip_random(values):
     s = SSequence.from_map(values)
-    horizon = max(s.support(), default=1)
+    horizon = max((i for i, _ in s.entries), default=1)
     lam = lefschetz_from_s(s, horizon)
-    assert invert_lefschetz(lam).to_map() == s.to_map()
+    assert invert_lefschetz(lam) == s
 
 
 def test_milnor_from_s_agrees():
@@ -184,8 +194,8 @@ def test_milnor_from_s_agrees():
 def test_cusp_zeta_string():
     z = zeta(s_sequence(CUSP))
     assert str(z) == "(1-t^2)^-1*(1-t^3)^-1*(1-t^6)^1"
-    assert z.exponent(6) == 1
-    assert z.exponent(5) == 0
+    assert dict(z.factors).get(6) == 1
+    assert dict(z.factors).get(5, 0) == 0
 
 
 def test_trivial_zeta_prints_as_one():
@@ -250,7 +260,7 @@ def test_node_charpoly():
     cp = char_poly(z, 1, 2)
     assert str(cp) == "t - 1"
     assert cp.degree == 1
-    assert cp.constant_term == -1
+    assert cp.coeffs[0] == -1
 
 
 def test_three_variable_quadric_charpoly():
@@ -286,6 +296,11 @@ def test_charpoly_diagnostics():
         char_poly(fermat_cubic, 3, 2)  # mu too small
     with pytest.raises(ConventionViolationError):
         char_poly(ZetaFunction(((2, -1),)), 3, 2)  # division is not exact
+    # Phi_3 divides the denominator only: refused before any product is formed
+    start = perf_counter()
+    with pytest.raises(ConventionViolationError):
+        char_poly(ZetaFunction(((1, 2499), (2, 1250), (3, -833), (4, -625))), 1, 2)
+    assert perf_counter() - start < 1
 
 
 def test_charpoly_ends_are_units():
@@ -295,7 +310,7 @@ def test_charpoly_ends_are_units():
             mu = (l - 1) ** n
             cp = char_poly(zeta(s_sequence(res)), mu, n)
             assert cp.degree == mu
-            assert abs(cp.constant_term) == 1
+            assert abs(cp.coeffs[0]) == 1
             assert abs(cp.coeffs[-1]) == 1
 
 
@@ -304,16 +319,60 @@ def test_charpoly_ends_are_units():
 def test_multiplicity_bound_from_first_nonzero():
     seq = lefschetz_sequence(homogeneous_resolution(3, 2), 9)
     bound = multiplicity_bound(seq)
-    assert bound.known and bound.first_nonzero == 3
-    assert bound.lower_bound == 3
+    assert bound <= len(seq)  # found within the horizon
+    assert bound == 3
 
 
 def test_multiplicity_bound_unknown_when_all_zero():
     seq = lefschetz_sequence(homogeneous_resolution(2, 2), 5)
     bound = multiplicity_bound(seq)
-    assert not bound.known
-    assert bound.first_nonzero is None
-    assert bound.horizon == 5
+    assert bound > len(seq)
+    assert bound == len(seq) + 1 == 6
+    assert len(seq) == 5
+
+
+# -- size caps -----------------------------------------------------------------
+
+def test_largest_sizes_are_accepted():
+    res = ResolutionData(((MAX_SIZE // 2, -MAX_SIZE), (1, MAX_SIZE)))
+    # the default horizon, twice the largest multiplicity, always fits
+    assert len(lefschetz_sequence(res, 2 * res.max_multiplicity())) == MAX_SIZE
+    assert len(lefschetz_from_s(s_sequence(res), MAX_SIZE)) == MAX_SIZE
+    # the largest reference germs: (l-1)^n is at most MAX_SIZE
+    n = MAX_SIZE.bit_length() - 1
+    assert milnor_from_resolution(homogeneous_resolution(3, n), n) == 2**n
+    l = isqrt(MAX_SIZE) + 1
+    assert milnor_from_resolution(homogeneous_resolution(l, 2), 2) == (l - 1) ** 2
+    assert homogeneous_resolution(MAX_SIZE // 2, 1).strata == ((MAX_SIZE // 2, 1),)
+    # x^MAX_SIZE in one variable: numerator t^MAX_SIZE - 1, denominator t - 1
+    cp = char_poly(ZetaFunction(((MAX_SIZE, -1),)), MAX_SIZE - 1, 1)
+    assert cp.coeffs == (1,) * MAX_SIZE
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: lefschetz_sequence(CUSP, MAX_SIZE + 1), "horizon"),
+    (lambda: lefschetz_from_s(s_sequence(CUSP), 10**100), "horizon"),
+    (lambda: ResolutionData(((MAX_SIZE // 2 + 1, 1),)), "twice a stratum multiplicity"),
+    (lambda: ResolutionData(((1, 10**5000),)), "stratum Euler number"),
+    (lambda: ResolutionData(((1, -MAX_SIZE - 1),)), "stratum Euler number"),
+    (lambda: homogeneous_resolution(3, MAX_SIZE.bit_length()), "(l-1)^n"),
+    (lambda: homogeneous_resolution(isqrt(MAX_SIZE) + 2, 2), "(l-1)^n"),
+    (lambda: homogeneous_resolution(10**9, 10**9), "(l-1)^n"),
+    (lambda: char_poly(ZetaFunction(((3, 1),)), MAX_SIZE + 1, 2), "Milnor number"),
+    (lambda: char_poly(ZetaFunction(((1, MAX_SIZE), (2, -1))), MAX_SIZE - 1, 2),
+     "numerator degree"),
+    (lambda: char_poly(ZetaFunction(((2, -MAX_SIZE),)), 1, 2), "denominator degree"),
+], ids=["horizon", "huge-horizon", "multiplicity", "huge-chi", "chi", "fermat-n",
+        "fermat-l", "fermat-huge", "mu", "numerator", "denominator"])
+def test_sizes_above_the_cap_are_refused(build, what):
+    with pytest.raises(InputError, match=f"{re.escape(what)}.* above the maximum of"):
+        build()
+
+
+def test_small_reference_germs_ignore_the_variable_count():
+    # (l-1)^n is 0 or 1 for l <= 2, however many variables
+    assert milnor_from_resolution(homogeneous_resolution(2, 10**6), 10**6) == 1
+    assert milnor_from_resolution(homogeneous_resolution(1, 10**6), 10**6) == 0
 
 
 # -- a seeded eigenvalue cross-check ------------------------------------------
@@ -330,9 +389,7 @@ def test_charpoly_matches_plane_curve_eigenvalues():
             1 - (a * (k % a == 0) - 1) * (b * (k % b == 0) - 1)
             for k in range(1, a * b + 1)
         )
-        from germinv.monodromy import LefschetzSequence
-
-        s = invert_lefschetz(LefschetzSequence(lam_values))
+        s = invert_lefschetz(lam_values)
         cp = char_poly(zeta(s), mu, 2)
         assert cp.degree == mu
         # spot-check Delta at small integers against the eigenvalue product

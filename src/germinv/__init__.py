@@ -76,7 +76,7 @@ from .monodromy import (
     s_sequence,
     zeta,
 )
-from .poly import LineDirection, Poly, fermat, format_poly, parse_poly
+from .poly import Poly, fermat, format_poly, parse_poly, parse_scalar, variable_names
 from .vectorfields import (
     VectorField,
     gradient_field,

@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
-from fractions import Fraction
 
 from .corpus import run_corpus
 from .equising import discriminate
@@ -42,10 +40,8 @@ from .monodromy import (
     s_sequence,
     zeta,
 )
-from .poly import LineDirection, Poly, format_poly, parse_poly
+from .poly import Poly, format_poly, parse_poly, parse_scalar, variable_names
 from .vectorfields import VectorField, vf_milnor, vf_multiplicity
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 # -- input helpers -----------------------------------------------------------
@@ -68,45 +64,22 @@ def _parse_vars(raw: str) -> tuple[str, ...]:
 
 
 def _infer_vars(texts) -> tuple[str, ...]:
-    names = set()
-    for text in texts:
-        names.update(_NAME_RE.findall(text))
-    names.discard("i")
+    names = set().union(*map(variable_names, texts))
     if not names:
-        raise InputError(
-            "no variables found; pass --vars to fix the variable order"
-        )
+        raise InputError("no variables found; pass --vars to fix the variable order")
     return tuple(sorted(names))
-
-
-def _resolve_vars(args, texts) -> tuple[str, ...]:
-    if getattr(args, "vars", None) is not None:
-        return _parse_vars(args.vars)
-    return _infer_vars(texts)
 
 
 def _read_polys(args, exprs) -> tuple[list[Poly], tuple[str, ...]]:
     """Read each expression (inline or @file), resolve the names, parse."""
     texts = [_read_expr(e) for e in exprs]
-    names = _resolve_vars(args, texts)
+    names = _infer_vars(texts) if args.vars is None else _parse_vars(args.vars)
     return [parse_poly(t, names) for t in texts], names
 
 
-def _parse_samples(raw: str) -> tuple[Fraction, ...]:
-    try:
-        values = tuple(Fraction(tok.strip()) for tok in raw.split(",") if tok.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad sample list {raw!r}: {exc}") from exc
-    if not values:
-        raise InputError("empty sample list")
-    return values
-
-
-def _parse_scalar(text: str) -> GaussianRational:
-    value = parse_poly(text, ("__scalar_slot",))
-    if value.support() - {(0,)}:
-        raise InputError(f"{text!r} is not a scalar")
-    return value.constant_term()
+def _parse_scalars(raw: str | None) -> tuple[GaussianRational, ...] | None:
+    """The scalars of a comma-separated option, or None if it is not given."""
+    return None if raw is None else tuple(parse_scalar(tok) for tok in raw.split(","))
 
 
 def _parse_fermat(raw: str) -> tuple[int, int]:
@@ -265,16 +238,11 @@ def _family_from_args(args) -> tuple[GermFamily, tuple[str, ...]]:
 
 
 def _cmd_family(args) -> dict:
-    ts = _parse_samples(args.ts) if args.ts is not None else DEFAULT_SAMPLES
+    ts = _parse_scalars(args.ts) or DEFAULT_SAMPLES
 
     if args.find_alpha is not None:
         (target,), names = _read_polys(args, [args.find_alpha])
-        candidates = (
-            [_parse_scalar(tok) for tok in args.candidates.split(",")]
-            if args.candidates is not None
-            else None
-        )
-        alpha = find_alpha(target, ts, candidates, seed=args.seed)
+        alpha = find_alpha(target, ts, _parse_scalars(args.candidates), seed=args.seed)
         return {
             "alpha": None if alpha is None else str(alpha),
             "command": "family",
@@ -307,10 +275,8 @@ def _cmd_family(args) -> dict:
         "vars": list(names),
     }
 
-    direction = None
-    if args.line is not None:
-        direction = LineDirection.of(_parse_scalar(tok) for tok in args.line.split(","))
-    elif args.find_line:
+    direction = _parse_scalars(args.line)
+    if direction is None and args.find_line:
         forms = []
         seen = set()
         for t in ts:
@@ -327,7 +293,7 @@ def _cmd_family(args) -> dict:
             return report
     if direction is not None:
         line_profile = line_order_profile(family, direction, ts)
-        report["line"] = str(direction)
+        report["line"] = "(" + ", ".join(map(str, direction)) + ")"
         report["lineProfile"] = [
             {"order": order, "t": str(t)} for t, order in line_profile
         ]
@@ -436,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--find-alpha", help="homogeneous target form for the joining search"
     )
     add_vars(p)
-    p.add_argument("--ts", help="comma-separated rational samples, default 0,1/4,1/2,3/4,1")
+    p.add_argument("--ts", help="comma-separated scalars, default 0,1/4,1/2,3/4,1")
     p.add_argument("--line", help="probe direction, comma-separated scalars")
     p.add_argument("--find-line", action="store_true",
                    help="search for a direction transverse to all sampled cones")

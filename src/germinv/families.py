@@ -18,7 +18,7 @@ from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, I, ONE
 from .milnor import is_isolated, milnor_number
 from .monodromy import _is_int
-from .poly import LineDirection, Poly, fermat, parse_poly
+from .poly import MAX_EXPONENT, Poly, fermat, parse_poly
 
 DEFAULT_SAMPLES = (
     Fraction(0),
@@ -40,8 +40,8 @@ class FamilyPiece:
     tpower: int
 
     def __post_init__(self):
-        if self.tpower < 0:
-            raise InputError("piece powers of t must be non-negative")
+        if not 0 <= self.tpower <= MAX_EXPONENT:
+            raise InputError(f"piece powers of t must lie in 0..{MAX_EXPONENT}")
         if not self.poly:
             raise InputError("family pieces must be nonzero polynomials")
         if self.poly.constant_term():
@@ -196,7 +196,7 @@ def line_order_profile(family: GermFamily, direction, ts=DEFAULT_SAMPLES):
 
 def find_transverse_line(
     forms, trials: int = 200, seed: int = DEFAULT_SEED
-) -> LineDirection | None:
+) -> tuple[GaussianRational, ...] | None:
     """A direction on which none of the given initial forms vanish.
 
     Deterministic: a fixed small-integer lattice sweep takes the first half
@@ -228,7 +228,7 @@ def find_transverse_line(
                 continue
             used += 1
             if good(entries):
-                return LineDirection.of(entries)
+                return tuple(map(GaussianRational.of, entries))
             if used >= lattice_budget:
                 break
         radius += 1
@@ -242,7 +242,7 @@ def find_transverse_line(
             continue
         used += 1
         if good(entries):
-            return LineDirection.of(entries)
+            return tuple(map(GaussianRational.of, entries))
     return None
 
 

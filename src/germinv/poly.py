@@ -11,6 +11,11 @@ variable counts in one operation is a hard error, never a broadcast.
 Variable *names* are not part of the value: parsing and printing take a
 name tuple, and ``str(poly)`` falls back to x, y, z / z1..zn defaults.
 
+The parser is the one reader of names and scalars: a name is one token of
+its grammar (a letter or ``_``, then letters, digits or ``_``, in any
+script), :func:`variable_names` lists those an expression mentions, and
+:func:`parse_scalar` reads a scalar as an expression without variables.
+
 Terms are iterated and printed in graded lexicographic order: ascending
 total degree, and within one degree descending lexicographically in the
 exponents, so a germ reads off like a Taylor expansion from its lowest
@@ -19,10 +24,9 @@ order upward.  ``parse_poly(str(f), names) == f`` holds for every f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from math import comb, lcm
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, ZeroPolynomialError
 from .gaussian import GaussianRational, ONE, ZERO
@@ -296,6 +300,9 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative exponent")
+        if len(self._terms) == 1:  # (c*x^m)^e = c^e * x^(e*m)
+            (mono, c), = self._terms.items()
+            return Poly._clean(self.nvars, {tuple(k * exponent for k in mono): c ** exponent})
         result = Poly.constant(self.nvars, 1)
         base, e = self, exponent
         while e:
@@ -383,11 +390,14 @@ class Poly:
         ]
         return self.substitute(images)
 
-    def restrict_to_line(self, direction) -> "Poly":
-        """One-variable germ t |-> f(t * v)."""
-        entries = _direction_entries(direction, self.nvars)
+    def restrict_to_line(self, direction: Sequence) -> "Poly":
+        """One-variable germ t |-> f(t * v); v needs a nonzero entry."""
+        if len(direction) != self.nvars:
+            raise InputError(f"direction has {len(direction)} entries, expected {self.nvars}")
+        if not any(direction):
+            raise InputError("direction vector must have a nonzero entry")
         t = Poly.variable(1, 0)
-        return self.substitute([t.scale(v) for v in entries])
+        return self.substitute([t.scale(v) for v in direction])
 
     def linear_change(self, matrix: Sequence[Sequence]) -> "Poly":
         """f(M z) for a square matrix of scalars acting on the variables."""
@@ -410,43 +420,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self!s})"
-
-
-# -- line directions ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class LineDirection:
-    """A direction vector through 0; at least one entry must be nonzero."""
-
-    entries: tuple[GaussianRational, ...]
-
-    def __post_init__(self):
-        entries = tuple(GaussianRational.of(e) for e in self.entries)
-        if not entries:
-            raise InputError("empty direction vector")
-        if not any(entries):
-            raise InputError("direction vector must have a nonzero entry")
-        object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def of(values: Iterable) -> "LineDirection":
-        return LineDirection(tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
-def _direction_entries(direction, nvars: int) -> tuple[GaussianRational, ...]:
-    if not isinstance(direction, LineDirection):
-        direction = LineDirection.of(direction)
-    if len(direction) != nvars:
-        raise InputError(
-            f"direction has {len(direction)} entries, expected {nvars}"
-        )
-    return direction.entries
 
 
 # -- parsing -----------------------------------------------------------------
@@ -474,6 +447,14 @@ MAX_EXPONENT = 10_000
 # terms) parses in about 1.5 s, and the costliest accepted power, the
 # univariate (x+1)^1999, in about 8 s.
 MAX_TERMS = 2_000
+
+# The most decimal digits of a parsed coefficient's numerator or denominator,
+# the most str() converts by default.  int() holds a literal to it; a sum,
+# product or power is refused before it is formed if a bound on its result
+# exceeds it (_bounded), so ((2^10000)^10000)^10000 (out of memory) and
+# (1/3)^10000 (4772 digits, unprintable) are refused at once.
+MAX_DIGITS = 4_300
+_DIGIT_LIMIT = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
@@ -525,65 +506,93 @@ class _Tokenizer:
         return kind, value, pos
 
 
+def _is_name(text: str) -> bool:
+    """True iff text is exactly one name token."""
+    try:
+        return _Tokenizer(text).peek()[:2] == ("name", text)
+    except ParseError:
+        return False
+
+
+def _bounded(size: int, den: int, pos: int, e: int = 1) -> tuple[int, int]:
+    """(size**e, den**e), refused if either has more than MAX_DIGITS digits;
+    a power is formed only when it has fewer bits than _DIGIT_LIMIT * 2**e."""
+    top = max(size, den)
+    if e * (top.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or top ** e >= _DIGIT_LIMIT:
+        raise ParseError(f"coefficient above the maximum of {MAX_DIGITS} digits", pos)
+    return size ** e, den ** e
+
+
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*,
     term := factor ('*' factor)*, factor := atom ['^' int],
     atom := number | 'i' | variable | '(' expr ')' | ('+'|'-') atom.
+
+    Each rule returns (p, S, D) with p = P/D, P over the Gaussian integers and
+    S >= the sum of |re| + |im| over P's coefficients, which bounds each of
+    them.  S(PQ) <= S(P)S(Q), so a product is bounded by (S1*S2, D1*D2), a
+    power by (S^e, D^e), and a sum over L = lcm(D1, D2) by (S1*L/D1 + S2*L/D2, L).
     """
 
     def __init__(self, text: str, names: Sequence[str]):
-        if "i" in names:
-            raise InputError("variable name 'i' is reserved for the imaginary unit")
         seen = set()
         for name in names:
+            if name == "i":
+                raise InputError("variable name 'i' is reserved for the imaginary unit")
+            if not _is_name(name):
+                raise InputError(f"{name!r} is not a variable name")
             if name in seen:
                 raise InputError(f"duplicate variable name {name!r}")
             seen.add(name)
         self.toks = _Tokenizer(text)
         self.names = {name: idx for idx, name in enumerate(names)}
-        self.nvars = len(names)
+        self.nvars = len(names) or 1  # parse_scalar: a constant no name reaches
 
     def parse(self) -> Poly:
-        poly = self.expr()
+        poly, _, _ = self.expr()
         kind, value, pos = self.toks.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
         return poly
 
-    def expr(self) -> Poly:
+    def expr(self) -> tuple[Poly, int, int]:
         kind, value, pos = self.toks.peek()
         negate = False
         if kind == "op" and value in "+-":
             self.toks.take()
             negate = value == "-"
-        poly = self.term()
+        poly, size, den = self.term()
         if negate:
             poly = -poly
         while True:
             kind, value, pos = self.toks.peek()
             if kind == "op" and value in "+-":
                 self.toks.take()
-                rhs = self.term()
+                rhs, size2, den2 = self.term()
+                common = lcm(den, den2)
+                size, den = _bounded(size * (common // den) + size2 * (common // den2),
+                                     common, pos)
                 poly = poly - rhs if value == "-" else poly + rhs
             else:
-                return poly
+                return poly, size, den
 
-    def term(self) -> Poly:
-        poly = self.factor()
+    def term(self) -> tuple[Poly, int, int]:
+        poly, size, den = self.factor()
         while True:
             kind, value, pos = self.toks.peek()
             if kind == "op" and value == "*":
                 self.toks.take()
-                rhs = self.factor()
+                rhs, size2, den2 = self.factor()
                 if poly and rhs:
                     self._check_expansion(len(poly) * len(rhs), poly.order() + rhs.order(),
                                           poly.degree() + rhs.degree(), pos)
+                size, den = _bounded(size * size2, den * den2, pos)
                 poly = poly * rhs
             else:
-                return poly
+                return poly, size, den
 
-    def factor(self) -> Poly:
-        base = self.atom()
+    def factor(self) -> tuple[Poly, int, int]:
+        base, size, den = self.atom()
         kind, value, pos = self.toks.peek()
         if kind == "op" and value == "^":
             self.toks.take()
@@ -600,8 +609,9 @@ class _Parser:
             if base and e > 1:
                 self._check_expansion(comb(len(base) + e - 1, e), base.order() * e,
                                       base.degree() * e, pos)
+            size, den = _bounded(size, den, pos, e)
             base = base ** e
-        return base
+        return base, size, den
 
     def _check_expansion(self, products: int, low: int, high: int, pos: int):
         """Refuse a power or product whose result has a term of degree above
@@ -619,7 +629,7 @@ class _Parser:
             raise ParseError(f"expansion of up to {bound} terms above the maximum of "
                              f"{MAX_TERMS}", pos)
 
-    def atom(self) -> Poly:
+    def atom(self) -> tuple[Poly, int, int]:
         kind, value, pos = self.toks.take()
         if kind == "number":
             try:
@@ -629,22 +639,23 @@ class _Parser:
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"number literal of {len(value)} characters is too long",
                                  pos) from None
-            return Poly.constant(self.nvars, number)
+            return (Poly.constant(self.nvars, number), number.numerator,
+                    number.denominator)
         if kind == "name":
             if value == "i":
-                return Poly.constant(self.nvars, GaussianRational(0, 1))
+                return Poly.constant(self.nvars, GaussianRational(0, 1)), 1, 1
             if value in self.names:
-                return Poly.variable(self.nvars, self.names[value])
+                return Poly.variable(self.nvars, self.names[value]), 1, 1
             raise ParseError(f"unknown variable {value!r}", pos)
         if kind == "op" and value == "(":
-            poly = self.expr()
+            bounded = self.expr()
             kind, value, pos = self.toks.take()
             if not (kind == "op" and value == ")"):
                 raise ParseError("expected ')'", pos)
-            return poly
+            return bounded
         if kind == "op" and value in "+-":
-            inner = self.atom()
-            return -inner if value == "-" else inner
+            inner, size, den = self.atom()
+            return (-inner if value == "-" else inner), size, den
         raise ParseError(
             "expected a number, variable or '('" if kind == "end"
             else f"unexpected {value!r}",
@@ -659,12 +670,34 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     literals (``i`` is the imaginary unit) and the given variable names.
     Raises :class:`ParseError` with a character position on bad syntax,
     unknown variables, exponents that are negative, a term of degree above
-    :data:`MAX_EXPONENT`, or a power or product that could expand to more
-    than :data:`MAX_TERMS` terms.
+    :data:`MAX_EXPONENT`, a power or product that could expand to more
+    than :data:`MAX_TERMS` terms, or a coefficient whose numerator or
+    denominator could exceed :data:`MAX_DIGITS` digits; :class:`InputError`
+    on a name that is ``i``, repeated, or not exactly one name token.
     """
     if len(names) < 1:
         raise InputError("at least one variable name is required")
     return _Parser(text, tuple(names)).parse()
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """Parse an expression without variables, such as ``-3/4``, ``2^10``
+    or ``1/2 - 3*i``: the grammar and the bounds of :func:`parse_poly`."""
+    return _Parser(text, ()).parse().constant_term()
+
+
+def variable_names(text: str) -> set[str]:
+    """The variable names an expression mentions: its name tokens other
+    than ``i``, read up to the first character the parser refuses."""
+    toks, names = _Tokenizer(text), set()
+    try:
+        while (token := toks.take())[0] != "end":
+            if token[0] == "name":
+                names.add(token[1])
+    except ParseError:
+        pass
+    names.discard("i")
+    return names
 
 
 # -- printing ----------------------------------------------------------------

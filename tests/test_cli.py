@@ -459,7 +459,8 @@ def test_parse_error_exits_2(capsys):
     ("milnor", "x^2 + 1/0*y^2"),
     ("family", "--rescale", "x^2+y^3", "--line", "1,1/0"),
     ("family", "--find-alpha", "x^3+y^3", "--candidates", "1/0"),
-], ids=["expression", "line", "candidates"])
+    ("family", "--rescale", "x^2+y^3", "--ts", "1/0"),
+], ids=["expression", "line", "candidates", "ts"])
 def test_zero_denominator_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -471,7 +472,7 @@ def test_zero_denominator_exits_2(capsys, argv):
     (("milnor", "x^2 + y^3", "--vars", ""), "empty variable list"),
     (("family", "--find-alpha", ""), "no variables found"),
     (("family", "--file", ""), "cannot read"),
-    (("family", "--rescale", "x^2+y^3", "--ts", ""), "empty sample list"),
+    (("family", "--rescale", "x^2+y^3", "--ts", ""), "expected a number"),
     (("family", "--rescale", "x^2+y^3", "--line", ""), "expected a number"),
     (("family", "--find-alpha", "x^3+y^3", "--candidates", ""), "expected a number"),
 ], ids=["vars", "find-alpha", "file", "ts", "line", "candidates"])
@@ -481,6 +482,56 @@ def test_empty_option_value_exits_2(capsys, argv, message):
     assert code == 2
     assert message in err
     assert not out
+
+
+SCALAR_OPTIONS = {
+    "ts": ("family", "--rescale", "x^2+y^3", "--ts", "{}"),
+    "line": ("family", "--rescale", "x^2+y^3", "--line", "{},1"),
+    "candidates": ("family", "--find-alpha", "x^3+y^3", "--candidates", "{}"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(SCALAR_OPTIONS))
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "unexpected character '.'"),
+    ("1e5", "unexpected 'e5'"),
+    ("1_0", "unexpected '_0'"),
+    ("10^5000", "coefficient above the maximum of 4300 digits"),
+], ids=["decimal-point", "exponent-notation", "digit-separator", "5001-digit-power"])
+def test_scalar_options_read_the_expression_grammar(capsys, option, value, message):
+    # --ts, --line and --candidates accept exactly the scalars of an expression
+    code, out, err = run(capsys, *(a.format(value) for a in SCALAR_OPTIONS[option]))
+    assert code == 2
+    assert message in err
+    assert not out
+
+
+def test_gaussian_samples_are_accepted(capsys):
+    data = run_json(capsys, "family", "--rescale", "x^3 + y^3 + x^4",
+                    "--ts", "0, 1/2, 1+i", "--line", "1, 2*i")
+    assert data["ts"] == ["0", "1/2", "1+i"]
+    assert [s["mu"] for s in data["profile"]] == [4, 4, 4]
+    assert data["line"] == "(1, 2*i)"
+
+
+def test_names_are_read_by_the_parser(capsys):
+    data = run_json(capsys, "mult", "x\u00e9^2 + y\u00b2^3")
+    assert data["vars"] == ["x\u00e9", "y\u00b2"]
+    assert data["poly"] == "x\u00e9^2 + y\u00b2^3"
+
+
+@pytest.mark.parametrize("names", ["x y", "2x", "x,y^2"])
+def test_names_that_are_not_one_token_exit_2(capsys, tmp_path, names):
+    code, out, err = run(capsys, "mult", "x", "--vars", names)
+    assert code == 2
+    assert "is not a variable name" in err
+    assert not out
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"vars": names.split(","), "pieces": [
+        {"poly": "x^2", "tpower": 0}]}))
+    code, out, err = run(capsys, "family", "--file", str(path))
+    assert code == 2
+    assert "is not a variable name" in err
 
 
 def test_zero_polynomial_exits_2(capsys):
@@ -523,6 +574,8 @@ HOSTILE_FILES = {
     "huge_chi": '[{"m": 1, "chi": 1000000}, {"m": 2, "chi": -500000}]',
     "long_chi": '[{"m": 2, "chi": %s}]' % LONG_INT,
     "long_family": '{"vars": ["x"], "pieces": [{"poly": "x^2", "tpower": %s}]}' % LONG_INT,
+    "huge_tpower": '{"vars": ["x", "y"], "pieces": [{"poly": "x^3 + y^3", "tpower": 0},'
+                   ' {"poly": "x*y", "tpower": 100000000}]}',
 }
 
 
@@ -547,7 +600,16 @@ HOSTILE_FILES = {
     ("zeta", "--res", "{long_chi}", "--n", "2"),
     ("family", "--file", "{long_family}"),
     ("zeta", "--fermat", "l=3,n=2,l=4"),
-], ids=lambda argv: " ".join(argv))
+    ("family", "--file", "{huge_tpower}"),
+    # coefficient digits: a tower, powers and a sum of two 4300-digit
+    # denominators past 4300 digits, and the same bound on scalar options
+    ("mult", "((2^10000)^10000)^10000*x"),
+    ("mult", "(1/3)^10000*x + x^2"),
+    ("mult", "(2^10000)^2*x"),
+    ("mult", f"1/{'9' * 4300}*x + 1/{'7' * 4300}*x"),
+    ("family", "--rescale", "x^2+y^3", "--ts", "1e5000"),
+    ("family", "--rescale", "x^2+y^3", "--line", "10^5000,1"),
+], ids=lambda argv: " ".join(argv)[:60])
 def test_hostile_inputs_exit_2_at_once(capsys, tmp_path, argv):
     paths = {name: tmp_path / f"{name}.json" for name in HOSTILE_FILES}
     for name, text in HOSTILE_FILES.items():

@@ -23,7 +23,7 @@ from germinv.families import (
 )
 from germinv.gaussian import GaussianRational
 from germinv.milnor import milnor_number
-from germinv.poly import LineDirection, Poly, parse_poly
+from germinv.poly import MAX_EXPONENT, Poly, parse_poly
 
 XY = ("x", "y")
 
@@ -55,6 +55,13 @@ def test_piece_validation():
         FamilyPiece(Poly.zero(2), 0)
     with pytest.raises(InputError):
         FamilyPiece(P("x"), -1)
+
+
+def test_piece_powers_are_capped():
+    assert FamilyPiece(P("x"), MAX_EXPONENT).tpower == MAX_EXPONENT
+    for tpower in (MAX_EXPONENT + 1, 10 ** 8):
+        with pytest.raises(InputError, match=f"must lie in 0..{MAX_EXPONENT}"):
+            FamilyPiece(P("x"), tpower)
 
 
 def test_family_from_json():
@@ -164,13 +171,13 @@ def test_find_transverse_line_certificate():
     line = find_transverse_line(cones)
     assert line is not None
     for cone in cones:
-        assert cone.evaluate(line.entries)
+        assert cone.evaluate(line)
 
 
 def test_find_transverse_line_is_deterministic():
     forms = [P("x*y")]
     assert find_transverse_line(forms) == find_transverse_line(forms)
-    assert find_transverse_line(forms) == LineDirection.of((-1, -1))
+    assert find_transverse_line(forms) == (GaussianRational.of(-1),) * 2
 
 
 def test_find_transverse_line_budget_exhaustion():
@@ -178,7 +185,7 @@ def test_find_transverse_line_budget_exhaustion():
     form = P("x*y*(x - y)*(x + y)")
     assert find_transverse_line([form], trials=1) is None
     found = find_transverse_line([form])
-    assert found is not None and form.evaluate(found.entries)
+    assert found is not None and form.evaluate(found)
 
 
 def test_find_transverse_line_needs_a_trial():
@@ -189,7 +196,7 @@ def test_find_transverse_line_needs_a_trial():
 
 def test_line_order_profile_constant_for_transverse_line():
     fam = rescaling_family(P("x^3 + y^3 + x^4"))
-    profile = line_order_profile(fam, LineDirection.of((1, 1)))
+    profile = line_order_profile(fam, (1, 1))
     assert [(t, order) for t, order in profile] == [
         (GaussianRational.of(t), 3) for t in DEFAULT_SAMPLES
     ]
@@ -198,7 +205,7 @@ def test_line_order_profile_constant_for_transverse_line():
 def test_line_order_profile_rejects_lines_in_the_zero_set():
     fam = GermFamily((FamilyPiece(P("x*y"), 0),))
     with pytest.raises(InputError):
-        line_order_profile(fam, LineDirection.of((1, 0)))
+        line_order_profile(fam, (1, 0))
 
 
 # -- joining coefficient search ------------------------------------------------

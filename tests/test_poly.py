@@ -11,9 +11,9 @@ from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
 from germinv.localring import ecart
 from germinv.poly import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_TERMS,
-    LineDirection,
     Poly,
     default_names,
     fermat,
@@ -25,6 +25,8 @@ from germinv.poly import (
     mono_quotient,
     monomials_of_degree,
     parse_poly,
+    parse_scalar,
+    variable_names,
 )
 
 XY = ("x", "y")
@@ -228,6 +230,47 @@ def test_variable_named_i_is_reserved():
         parse_poly("i + j", ("i", "j"))
 
 
+@pytest.mark.parametrize("name", ["x y", " x", "x ", "2x", "x^2", "", "x-y", "$"])
+def test_names_must_be_one_name_token(name):
+    with pytest.raises(InputError, match="is not a variable name"):
+        parse_poly("1", ("y", name))
+
+
+def test_variable_names_reads_name_tokens():
+    assert variable_names("x^2 + 2y*z1 - i*_w + 3/4") == {"x", "y", "z1", "_w"}
+    assert variable_names("x\u00e9 + \u03bb\u0663 + y\u00b2^2") == {"x\u00e9", "\u03bb\u0663", "y\u00b2"}
+    # reading stops at the first character the parser refuses
+    assert variable_names("a + b $ c") == {"a", "b"}
+    assert variable_names("1 + i") == set()
+
+
+def test_parse_scalar():
+    assert parse_scalar(" -3/4 ") == GaussianRational(Fraction(-3, 4))
+    assert parse_scalar("(1 + i)^2 - 1/2") == GaussianRational(Fraction(-1, 2), 2)
+    assert parse_scalar("2^10") == GaussianRational(1024)
+    for text, message in (("x", "unknown variable 'x'"), ("", "expected a number"),
+                          ("0.5", "unexpected character '.'"), ("1/0", "zero denominator")):
+        with pytest.raises(ParseError, match=message):
+            parse_scalar(text)
+
+
+def test_parse_caps_coefficient_digits_before_forming_them():
+    limit = 10 ** MAX_DIGITS
+    # at the cap: 4300 digits each, and printable
+    assert format_poly(P("10^4299*x"), XY) == f"{limit // 10}*x"
+    assert format_poly(P("(1/4)^7142*x"), XY) == f"1/{4 ** 7142}*x"
+    assert P("(10^2150 + x)*(10^2149 + y)").constant_term() == GaussianRational(limit // 10)
+    big = "7" * MAX_DIGITS
+    for text, position in (("x + 10^4300", 7), ("x + (1/4)^7143", 10),
+                           ("(10^2150 + x)*(10^2150 + y)", 13),
+                           (f"1/{big}*x + 1/{big[:-1]}9*y", MAX_DIGITS + 5),
+                           ("((2^10000)^10000)^10000*x", 11), ("(1/3)^10000*x + x^2", 6)):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert err.value.position == position
+        assert f"coefficient above the maximum of {MAX_DIGITS} digits" in str(err.value)
+
+
 # -- arithmetic and calculus -------------------------------------------------
 
 def test_partials_and_jacobian():
@@ -262,11 +305,11 @@ def test_translate_matches_evaluation():
 
 def test_restrict_to_line():
     f = P("x^3 + y^3")
-    r = f.restrict_to_line(LineDirection.of((1, 1)))
+    r = f.restrict_to_line((1, 1))
     assert r.nvars == 1
     assert r == parse_poly("2*t^3", ("t",))
     # restriction to a line inside the zero set is identically zero
-    assert not P("x*y").restrict_to_line(LineDirection.of((1, 0)))
+    assert not P("x*y").restrict_to_line((1, 0))
 
 
 def test_linear_change_preserves_milnor_relevant_structure():
@@ -277,8 +320,10 @@ def test_linear_change_preserves_milnor_relevant_structure():
 
 
 def test_line_direction_rejects_zero():
-    with pytest.raises(InputError):
-        LineDirection.of((0, 0))
+    with pytest.raises(InputError, match="nonzero entry"):
+        P("x*y").restrict_to_line((0, 0))
+    with pytest.raises(InputError, match="direction has 1 entries, expected 2"):
+        P("x*y").restrict_to_line((1,))
 
 
 def test_fermat_reference_germ():
@@ -319,6 +364,32 @@ def test_ring_axioms(f, g, h):
 @given(polys())
 def test_print_parse_round_trip(f):
     assert parse_poly(format_poly(f, XY), XY) == f
+
+
+# letters of several scripts, '_', decimal digits of other scripts, superscripts
+name_starts = st.sampled_from("xyz\u00e9\u00df\u03bb\u0416\u6771_")
+name_rest = st.text(st.sampled_from("ab\u00e9\u03bc_0\u0663\u0967\u00b2\u00b9"), max_size=3)
+names_st = st.lists(st.builds(str.__add__, name_starts, name_rest), min_size=1, max_size=3,
+                    unique=True).filter(lambda names: "i" not in names)
+
+
+@st.composite
+def named_polys(draw):
+    names = tuple(draw(names_st))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * len(names))
+    return names, Poly(len(names), draw(st.dictionaries(exps, gaussian_coeffs, max_size=5)))
+
+
+@settings(max_examples=80)
+@given(named_polys())
+def test_inferred_names_parse_what_they_print(named):
+    names, f = named
+    text = format_poly(f, names)
+    inferred = variable_names(text)
+    assert inferred == {n for k, n in enumerate(names) if any(m[k] for m in f.monomials())}
+    if inferred:
+        parse_poly(text, tuple(sorted(inferred)))  # no unknown variable
+    assert parse_poly(text, names) == f
 
 
 @settings(max_examples=60)

@@ -300,9 +300,6 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative exponent")
-        if len(self._terms) == 1:  # (c*x^m)^e = c^e * x^(e*m)
-            (mono, c), = self._terms.items()
-            return Poly._clean(self.nvars, {tuple(k * exponent for k in mono): c ** exponent})
         result = Poly.constant(self.nvars, 1)
         base, e = self, exponent
         while e:
@@ -688,14 +685,12 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def variable_names(text: str) -> set[str]:
     """The variable names an expression mentions: its name tokens other
-    than ``i``, read up to the first character the parser refuses."""
+    than ``i``. Raises :class:`ParseError` at a character the parser
+    refuses."""
     toks, names = _Tokenizer(text), set()
-    try:
-        while (token := toks.take())[0] != "end":
-            if token[0] == "name":
-                names.add(token[1])
-    except ParseError:
-        pass
+    while (token := toks.take())[0] != "end":
+        if token[0] == "name":
+            names.add(token[1])
     names.discard("i")
     return names
 

@@ -122,6 +122,19 @@ def test_non_decimal_digits_exit_2(capsys, argv):
     assert not out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("milnor", "0.5*x^2 + y^3"), "unexpected character '.' (at position 1)"),
+    (("mult", "\u00b2x"), "unexpected character '\u00b2' (at position 0)"),
+    (("mult", "0.5*x^2", "--vars", "x"), "unexpected character '.' (at position 1)"),
+], ids=["decimal-before-names", "superscript-before-names", "decimal-given-names"])
+def test_refused_character_before_any_name_exits_2(capsys, argv, message):
+    # name inference reports the character the parser refuses, not "no variables"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert not out
+
+
 def test_decimal_digits_of_any_script_parse(capsys):
     data = run_json(capsys, "mult", "x^\u0663 + y^3")
     assert data["order"] == data["degree"] == 3

@@ -239,8 +239,9 @@ def test_names_must_be_one_name_token(name):
 def test_variable_names_reads_name_tokens():
     assert variable_names("x^2 + 2y*z1 - i*_w + 3/4") == {"x", "y", "z1", "_w"}
     assert variable_names("x\u00e9 + \u03bb\u0663 + y\u00b2^2") == {"x\u00e9", "\u03bb\u0663", "y\u00b2"}
-    # reading stops at the first character the parser refuses
-    assert variable_names("a + b $ c") == {"a", "b"}
+    # a character the parser refuses is reported where the parser would
+    with pytest.raises(ParseError, match=r"unexpected character '\$' \(at position 6\)"):
+        variable_names("a + b $ c")
     assert variable_names("1 + i") == set()
 
 

@@ -15,7 +15,7 @@ import sys
 
 from .corpus import run_corpus
 from .equising import discriminate
-from .errors import EngineError, InputError
+from .errors import EngineError, InputError, ParseError
 from .families import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
@@ -77,20 +77,45 @@ def _read_polys(args, exprs) -> tuple[list[Poly], tuple[str, ...]]:
     return [parse_poly(t, names) for t in texts], names
 
 
+def _scalar(text: str, offset: int = 0) -> GaussianRational:
+    """parse_scalar(text) for text found at offset in an option: a
+    ParseError gives its position in the whole option."""
+    try:
+        return parse_scalar(text)
+    except ParseError as exc:
+        raise ParseError(exc.message, offset + exc.position) from None
+
+
+def _integer(text: str, offset: int = 0) -> int:
+    """An integer option (or part of one), read by the expression grammar."""
+    value = _scalar(text, offset)
+    number = value.re
+    if value.is_rational and number.denominator == 1:
+        return number.numerator
+    raise InputError(f"expected an integer, got {text.strip()!r}")
+
+
+def _parts(raw: str):
+    """The comma-separated parts of an option, each with its offset in it."""
+    offset = 0
+    for part in raw.split(","):
+        yield part, offset
+        offset += len(part) + 1
+
+
 def _parse_scalars(raw: str | None) -> tuple[GaussianRational, ...] | None:
     """The scalars of a comma-separated option, or None if it is not given."""
-    return None if raw is None else tuple(parse_scalar(tok) for tok in raw.split(","))
+    return None if raw is None else tuple(_scalar(*part) for part in _parts(raw))
 
 
 def _parse_fermat(raw: str) -> tuple[int, int]:
-    parts = [part.partition("=") for part in raw.split(",")]
-    fields = {key.strip(): value.strip() for key, _, value in parts}
-    if len(parts) != 2 or set(fields) != {"l", "n"}:
+    fields = {}
+    for part, offset in _parts(raw):
+        key, eq, value = part.partition("=")
+        fields[key.strip()] = value, offset + len(key) + len(eq)
+    if raw.count(",") != 1 or set(fields) != {"l", "n"}:
         raise InputError('expected --fermat l=<degree>,n=<variables>')
-    try:
-        return int(fields["l"]), int(fields["n"])
-    except ValueError as exc:
-        raise InputError(f"bad --fermat value {raw!r}") from exc
+    return _integer(*fields["l"]), _integer(*fields["n"])
 
 
 def _load_json(path: str):
@@ -113,7 +138,7 @@ def _resolution_from_args(args) -> tuple[ResolutionData, int]:
         raise InputError("pass either --fermat l=..,n=.. or --res FILE with --n")
     if args.n is None:
         raise InputError("--res needs --n (the ambient variable count)")
-    return ResolutionData.from_json(_load_json(args.res)), args.n
+    return ResolutionData.from_json(_load_json(args.res)), _integer(args.n)
 
 
 # -- output helpers ----------------------------------------------------------
@@ -162,7 +187,8 @@ def _cmd_mult(args) -> dict:
 
 def _cmd_milnor(args) -> dict:
     (f,), names = _read_polys(args, [args.expr])
-    result = milnor_with_method(f, args.method, args.dmax)
+    dmax = None if args.dmax is None else _integer(args.dmax)
+    result = milnor_with_method(f, args.method, dmax)
     report = {
         "command": "milnor",
         "isolated": result.isolated,
@@ -180,7 +206,7 @@ def _cmd_milnor(args) -> dict:
 
 def _cmd_zeta(args) -> dict:
     res, n = _resolution_from_args(args)
-    horizon = args.K if args.K is not None else 2 * res.max_multiplicity()
+    horizon = _integer(args.K) if args.K is not None else 2 * res.max_multiplicity()
     lam = lefschetz_sequence(res, horizon)
     s = s_sequence(res)
     bound = multiplicity_bound(lam)
@@ -203,7 +229,7 @@ def _cmd_zeta(args) -> dict:
 
 def _cmd_charpoly(args) -> dict:
     res, n = _resolution_from_args(args)
-    mu = args.mu if args.mu is not None else milnor_from_resolution(res, n)
+    mu = _integer(args.mu) if args.mu is not None else milnor_from_resolution(res, n)
     z = zeta(s_sequence(res))
     delta = char_poly(z, mu, n)
     return {
@@ -242,7 +268,8 @@ def _cmd_family(args) -> dict:
 
     if args.find_alpha is not None:
         (target,), names = _read_polys(args, [args.find_alpha])
-        alpha = find_alpha(target, ts, _parse_scalars(args.candidates), seed=args.seed)
+        alpha = find_alpha(target, ts, _parse_scalars(args.candidates),
+                           seed=_integer(args.seed))
         return {
             "alpha": None if alpha is None else str(alpha),
             "command": "family",
@@ -287,7 +314,8 @@ def _cmd_family(args) -> dict:
             if form not in seen:
                 seen.add(form)
                 forms.append(form)
-        direction = find_transverse_line(forms, trials=args.trials, seed=args.seed)
+        direction = find_transverse_line(forms, trials=_integer(args.trials),
+                                         seed=_integer(args.seed))
         if direction is None:
             report["line"] = None
             return report
@@ -365,20 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(METHOD_STANDARD_BASIS, METHOD_ORACLE, METHOD_FAST),
         default=METHOD_STANDARD_BASIS,
     )
-    p.add_argument("--dmax", type=int, help="truncation horizon for the oracle")
+    p.add_argument("--dmax", help="truncation horizon for the oracle")
     add_format(p)
     p.set_defaults(handler=_cmd_milnor)
 
     def add_resolution(p, with_mu=False):
         p.add_argument("--fermat", help="l=<degree>,n=<variables> reference germ")
         p.add_argument("--res", help="JSON file: array of {m, chi} strata")
-        p.add_argument("--n", type=int, help="ambient variable count for --res")
+        p.add_argument("--n", help="ambient variable count for --res")
         if with_mu:
-            p.add_argument("--mu", type=int, help="override the Milnor number")
+            p.add_argument("--mu", help="override the Milnor number")
 
     p = sub.add_parser("zeta", help="Lefschetz numbers, s-sequence and zeta factors")
     add_resolution(p)
-    p.add_argument("--K", type=int, help="horizon for the Lefschetz list")
+    p.add_argument("--K", help="horizon for the Lefschetz list")
     add_format(p)
     p.set_defaults(handler=_cmd_zeta)
 
@@ -406,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line", help="probe direction, comma-separated scalars")
     p.add_argument("--find-line", action="store_true",
                    help="search for a direction transverse to all sampled cones")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", default="200")
     p.add_argument("--candidates", help="explicit alpha candidates for --find-alpha")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", default=str(DEFAULT_SEED))
     add_format(p)
     p.set_defaults(handler=_cmd_family)
 

@@ -10,13 +10,12 @@ reports disagreements instead of hiding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .milnor import METHOD_STANDARD_BASIS, germ_invariants, milnor_oracle, oracle_dmax_for
 from .poly import Poly, parse_poly
 
 
-@dataclass(frozen=True)
+@record
 class CorpusGerm:
     name: str
     text: str

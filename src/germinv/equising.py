@@ -23,8 +23,7 @@ is equisingular; nothing here does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InputError, ZeroPolynomialError
 from .milnor import GermInvariants, germ_invariants
 from .monodromy import chi_tangent_cone_complement
@@ -45,7 +44,7 @@ RULE_MIXED_CLASS = "mixed-class-constraint"
 RULE_CONE_CHI = "cone-chi-criterion"
 
 
-@dataclass(frozen=True)
+@record
 class CheckRecord:
     """One rule's outcome as the report prints it: fired, and the facts read."""
 
@@ -128,7 +127,7 @@ def check_cone_chi_criterion(a: GermInvariants, b: GermInvariants) -> CheckRecor
                        {"chi": chi, "status": status})
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminationReport:
     verdict: str
     germs: tuple[GermInvariants, GermInvariants]

@@ -10,15 +10,15 @@ accordingly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product as iter_product
 
+from ._record import record
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, I, ONE
 from .milnor import is_isolated, milnor_number
 from .monodromy import _is_int
-from .poly import MAX_EXPONENT, Poly, fermat, parse_poly
+from .poly import MAX_DIGITS, MAX_EXPONENT, Poly, exceeds_digits, fermat, parse_poly
 
 DEFAULT_SAMPLES = (
     Fraction(0),
@@ -34,7 +34,7 @@ STATUS_NOT_ISOLATED = "not-isolated"
 STATUS_ZERO = "zero"
 
 
-@dataclass(frozen=True)
+@record
 class FamilyPiece:
     poly: Poly
     tpower: int
@@ -48,7 +48,7 @@ class FamilyPiece:
             raise InputError("family pieces must vanish at the origin")
 
 
-@dataclass(frozen=True)
+@record
 class GermFamily:
     pieces: tuple[FamilyPiece, ...]
 
@@ -65,10 +65,19 @@ class GermFamily:
         return self.pieces[0].poly.nvars
 
     def at(self, t) -> Poly:
-        """The germ at parameter value t, exactly."""
+        """The germ at parameter value t, exactly.
+
+        Refuses t when a power ``t ** tpower`` could have a numerator or
+        denominator of more than MAX_DIGITS digits, the parser's rule,
+        before forming it.
+        """
         t = GaussianRational.of(t)
+        height = t.height()
         total = Poly.zero(self.nvars)
         for piece in self.pieces:
+            if exceeds_digits(height, piece.tpower):
+                raise InputError(f"t^{piece.tpower} at a sample could exceed the maximum "
+                                 f"of {MAX_DIGITS} digits")
             total = total + piece.poly.scale(t ** piece.tpower)
         return total
 
@@ -118,14 +127,14 @@ def family_from_json(data) -> tuple[GermFamily, tuple[str, ...]]:
 
 # -- mu profiles -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class MuSample:
     t: GaussianRational
     mu: int | None
     status: str
 
 
-@dataclass(frozen=True)
+@record
 class MuProfile:
     """Per-sample Milnor numbers plus the jump against the t=0 germ.
 

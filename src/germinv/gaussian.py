@@ -22,15 +22,18 @@ instead of four.
 pickling use.  No arithmetic goes through ``Fraction``.
 
 Scalars are immutable and slotted.  Equality, hashing, printing and
-immutability behave as for a frozen dataclass with fields ``re`` and
-``im``: ``hash(g) == hash((g.re, g.im))`` and ``GaussianRational(0) != 0``.
+immutability behave as for a frozen record (``germinv._record``) with
+fields ``re`` and ``im``: ``hash(g) == hash((g.re, g.im))``,
+``GaussianRational(0) != 0``, and assignment raises
+``dataclasses.FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import gcd
+
+from ._record import frozen_delattr, frozen_setattr
 
 
 class GaussianRational:
@@ -73,11 +76,8 @@ class GaussianRational:
 
     # -- immutability, equality, hashing, pickling ---------------------------
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = frozen_setattr
+    __delattr__ = frozen_delattr
 
     def __eq__(self, other):
         # Like a dataclass: only another GaussianRational compares, so
@@ -201,6 +201,11 @@ class GaussianRational:
     @property
     def is_rational(self) -> bool:
         return not self._b
+
+    def height(self) -> int:
+        """max(|a| + |b|, d): each part of ``self ** e`` has a numerator and
+        a denominator of at most ``height ** e`` in absolute value."""
+        return max(abs(self._a) + abs(self._b), self._d)
 
     # -- printing ----------------------------------------------------------
 

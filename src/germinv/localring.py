@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import islice, product as iter_product
 from operator import add, le, sub
 
+from ._record import record
 from .errors import IterationLimitError, ZeroPolynomialError
 from .gaussian import ONE, GaussianRational
 from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
@@ -204,7 +204,7 @@ def mora_normal_form(
     return _poly(f.nvars, h)
 
 
-@dataclass(frozen=True)
+@record
 class StandardBasisResult:
     """Monic standard basis plus the combinatorics read off from it.
 

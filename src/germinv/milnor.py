@@ -12,9 +12,9 @@ apart on purpose so each can catch the other lying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import ONE, GaussianRational
 from .localring import DEFAULT_MAX_STEPS, standard_basis
@@ -27,7 +27,7 @@ METHOD_ORACLE = "truncated-oracle"
 METHOD_FAST = "class-A-fast-path"
 
 
-@dataclass(frozen=True)
+@record
 class MilnorResult:
     """mu plus how it was obtained; mu None means not isolated, except
     from the oracle, where it means undecided.
@@ -244,7 +244,7 @@ def milnor_semihomogeneous(f: Poly) -> int:
     return (f.order() - 1) ** f.nvars
 
 
-@dataclass(frozen=True)
+@record
 class GermInvariants:
     """The facts every screening check reads about one germ.
 

@@ -18,9 +18,9 @@ eigenvalue-product tests pin this one down.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .errors import ConventionViolationError, InputError
 
 # The largest size the monodromy functions build, checked before building
@@ -96,7 +96,7 @@ def _sparse_pairs(pairs, malformed: str, duplicate: str) -> tuple[tuple[int, int
 
 # -- resolution data ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ResolutionData:
     """Multiplicity strata (m, chi(S_m)), distinct m >= 1, sorted; chi = 0 kept."""
 
@@ -162,7 +162,7 @@ def milnor_from_resolution(res: ResolutionData, n: int) -> int:
 
 # -- Lefschetz sequences and their inversion ---------------------------------
 
-@dataclass(frozen=True)
+@record
 class SSequence:
     """Finitely supported integer sequence s_i, stored sparse without zeros."""
 
@@ -227,7 +227,7 @@ def milnor_from_s(s: SSequence, n: int) -> int:
 
 # -- zeta functions ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ZetaFunction:
     """Product of (1 - t^i)^e factors, sparse in i, no zero exponents."""
 
@@ -323,7 +323,7 @@ def _upoly_divmonic(num: list, den: list) -> list[int]:
     return quot
 
 
-@dataclass(frozen=True)
+@record
 class CharPoly:
     """Integer polynomial, coefficients ascending; monic up to sign."""
 

@@ -511,11 +511,15 @@ def _is_name(text: str) -> bool:
         return False
 
 
+def exceeds_digits(top: int, e: int = 1) -> bool:
+    """True iff top**e (top >= 0) has more than MAX_DIGITS digits; the power
+    is formed only when it has fewer bits than _DIGIT_LIMIT * 2**e."""
+    return e * (top.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or top ** e >= _DIGIT_LIMIT
+
+
 def _bounded(size: int, den: int, pos: int, e: int = 1) -> tuple[int, int]:
-    """(size**e, den**e), refused if either has more than MAX_DIGITS digits;
-    a power is formed only when it has fewer bits than _DIGIT_LIMIT * 2**e."""
-    top = max(size, den)
-    if e * (top.bit_length() - 1) >= _DIGIT_LIMIT.bit_length() or top ** e >= _DIGIT_LIMIT:
+    """(size**e, den**e), refused if either has more than MAX_DIGITS digits."""
+    if exceeds_digits(max(size, den), e):
         raise ParseError(f"coefficient above the maximum of {MAX_DIGITS} digits", pos)
     return size ** e, den ** e
 

@@ -9,14 +9,13 @@ hypersurface side uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .errors import InputError
 from .localring import ideal_quotient_dim
 from .poly import Poly
 
 
-@dataclass(frozen=True)
+@record
 class VectorField:
     components: tuple[Poly, ...]
 

@@ -161,20 +161,111 @@ def test_large_expansion_is_accepted(capsys):
     assert data["order"] == data["degree"] == 1000
 
 
+def fresh_cli(*argv, timeout):
+    """germinv run as a fresh process; a timeout turns a hang into a failure."""
+    src = str(Path(germinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from germinv.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
 def test_milnor_dense_germ_finishes_in_a_fresh_process():
     # this germ ran for more than 10 minutes before the engine bounded its
     # work at the highest corner; the timeout turns a hang into a failure
     germ = ("x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4"
             " - 3*x^5 - x^4*y - 3*x^3*y^2 + 3*x*y^4 + y^9")
-    src = str(Path(germinv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from germinv.cli import main; sys.exit(main())",
-         "milnor", germ],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = fresh_cli("milnor", germ, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["mu"] == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zeta", "--fermat", "l=1_0,n=2"), "unexpected '_0' (at position 3)"),
+    (("zeta", "--fermat", "l=3, n=2/3"), "expected an integer, got '2/3'"),
+    (("zeta", "--fermat", "l=3,n=2", "--K", "1_2"), "unexpected '_2' (at position 1)"),
+    (("zeta", "--fermat", "l=3,n=2", "--K", "1/2"), "expected an integer, got '1/2'"),
+    (("zeta", "--res", "{res}", "--n", "2.0"), "unexpected character '.' (at position 1)"),
+    (("charpoly", "--fermat", "l=3,n=2", "--mu", "i"), "expected an integer, got 'i'"),
+    (("milnor", "x^2 + y^3", "--dmax", "1_0"), "unexpected '_0' (at position 1)"),
+    (("family", "--rescale", "x^2*y + y^5", "--find-line", "--trials", "2_0"),
+     "unexpected '_0' (at position 1)"),
+    (("family", "--rescale", "x^2*y + y^5", "--find-line", "--seed", "0x10"),
+     "unexpected 'x10' (at position 1)"),
+    (("family", "--find-alpha", "x^3 + y^3", "--seed", "1e3"),
+     "unexpected 'e3' (at position 1)"),
+], ids=["fermat-underscore", "fermat-fraction", "K-underscore", "K-fraction", "n-decimal",
+        "mu-imaginary", "dmax", "trials", "seed-hex", "seed-exponent"])
+def test_integer_options_use_the_expression_grammar(capsys, tmp_path, argv, message):
+    res = tmp_path / "res.json"
+    res.write_text('[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]')
+    code, out, err = run(capsys, *(a.format(res=res) for a in argv))
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not out
+
+
+def test_integer_options_accept_integer_expressions(capsys):
+    assert (run_json(capsys, "zeta", "--fermat", "l=3,n=2", "--K", "3^2")
+            == run_json(capsys, "zeta", "--fermat", " l = 3 , n = 2 ", "--K", "9"))
+    assert (run_json(capsys, "charpoly", "--fermat", "l=3,n=2", "--mu", "2*2")
+            == run_json(capsys, "charpoly", "--fermat", "l=3,n=2", "--mu", "4"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--rescale", "x^2*y + y^5", "--line", "1,1/0"),
+     "zero denominator in '1/0' (at position 2)"),
+    (("family", "--rescale", "x^2*y + y^5", "--ts", "0,1,1/0"),
+     "zero denominator in '1/0' (at position 4)"),
+    (("family", "--find-alpha", "x^3 + y^3", "--candidates", "2, 1/3,x"),
+     "unknown variable 'x' (at position 7)"),
+], ids=["line", "ts", "candidates"])
+def test_parse_errors_in_a_list_option_give_the_place_in_the_option(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert not out
+
+
+TPOWER_10000 = ('{"vars": ["x", "y"], "pieces": [{"poly": "x^3 + y^3", "tpower": 0},'
+                ' {"poly": "x*y", "tpower": 10000}]}')
+
+
+def test_family_sample_power_is_bounded_before_it_is_formed(capsys, tmp_path):
+    # (10^4299)^10000 has 42990001 digits: forming it ran for minutes
+    path = tmp_path / "family.json"
+    path.write_text(TPOWER_10000)
+    proc = fresh_cli("family", "--file", str(path), "--ts", "10^4299", timeout=20)
+    assert proc.returncode == 2
+    assert "could exceed the maximum of 4300 digits" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    start = perf_counter()
+    code, out, err = run(capsys, "family", "--file", str(path), "--ts", "10^4299")
+    assert perf_counter() - start < 1
+    assert code == 2 and not out
+
+
+def test_family_sample_power_within_the_digit_bound_is_accepted(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(TPOWER_10000)
+    data = run_json(capsys, "family", "--file", str(path), "--ts", "0,2,-1/2")  # 2^10000: 3011 digits
+    assert [s["mu"] for s in data["profile"]] == [4, 1, 1]
+    code, out, err = run(capsys, "family", "--file", str(path), "--ts", "3")  # 3^10000: 4772
+    assert code == 2
+    assert "t^10000 at a sample could exceed the maximum of 4300 digits" in err
+
+
+def test_family_default_samples_are_refused_for_a_large_piece_power(capsys, tmp_path):
+    # the default samples include 1/4, and (1/4)^10000 has a 6021-digit
+    # denominator, so a piece of tpower 10000 needs samples given by --ts
+    path = tmp_path / "family.json"
+    path.write_text(TPOWER_10000)
+    code, out, err = run(capsys, "family", "--file", str(path))
+    assert code == 2 and not out
+    assert "t^10000 at a sample could exceed the maximum of 4300 digits" in err
 
 
 # -- zeta ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from germinv.families import (
 )
 from germinv.gaussian import GaussianRational
 from germinv.milnor import milnor_number
-from germinv.poly import MAX_EXPONENT, Poly, parse_poly
+from germinv.poly import MAX_DIGITS, MAX_EXPONENT, Poly, parse_poly
 
 XY = ("x", "y")
 
@@ -46,6 +46,14 @@ def test_family_at_accepts_exact_scalars():
     fam = rescaling_family(P("x^3 + y^3 + x^4"))
     assert fam.at(Fraction(1, 2)) == P("x^3 + y^3 + 1/2*x^4")
     assert fam.at(GaussianRational.of(2)) == P("x^3 + y^3 + 2*x^4")
+
+
+def test_family_at_refuses_a_sample_power_past_the_digit_bound():
+    fam = GermFamily((FamilyPiece(P("x^3 + y^3"), 0), FamilyPiece(P("x*y"), MAX_EXPONENT)))
+    assert fam.at(2) == P("x^3 + y^3") + P("x*y").scale(GaussianRational.of(2 ** MAX_EXPONENT))
+    for t in (3, Fraction(1, 3), GaussianRational(2, 1), 10 ** 4299):  # height 3 and up
+        with pytest.raises(InputError, match=f"maximum of {MAX_DIGITS} digits"):
+            fam.at(t)
 
 
 def test_piece_validation():

@@ -3,7 +3,8 @@
 Reports are JSON by default (keys sorted, formatting fixed, so identical
 inputs give bit-identical output) or flat key = value text.  Polynomial
 arguments are inline expressions or @file references.  Exit codes: 0 on
-success, 2 for input errors, 3 for engine diagnostics.
+success (also when the reader closes stdout early), 2 for input errors,
+3 for engine diagnostics.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .corpus import run_corpus
@@ -469,7 +471,16 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"engine diagnostic: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (germinv ... | head): the report was
+        # computed and the reader chose to stop.  Point stdout at devnull
+        # so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -21,6 +21,13 @@ from .localring import DEFAULT_MAX_STEPS, standard_basis
 from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
 
 DEFAULT_ORACLE_DMAX = 32
+# The largest oracle horizon milnor_with_method (the CLI's --dmax) accepts.
+# The oracle's cost on a germ that never stabilises grows 10-20x per
+# doubling of the horizon; at 128 the slowest 2- and 3-variable germs found
+# take 0.6 s (x^2*y^2 + x^5) and 5.2 s (x^2*y^2 + z^2) in-process on a
+# 2-vCPU Xeon (Python 3.11.7).  milnor_oracle itself is not capped: the
+# corpus cross-check passes it oracle_dmax_for(mu), which can be larger.
+MAX_ORACLE_DMAX = 128
 
 METHOD_STANDARD_BASIS = "standard-basis"
 METHOD_ORACLE = "truncated-oracle"
@@ -281,6 +288,8 @@ def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
     """Dispatcher used by the CLI; method names are part of the wire format."""
     if dmax is not None and dmax < 0:
         raise InputError(f"dmax must be non-negative, got {dmax}")
+    if dmax is not None and dmax > MAX_ORACLE_DMAX:
+        raise InputError(f"dmax above the maximum of {MAX_ORACLE_DMAX}")
     if method == METHOD_STANDARD_BASIS:
         return milnor_number(f)
     if method == METHOD_ORACLE:

@@ -18,7 +18,6 @@ eigenvalue-product tests pin this one down.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import comb
 
 from ._record import record
 from .errors import ConventionViolationError, InputError
@@ -27,9 +26,10 @@ from .errors import ConventionViolationError, InputError
 # it: a Lefschetz horizon (zeta --K), a Milnor number (charpoly --mu), a
 # stratum's |chi|, either cyclotomic degree in char_poly, and twice a
 # stratum's multiplicity m, so that the default horizon 2 * max m fits.
-# char_poly's work grows about as the cube of its degrees, because its
-# coefficients grow with them: on a 2-vCPU VM the slowest strata found
-# take 0.4 s at 2000, and 130 s at 10000.  The goldens reach mu 216, K 26.
+# The cap on its degrees bounds char_poly's work (see its docstring): the
+# slowest strata found at the cap, Delta = (t-1)^5000 and (t^2-1)^2500 /
+# (t-1)^2498, take about 1.2 s in-process on a 2-vCPU Xeon (Python 3.11.7),
+# printing included.  The goldens reach mu 216, K 26.
 MAX_SIZE = 5_000
 
 
@@ -291,38 +291,6 @@ def homogeneous_resolution(l: int, n: int) -> ResolutionData:
 
 # -- characteristic polynomial -----------------------------------------------
 
-def _upoly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _cyclotomic_power(i: int, k: int) -> list[int]:
-    """(t^i - 1)^k by the binomial theorem."""
-    out = [0] * (i * k + 1)
-    for j in range(k + 1):
-        out[i * j] = (-1) ** (k - j) * comb(k, j)
-    return out
-
-
-def _upoly_divmonic(num: list, den: list) -> list[int]:
-    """Exact quotient by a monic divisor; a remainder is a diagnostic."""
-    quot = [0] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
-    for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = rem[k + len(den) - 1]
-        if c:
-            for j, d in enumerate(den):
-                rem[k + j] -= c * d
-    if any(rem):
-        raise ConventionViolationError("the quotient is not a polynomial")
-    return quot
-
-
 @record
 class CharPoly:
     """Integer polynomial, coefficients ascending; monic up to sign."""
@@ -360,6 +328,12 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
     polynomial exactly when each Phi_d's total exponent is >= 0, and then
     Delta(0) = +-1 exactly when shift = 0.  Both are checked before anything
     is built (ConventionViolationError), and so are the sizes (InputError).
+
+    Delta is then built on one coefficient list, one t^i - 1 at a time:
+    every factor with E_i > 0 is multiplied in (a shift and a subtraction),
+    then every factor with E_i < 0 is divided out (a running sum from the
+    top), so the list never outgrows the numerator degree D.  The work is at
+    most sum |E_i| * D additions of integers with O(D) bits.
     """
     if mu < 1:
         raise InputError("need mu >= 1 to assemble a characteristic polynomial")
@@ -381,13 +355,19 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
         raise ConventionViolationError(
             "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
         )
-    num, den = [1], [1]
-    for i, k in exponents.items():
-        if k > 0:
-            num = _upoly_mul(num, _cyclotomic_power(i, k))
-        elif k < 0:
-            den = _upoly_mul(den, _cyclotomic_power(i, -k))
-    return CharPoly(tuple(_upoly_divmonic(num, den)))
+    coeffs = [1]  # Delta, built in place: every multiplication before any division
+    for i, k in sorted(exponents.items(), key=lambda factor: factor[1] < 0):
+        for _ in range(abs(k)):
+            if k > 0:  # times t^i - 1: shift up by i, subtract the old list
+                coeffs[:0] = [0] * i
+                coeffs[:-i] = [a - b for a, b in zip(coeffs, coeffs[i:])]
+            else:  # over t^i - 1: q[j] = c[j+i] + q[j+i] from the top down
+                for j in range(len(coeffs) - 1, i - 1, -1):
+                    coeffs[j - i] += coeffs[j]
+                if any(coeffs[:i]):  # the remainder; q now starts at index i
+                    raise ConventionViolationError("the quotient is not a polynomial")
+                del coeffs[:i]
+    return CharPoly(tuple(coeffs))
 
 
 # -- multiplicity detection --------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: every subcommand, both report formats, the
 exit-code contract, and byte-for-byte determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import germinv
 from germinv.cli import main
+from germinv.milnor import MAX_ORACLE_DMAX
 from germinv.poly import MAX_TERMS
 
 
@@ -97,6 +99,26 @@ def test_negative_dmax_exits_2(capsys, method):
     assert not out
 
 
+@pytest.mark.parametrize("method", ["truncated-oracle", "standard-basis"])
+def test_dmax_above_the_cap_exits_2_at_once(capsys, method):
+    # x^2*y^2 + x^5 is not isolated: uncapped, the oracle would run to the
+    # horizon, so a fresh process with a timeout goes first
+    argv = ("milnor", "x^2*y^2 + x^5", "--method", method, "--dmax", "10000")
+    assert fresh_cli(*argv, timeout=30).returncode == 2
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 0.1
+    assert code == 2
+    assert f"dmax above the maximum of {MAX_ORACLE_DMAX}" in err
+    assert not out
+
+
+def test_largest_dmax_is_accepted(capsys):
+    data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle",
+                    "--dmax", str(MAX_ORACLE_DMAX))
+    assert data["mu"] == 1
+
+
 @pytest.mark.parametrize("expr, message", [
     ("x^99999999999", "exponent above the maximum of 10000"),
     ("x^10001", "exponent above the maximum of 10000"),
@@ -161,15 +183,19 @@ def test_large_expansion_is_accepted(capsys):
     assert data["order"] == data["degree"] == 1000
 
 
+FRESH_CLI = [sys.executable, "-c", "import sys; from germinv.cli import main; sys.exit(main())"]
+
+
+def fresh_env():
+    """The environment of a fresh germinv process: this checkout's package first."""
+    src = str(Path(germinv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def fresh_cli(*argv, timeout):
     """germinv run as a fresh process; a timeout turns a hang into a failure."""
-    src = str(Path(germinv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", "import sys; from germinv.cli import main; sys.exit(main())",
-         *argv],
-        capture_output=True, text=True, timeout=timeout, env=env,
-    )
+    return subprocess.run([*FRESH_CLI, *argv], capture_output=True, text=True,
+                          timeout=timeout, env=fresh_env())
 
 
 def test_milnor_dense_germ_finishes_in_a_fresh_process():
@@ -180,6 +206,26 @@ def test_milnor_dense_germ_finishes_in_a_fresh_process():
     proc = fresh_cli("milnor", germ, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["mu"] == 5
+
+
+@pytest.mark.parametrize("horizon", ["5000", "9"], ids=["large", "small"])
+def test_closed_stdout_ends_quietly(horizon):
+    # germinv ... | head: the reader stops before the report is written.  With
+    # stdout buffered, a large report fails while it is written, a small one
+    # when it is flushed.
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [*FRESH_CLI, "--format", "text", "zeta", "--fermat", "l=3,n=2", "--K", horizon],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -332,6 +378,27 @@ def test_charpoly_from_resolution_file(capsys, tmp_path):
     path.write_text(json.dumps(res))
     data = run_json(capsys, "charpoly", "--res", str(path), "--n", "2")
     assert data["charpoly"] == "t^2 - t + 1"
+
+
+@pytest.mark.parametrize("strata, digest, seconds", [
+    # Delta = (t-1)^2500 * (t^2-1)^1250, mu 5000: 10.2 s with the
+    # multiply-then-divide build on a 2-vCPU VM
+    ([{"m": 1, "chi": -2499}, {"m": 2, "chi": -1250}],
+     "31f55038846598819ba41a9aa3d40bae4d54d14c399273deed564cc275195bc5", 2.0),
+    # Delta = (t^2-1)^2500 / (t-1)^2498, mu 2502: 15.0 s with that build on
+    # a 2-vCPU Xeon
+    ([{"m": 1, "chi": 2499}, {"m": 2, "chi": -2500}],
+     "0b4b81fe787e4d8207ea9a253425136a5ad264513d69ba5e46b5e10d1eeac83c", 3.0),
+], ids=["product", "quotient"])
+def test_charpoly_at_the_cap_is_fast_and_unchanged(capsys, tmp_path, strata, digest, seconds):
+    # the bounds are 5x below those times; the digests are that build's stdout
+    path = tmp_path / "strata.json"
+    path.write_text(json.dumps(strata))
+    start = perf_counter()
+    code, out, err = run(capsys, "charpoly", "--res", str(path), "--n", "2")
+    assert perf_counter() - start < seconds
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_charpoly_inconsistent_mu_is_an_engine_error(capsys):
@@ -616,6 +683,17 @@ def test_gaussian_samples_are_accepted(capsys):
     assert data["ts"] == ["0", "1/2", "1+i"]
     assert [s["mu"] for s in data["profile"]] == [4, 4, 4]
     assert data["line"] == "(1, 2*i)"
+
+
+def test_arguments_with_a_leading_minus(capsys):
+    # argparse reads "-x^2" or "-1,1/2" alone as an option; "--" ends the
+    # options, and "--ts=..." attaches the value to its option
+    data = run_json(capsys, "mult", "--", "-x^2")
+    assert data["poly"] == "-x^2" and data["order"] == 2
+    data = run_json(capsys, "family", "--rescale", "x^3 + y^3 + x^4", "--ts=-1,1/2",
+                    "--line=-1,1")
+    assert data["ts"] == ["-1", "1/2"]
+    assert data["line"] == "(-1, 1)"
 
 
 def test_names_are_read_by_the_parser(capsys):

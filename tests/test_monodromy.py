@@ -3,15 +3,16 @@ sparse sequence, zeta factorisation and the characteristic polynomial."""
 
 import random
 import re
-from math import isqrt
+from math import comb, isqrt
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germinv.errors import ConventionViolationError, InputError
 from germinv.monodromy import (
     MAX_SIZE,
+    CharPoly,
     ResolutionData,
     SSequence,
     ZetaFunction,
@@ -312,6 +313,110 @@ def test_charpoly_ends_are_units():
             assert cp.degree == mu
             assert abs(cp.coeffs[0]) == 1
             assert abs(cp.coeffs[-1]) == 1
+
+
+def _upoly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _cyclotomic_product(factors):
+    """prod (t^i - 1)^k over the (i, k) pairs, each power by the binomial theorem."""
+    out = [1]
+    for i, k in factors:
+        power = [0] * (i * k + 1)
+        for j in range(k + 1):
+            power[i * j] = (-1) ** (k - j) * comb(k, j)
+        out = _upoly_mul(out, power)
+    return out
+
+
+def reference_char_poly(z, mu, n):
+    """Delta as first specified: numerator and denominator multiplied out,
+    then one exact division.  Consistency is read off that division alone,
+    with no cyclotomic precheck; the errors and their messages are char_poly's."""
+    if mu < 1:
+        raise InputError("need mu >= 1 to assemble a characteristic polynomial")
+    if mu > MAX_SIZE:
+        raise InputError(f"Milnor number above the maximum of {MAX_SIZE}")
+    if n < 1:
+        raise InputError(f"need n >= 1 variables, got {n}")
+    sign = (-1) ** n
+    exponents = {1: sign}
+    for i, e in z.factors:
+        exponents[i] = exponents.get(i, 0) + sign * e
+    num = [(i, k) for i, k in exponents.items() if k > 0]
+    den = [(i, -k) for i, k in exponents.items() if k < 0]
+    for what, factors in (("numerator degree", num), ("denominator degree", den)):
+        if sum(i * k for i, k in factors) > MAX_SIZE:
+            raise InputError(f"{what} above the maximum of {MAX_SIZE}")
+    if mu < sum(i * k for i, k in exponents.items()):
+        raise ConventionViolationError("the quotient is not a polynomial")
+    rem, den = _cyclotomic_product(num), _cyclotomic_product(den)
+    quot = [0] * max(len(rem) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + len(den) - 1]
+        for j, d in enumerate(den):
+            rem[k + j] -= c * d
+    if any(rem):
+        raise ConventionViolationError("the quotient is not a polynomial")
+    if mu > sum(i * k for i, k in exponents.items()):
+        raise ConventionViolationError(
+            "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
+        )
+    return CharPoly(tuple(quot))
+
+
+@st.composite
+def charpoly_inputs(draw):
+    """(zeta, mu, n): from strata, from raw zeta factors, or from a product
+    prod (t^i - 1)^a_i divided by some t^d - 1 with d | i per numerator
+    factor, which is a polynomial; mu is sometimes off by a little."""
+    n = draw(st.sampled_from([1, 2, 3, 4] * 3 + [0]))
+    sign = (-1) ** n
+    kind = draw(st.sampled_from(["strata", "raw", "polynomial"]))
+    if kind == "strata":
+        strata = draw(st.dictionaries(st.integers(1, 12), st.integers(-12, 12), max_size=4))
+        res = ResolutionData(tuple(strata.items()))
+        z = zeta(s_sequence(res))
+        mu = -sign * (euler_fiber(res) - 1)
+    elif kind == "raw":
+        z = ZetaFunction(tuple(draw(st.dictionaries(
+            st.integers(1, 12), st.integers(-6, 6), max_size=4)).items()))
+        mu = draw(st.integers(-1, 60))
+    else:
+        exponents = {}
+        for i, a in draw(st.dictionaries(st.integers(1, 12), st.integers(1, 4),
+                                         min_size=1, max_size=3)).items():
+            exponents[i] = exponents.get(i, 0) + a
+            for _ in range(draw(st.integers(0, a))):
+                d = draw(st.sampled_from(divisors(i)))
+                exponents[d] = exponents.get(d, 0) - 1
+        # E_i = sign * (e_i + [i = 1]), solved for the zeta exponents e_i
+        z = ZetaFunction(tuple((i, sign * k - (i == 1)) for i, k in exponents.items()))
+        mu = sum(i * k for i, k in exponents.items())
+    mu += draw(st.sampled_from([0, 0, 0, -1, 1, MAX_SIZE]))
+    return z, mu, n
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (InputError, ConventionViolationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(charpoly_inputs())
+@example((zeta(s_sequence(CUSP)), 2, 2))
+@example((ZetaFunction(((2, -1),)), 3, 2))
+@example((ZetaFunction(((1, 2), (2, 1), (3, -1), (4, -1))), 1, 2))
+def test_char_poly_matches_the_reference(case):
+    expected = _outcome(reference_char_poly, *case)
+    assert _outcome(char_poly, *case) == expected
 
 
 # -- multiplicity bound --------------------------------------------------------

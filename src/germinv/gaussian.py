@@ -16,6 +16,14 @@ two integers.  Almost every scalar the engines meet is real, so products
 and quotients with a real factor compute one or two integer products
 instead of four.
 
+The engines' inner loops do not go through the operators.  Every update
+``h[k] += factor * c`` of a term, in the standard-basis engine's normal
+forms and s-polynomials, in the oracle's echelon and in the sum, product
+and scaling of a :class:`~germinv.poly.Poly`, runs in
+:func:`add_multiple`, which works on the triples directly: one new scalar
+and one normalisation per updated term, where the operators make two of
+each.
+
 ``fractions.Fraction`` appears only at the boundary: the constructor and
 :meth:`of` coerce through it, and the read-only properties ``re`` and
 ``im`` return the parts as Fractions, which printing, hashing and
@@ -236,6 +244,53 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     _set_b(g, b)
     _set_d(g, d)
     return g
+
+
+def add_multiple(h: dict, factor: GaussianRational, terms) -> dict:
+    """h[k] += factor * c for each (k, c) of terms, in order; returns h.
+
+    A term that cancels is deleted, so h never holds a zero; the values of
+    terms must be nonzero, as a Poly's and an echelon row's are.  Each
+    term forms ``old + factor * c`` on the ints, makes one scalar, and
+    restores the canonical form with one gcd over the result, skipped when
+    its denominator is 1.  Only a sum over two different denominators takes
+    one more gcd, for their lcm: a sum over their product would hand the
+    last gcd operands about twice as long, which costs more than it saves
+    once coefficients grow.  A real factor and a real c skip the imaginary
+    parts.  A zero factor leaves h as it is, and ``add_multiple({}, s,
+    terms)`` scales.  The engines' inner loops all run here.
+    """
+    fa, fb, fd = factor._a, factor._b, factor._d
+    if not (fa or fb):
+        return h
+    get = h.get
+    for k, c in terms:
+        a, b, d = c._a, c._b, c._d * fd
+        if fb:
+            a, b = a * fa - b * fb, a * fb + b * fa
+        elif b:
+            a, b = a * fa, b * fa
+        else:
+            a *= fa
+        old = get(k)
+        if old is not None:
+            e, f, od = old._a, old._b, old._d
+            if od == d:
+                a += e
+                b += f
+            else:
+                g = gcd(d, od)
+                d1, od1 = d // g, od // g
+                a, b, d = a * od1 + e * d1, b * od1 + f * d1, d1 * od
+            if not (a or b):
+                del h[k]
+                continue
+        if d != 1:
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+        h[k] = _make(a, b, d)
+    return h
 
 
 ZERO = GaussianRational()

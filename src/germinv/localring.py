@@ -37,21 +37,24 @@ gets its sorted keys and coefficients (its view) once, on first use, and
 keeps them in a cache slot, so leading terms, ecarts and truncation tests
 never rescan it.  A normal form reduces a dict of keyed terms in place,
 takes every reducer's terms from its view, and builds a Poly only for its
-result; s-polynomials are formed the same way.  With a corner k, a
-reducer's terms are cut where the shifted degree reaches k, so no term of
-degree >= k is ever formed.
+result; s-polynomials are formed the same way.  Each reduction step shifts
+the reducer's keys and hands them, with its coefficients, to
+:func:`germinv.gaussian.add_multiple`, which updates every term with one
+new scalar and one normalisation.  With a corner k, a reducer's terms are
+cut where the shifted degree reaches k, so no term of degree >= k is ever
+formed.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from itertools import islice, product as iter_product
+from itertools import product as iter_product
 from operator import add, le, sub
 
 from ._record import record
 from .errors import IterationLimitError, ZeroPolynomialError
-from .gaussian import ONE, GaussianRational
+from .gaussian import ONE, GaussianRational, add_multiple
 from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
 
 DEFAULT_MAX_STEPS = 200_000
@@ -132,17 +135,7 @@ def _add_shifted(h: dict, keys, coeffs, q: tuple[int, ...], factor: GaussianRati
     multiplication.  No term of degree >= corner is formed.
     """
     stop = len(keys) if corner is None else bisect_left(keys, (corner - q[0],))
-    for k, c in islice(zip(keys, coeffs), 1, stop):
-        k = tuple(map(add, k, q))
-        old = h.get(k)
-        if old is None:
-            h[k] = factor * c
-        else:
-            s = old + factor * c
-            if s:
-                h[k] = s
-            else:
-                del h[k]
+    add_multiple(h, factor, zip([tuple(map(add, k, q)) for k in keys[1:stop]], coeffs[1:stop]))
 
 
 def _poly(nvars: int, h: dict) -> Poly:

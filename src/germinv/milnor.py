@@ -16,7 +16,7 @@ from math import comb
 
 from ._record import record
 from .errors import InputError, ZeroPolynomialError
-from .gaussian import ONE, GaussianRational
+from .gaussian import ONE, GaussianRational, add_multiple
 from .localring import DEFAULT_MAX_STEPS, standard_basis
 from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
 
@@ -85,7 +85,8 @@ class _Row:
     ``shift`` of degree ``offset``) plus the ``steps`` multiples of their
     pivots' layers, times ``inv`` once the row is a pivot (a one-term
     pivot that leaves the replay at once needs none).  No term of degree
-    above ``top`` can appear.
+    above ``top`` can appear.  Every step and every scaling by ``inv`` is
+    one call of :func:`germinv.gaussian.add_multiple`.
     """
 
     __slots__ = ("shift", "offset", "parts", "steps", "inv", "top", "layer")
@@ -108,9 +109,9 @@ class _Row:
         already hold its own degree-d layer."""
         layer = self.source(d)
         for factor, pivot in self.steps:
-            _add_multiple(layer, factor, pivot.layer)
+            add_multiple(layer, factor, pivot.layer.items())
         inv = self.inv
-        self.layer = layer if inv is None else {m: c * inv for m, c in layer.items()}
+        self.layer = layer if inv is None else add_multiple({}, inv, layer.items())
 
     def reduce(self, pivots: dict, d: int) -> bool:
         """Reduce the layer against the pivots; True if it becomes one."""
@@ -124,28 +125,14 @@ class _Row:
                     self.layer = {lead: ONE}  # leaves the replay: no inverse needed
                 else:
                     self.inv = inv = ONE / layer[lead]
-                    self.layer = {m: c * inv for m, c in layer.items()}
+                    self.layer = add_multiple({}, inv, layer.items())
                 return True
             factor = -layer[lead]
             self.steps.append((factor, pivot))
             if pivot.top > self.top:
                 self.top = pivot.top
-            _add_multiple(layer, factor, pivot.layer)
+            add_multiple(layer, factor, pivot.layer.items())
         return False
-
-
-def _add_multiple(layer: dict, factor: GaussianRational, other: dict):
-    """layer += factor * other, dropping terms that cancel."""
-    for mono, coeff in other.items():
-        old = layer.get(mono)
-        if old is None:
-            layer[mono] = factor * coeff
-            continue
-        s = old + factor * coeff
-        if s:
-            layer[mono] = s
-        else:
-            del layer[mono]
 
 
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:

@@ -18,6 +18,7 @@ eigenvalue-product tests pin this one down.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate
 
 from ._record import record
 from .errors import ConventionViolationError, InputError
@@ -27,9 +28,9 @@ from .errors import ConventionViolationError, InputError
 # stratum's |chi|, either cyclotomic degree in char_poly, and twice a
 # stratum's multiplicity m, so that the default horizon 2 * max m fits.
 # The cap on its degrees bounds char_poly's work (see its docstring): the
-# slowest strata found at the cap, Delta = (t-1)^5000 and (t^2-1)^2500 /
-# (t-1)^2498, take about 1.2 s in-process on a 2-vCPU Xeon (Python 3.11.7),
-# printing included.  The goldens reach mu 216, K 26.
+# slowest strata tried at the cap, Delta = (t-1)^2500 * (t^2-1)^1250, take
+# about 1 s in-process on a 2-vCPU Xeon (Python 3.11.7), printing included.
+# The goldens reach mu 216, K 26.
 MAX_SIZE = 5_000
 
 
@@ -329,11 +330,15 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
     Delta(0) = +-1 exactly when shift = 0.  Both are checked before anything
     is built (ConventionViolationError), and so are the sizes (InputError).
 
-    Delta is then built on one coefficient list, one t^i - 1 at a time:
-    every factor with E_i > 0 is multiplied in (a shift and a subtraction),
-    then every factor with E_i < 0 is divided out (a running sum from the
-    top), so the list never outgrows the numerator degree D.  The work is at
-    most sum |E_i| * D additions of integers with O(D) bits.
+    Delta is then built on one coefficient list.  Each t^j - 1 of the
+    denominator is paired, while one is left, with a t^i - 1 of the
+    numerator with j | i, and their quotient 1 + t^j + ... + t^(i-j) is
+    multiplied in as one running sum of stride j.  The unpaired numerator
+    factors are multiplied in (the costliest power at once by the binomial
+    theorem, every other factor as a shift and a subtraction) and, last,
+    every unpaired denominator factor is divided out (a running sum from
+    the top), so the list never outgrows the numerator degree D.  The work
+    is at most sum |E_i| * D additions of integers with O(D) bits.
     """
     if mu < 1:
         raise InputError("need mu >= 1 to assemble a characteristic polynomial")
@@ -355,18 +360,48 @@ def char_poly(z: ZetaFunction, mu: int, n: int) -> CharPoly:
         raise ConventionViolationError(
             "characteristic polynomial must be monic up to sign with |Delta(0)| = 1"
         )
-    coeffs = [1]  # Delta, built in place: every multiplication before any division
-    for i, k in sorted(exponents.items(), key=lambda factor: factor[1] < 0):
-        for _ in range(abs(k)):
-            if k > 0:  # times t^i - 1: shift up by i, subtract the old list
-                coeffs[:0] = [0] * i
-                coeffs[:-i] = [a - b for a, b in zip(coeffs, coeffs[i:])]
-            else:  # over t^i - 1: q[j] = c[j+i] + q[j+i] from the top down
-                for j in range(len(coeffs) - 1, i - 1, -1):
-                    coeffs[j - i] += coeffs[j]
-                if any(coeffs[:i]):  # the remainder; q now starts at index i
-                    raise ConventionViolationError("the quotient is not a polynomial")
-                del coeffs[:i]
+    # pair each denominator t^j - 1 with a numerator t^i - 1, j | i, if one is left
+    numerators = {i: k for i, k in exponents.items() if k > 0}
+    quotients, unpaired = [], []
+    for j, k in exponents.items():
+        k = -k  # the power of t^j - 1 in the denominator
+        for i, free in numerators.items():
+            if k > 0 and free and i % j == 0:
+                paired = min(k, free)
+                numerators[i] -= paired
+                k -= paired
+                quotients.append((i, j, paired))
+        if k > 0:
+            unpaired.append((j, k))
+    # Delta, built in place: every multiplication before any division.  It
+    # starts as the power (t^i - 1)^k that would take the most additions,
+    # about i*k^2/2, if multiplied in one factor at a time: by the binomial
+    # theorem, the coefficient of t^(i*m) is (-1)^(k-m) * C(k, m).  There is
+    # a numerator factor, as sum i*E_i = mu >= 1.
+    factors = sorted(numerators.items(), key=lambda factor: factor[0] * factor[1] ** 2)
+    i, k = factors.pop()
+    coeffs = [0] * (i * k + 1)
+    c = (-1) ** k
+    for m in range(k + 1):
+        coeffs[i * m] = c
+        c = -c * (k - m) // (m + 1)
+    for i, k in factors:
+        for _ in range(k):  # times t^i - 1: shift up by i, subtract the old list
+            coeffs[:0] = [0] * i
+            coeffs[:-i] = [a - b for a, b in zip(coeffs, coeffs[i:])]
+    for i, j, k in quotients:
+        for _ in range(k):  # times 1 + t^j + ... + t^(i-j) = (1 - t^i) / (1 - t^j)
+            coeffs += [0] * (i - j)
+            for r in range(j):  # over 1 - t^j: a running sum of stride j
+                coeffs[r::j] = accumulate(coeffs[r::j])
+            coeffs[i:] = [a - b for a, b in zip(coeffs[i:], coeffs)]
+    for i, k in unpaired:
+        for _ in range(k):  # over t^i - 1: q[j] = c[j+i] + q[j+i] from the top down
+            for j in range(len(coeffs) - 1, i - 1, -1):
+                coeffs[j - i] += coeffs[j]
+            if any(coeffs[:i]):  # the remainder; q now starts at index i
+                raise ConventionViolationError("the quotient is not a polynomial")
+            del coeffs[:i]
     return CharPoly(tuple(coeffs))
 
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, ZeroPolynomialError
-from .gaussian import GaussianRational, ONE, ZERO
+from .gaussian import GaussianRational, ONE, ZERO, add_multiple
 
 Monomial = tuple[int, ...]
 
@@ -41,7 +42,7 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -231,18 +232,7 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check_same_vars(other)
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            old = acc.get(m)
-            if old is None:
-                acc[m] = c
-                continue
-            s = old + c
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
-        return Poly._clean(self.nvars, acc)
+        return Poly._clean(self.nvars, add_multiple(dict(self._terms), ONE, other._terms.items()))
 
     __radd__ = __add__
 
@@ -262,28 +252,18 @@ class Poly:
             return self.scale(other)
         self._check_same_vars(other)
         acc: dict[Monomial, GaussianRational] = {}
+        terms = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = mono_mul(m1, m2)
-                old = acc.get(m)
-                if old is None:
-                    acc[m] = c1 * c2
-                    continue
-                s = old + c1 * c2
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
+            add_multiple(acc, c1, [(mono_mul(m1, m2), c2) for m2, c2 in terms])
         return Poly._clean(self.nvars, acc)
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
 
     def scale(self, scalar) -> "Poly":
-        c = GaussianRational.of(scalar)
-        if not c:
-            return Poly(self.nvars)
-        return Poly._clean(self.nvars, {m: c * v for m, v in self._terms.items()})
+        return Poly._clean(
+            self.nvars, add_multiple({}, GaussianRational.of(scalar), self._terms.items())
+        )
 
     def mul_term(self, mono: Monomial, coeff) -> "Poly":
         """Multiply by coeff * x^mono in one pass (reduction hot path)."""

@@ -4,11 +4,12 @@ import copy
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from germinv.gaussian import I, ONE, ZERO, GaussianRational
+from germinv.gaussian import I, ONE, ZERO, GaussianRational, add_multiple
 
 
 def gq(re, im=0):
@@ -246,3 +247,49 @@ def test_equal_values_from_different_inputs_are_equal():
     assert gq(Fraction(1, 6), Fraction(1, 3)) * 6 == gq(1, 2)
     assert gq(3) / gq(-6) == gq(Fraction(-1, 2))
     assert hash(gq(Fraction(6, 4))) == hash((Fraction(3, 2), Fraction(0)))
+
+
+# -- the multiply-add kernel ---------------------------------------------------
+
+# small Gaussian values share denominators often, as the engines' do, so
+# that the sums over one denominator are exercised as well
+small_parts = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+kernel_scalars = st.one_of(operands, st.builds(GaussianRational, small_parts, small_parts))
+term_dicts = st.dictionaries(st.integers(0, 7), kernel_scalars.filter(bool), max_size=6)
+
+
+def operator_loop(h, factor, terms):
+    """h[k] = h[k] + factor * c through the scalar operators, zeros dropped."""
+    for k, c in terms:
+        s = h.get(k, ZERO) + factor * c
+        if s:
+            h[k] = s
+        else:
+            h.pop(k, None)
+    return h
+
+
+@settings(max_examples=300)
+@given(term_dicts, st.one_of(st.just(ZERO), kernel_scalars), term_dicts,
+       st.sets(st.integers(0, 7)))
+def test_add_multiple_matches_the_operator_loop(h, factor, terms, cancel):
+    # terms at the keys in cancel are chosen so that their sum with h is zero
+    if factor:
+        for k in cancel & h.keys() & terms.keys():
+            terms[k] = -h[k] / factor
+    expected = operator_loop(dict(h), factor, terms.items())
+    got = dict(h)
+    assert add_multiple(got, factor, terms.items()) is got
+    assert list(got.items()) == list(expected.items())  # keys, values and order
+    for g in got.values():
+        assert g and g._d > 0 and gcd(g._a, g._b, g._d) == 1
+    assert add_multiple({}, factor, terms.items()) == {k: factor * c for k, c in terms.items()
+                                                       if factor}
+
+
+def test_add_multiple_cancels_and_appends_in_order():
+    h = {1: gq(1, 2), 2: gq(Fraction(1, 3))}
+    add_multiple(h, gq(0, 1), {2: gq(5), 1: gq(-2, 1), 3: gq(Fraction(1, 2))}.items())
+    assert list(h.items()) == [(2, gq(Fraction(1, 3), 5)), (3, gq(0, Fraction(1, 2)))]
+    assert add_multiple(h, ZERO, {4: ONE}.items()) == {2: gq(Fraction(1, 3), 5),
+                                                       3: gq(0, Fraction(1, 2))}

@@ -16,13 +16,14 @@ two integers.  Almost every scalar the engines meet is real, so products
 and quotients with a real factor compute one or two integer products
 instead of four.
 
-The engines' inner loops do not go through the operators.  Every update
-``h[k] += factor * c`` of a term, in the standard-basis engine's normal
-forms and s-polynomials, in the oracle's echelon and in the sum, product
-and scaling of a :class:`~germinv.poly.Poly`, runs in
-:func:`add_multiple`, which works on the triples directly: one new scalar
-and one normalisation per updated term, where the operators make two of
-each.
+Below the public API the bare triple is the only coefficient form: a
+:class:`~germinv.poly.Poly` stores triples and both Milnor engines reduce
+on them, with no scalar object per term.  Every update ``h[k] += factor *
+c``, in normal forms, s-polynomials, the oracle's echelon and a Poly's
+sum, product and scaling, runs in :func:`add_multiple`; the divisions of
+a reduction step run in :func:`quotient`.  :class:`GaussianRational`
+wraps one triple and is the public scalar type, which a Poly accepts and
+hands out.
 
 ``fractions.Fraction`` appears only at the boundary: the constructor and
 :meth:`of` coerce through it, and the read-only properties ``re`` and
@@ -162,25 +163,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        a, b, d = self._a, self._b, self._d
-        c, e, f = other._a, other._b, other._d
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            if c < 0:
-                c, f = -c, -f
-            a, b, d = a * f, b * f, d * c
-        else:
-            # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei) f / (d (c^2+e^2))
-            a, b = (a * c + b * e) * f, (b * c - a * e) * f
-            d *= c * c + e * e
-        g = gcd(d, a, b)
-        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+        return _make(*quotient(triple(self), triple(other)))
 
     def __rtruediv__(self, other) -> "GaussianRational":
-        return GaussianRational.of(other) / self
+        return _make(*quotient(triple(other), triple(self)))
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if exponent < 0:
@@ -246,26 +232,50 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     return g
 
 
-def add_multiple(h: dict, factor: GaussianRational, terms) -> dict:
+def triple(value) -> tuple[int, int, int]:
+    """The canonical triple (a, b, d) of an int, Fraction or GaussianRational."""
+    g = GaussianRational.of(value)
+    return g._a, g._b, g._d
+
+
+def quotient(x: tuple, y: tuple) -> tuple[int, int, int]:
+    """x / y on canonical triples; y must be nonzero."""
+    a, b, d = x
+    c, e, f = y
+    if not e:
+        if not c:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        if c < 0:
+            c, f = -c, -f
+        a, b, d = a * f, b * f, d * c
+    else:
+        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei) f / (d (c^2+e^2))
+        a, b = (a * c + b * e) * f, (b * c - a * e) * f
+        d *= c * c + e * e
+    g = gcd(d, a, b)
+    return (a // g, b // g, d // g) if g != 1 else (a, b, d)
+
+
+def add_multiple(h: dict, factor: tuple, terms) -> dict:
     """h[k] += factor * c for each (k, c) of terms, in order; returns h.
 
-    A term that cancels is deleted, so h never holds a zero; the values of
-    terms must be nonzero, as a Poly's and an echelon row's are.  Each
-    term forms ``old + factor * c`` on the ints, makes one scalar, and
-    restores the canonical form with one gcd over the result, skipped when
-    its denominator is 1.  Only a sum over two different denominators takes
-    one more gcd, for their lcm: a sum over their product would hand the
-    last gcd operands about twice as long, which costs more than it saves
-    once coefficients grow.  A real factor and a real c skip the imaginary
-    parts.  A zero factor leaves h as it is, and ``add_multiple({}, s,
-    terms)`` scales.  The engines' inner loops all run here.
+    factor, each c and each value of h are canonical triples.  A term that
+    cancels is deleted, so h never holds a zero; the values of terms must
+    be nonzero, as a Poly's and an echelon row's are.  Each term forms
+    ``old + factor * c`` on the ints and restores the canonical form with
+    one gcd over the result, skipped when its denominator is 1.  Only a sum
+    over two different denominators takes one more gcd, for their lcm: a
+    sum over their product would hand the last gcd operands about twice as
+    long, which costs more than it saves once coefficients grow.  A real
+    factor and a real c skip the imaginary parts.  A zero factor leaves h
+    as it is, and ``add_multiple({}, s, terms)`` scales.
     """
-    fa, fb, fd = factor._a, factor._b, factor._d
+    fa, fb, fd = factor
     if not (fa or fb):
         return h
     get = h.get
-    for k, c in terms:
-        a, b, d = c._a, c._b, c._d * fd
+    for k, (a, b, d) in terms:
+        d *= fd
         if fb:
             a, b = a * fa - b * fb, a * fb + b * fa
         elif b:
@@ -274,7 +284,7 @@ def add_multiple(h: dict, factor: GaussianRational, terms) -> dict:
             a *= fa
         old = get(k)
         if old is not None:
-            e, f, od = old._a, old._b, old._d
+            e, f, od = old
             if od == d:
                 a += e
                 b += f
@@ -289,7 +299,7 @@ def add_multiple(h: dict, factor: GaussianRational, terms) -> dict:
             g = gcd(a, b, d)
             if g != 1:
                 a, b, d = a // g, b // g, d // g
-        h[k] = _make(a, b, d)
+        h[k] = a, b, d
     return h
 
 

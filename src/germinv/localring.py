@@ -37,12 +37,13 @@ gets its sorted keys and coefficients (its view) once, on first use, and
 keeps them in a cache slot, so leading terms, ecarts and truncation tests
 never rescan it.  A normal form reduces a dict of keyed terms in place,
 takes every reducer's terms from its view, and builds a Poly only for its
-result; s-polynomials are formed the same way.  Each reduction step shifts
-the reducer's keys and hands them, with its coefficients, to
-:func:`germinv.gaussian.add_multiple`, which updates every term with one
-new scalar and one normalisation.  With a corner k, a reducer's terms are
-cut where the shifted degree reaches k, so no term of degree >= k is ever
-formed.
+result; s-polynomials are formed the same way.  Coefficients stay the
+Poly's own ``(a, b, d)`` triples throughout.  Each reduction step takes
+its factor from :func:`germinv.gaussian.quotient`, shifts the reducer's
+keys and hands them, with its triples, to
+:func:`germinv.gaussian.add_multiple`.  With a corner k, a reducer's
+terms are cut where the shifted degree reaches k, so no term of degree
+>= k is ever formed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from operator import add, le, sub
 
 from ._record import record
 from .errors import IterationLimitError, ZeroPolynomialError
-from .gaussian import ONE, GaussianRational, add_multiple
+from .gaussian import GaussianRational, _make, add_multiple, quotient
 from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
 
 DEFAULT_MAX_STEPS = 200_000
@@ -68,10 +69,10 @@ def local_key(mono: Monomial):
     return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
 
 
-def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[GaussianRational, ...]]:
+def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
     """f's terms under the local order: their keys (degree, e_n, ..., e_1)
     in ascending order, so the leading term comes first and the highest
-    degree last, and the coefficients in the same order.
+    degree last, and the coefficient triples in the same order.
 
     Built on first use and cached on f.
     """
@@ -91,7 +92,7 @@ def leading_monomial(f: Poly) -> Monomial:
 
 def leading_term(f: Poly) -> tuple[Monomial, GaussianRational]:
     keys, coeffs = _view(f)
-    return keys[0][:0:-1], coeffs[0]
+    return keys[0][:0:-1], _make(*coeffs[0])
 
 
 def ecart(f: Poly) -> int:
@@ -117,7 +118,8 @@ class _Budget:
 
 
 def _monic(f: Poly) -> Poly:
-    return f.scale(ONE / _view(f)[1][0])
+    return Poly._clean(f.nvars, add_multiple({}, quotient((1, 0, 1), _view(f)[1][0]),
+                                             f._terms.items()))
 
 
 def _below(f: Poly, corner: int | None) -> Poly:
@@ -127,8 +129,7 @@ def _below(f: Poly, corner: int | None) -> Poly:
     return f.truncate_jet(corner - 1)
 
 
-def _add_shifted(h: dict, keys, coeffs, q: tuple[int, ...], factor: GaussianRational,
-                 corner: int | None):
+def _add_shifted(h: dict, keys, coeffs, q: tuple[int, ...], factor: tuple, corner: int | None):
     """h += factor * x^q * (the view's terms after its lead, of degree < corner).
 
     h is keyed as in :func:`_view`, and q is a key too: keys add under
@@ -144,8 +145,9 @@ def _poly(nvars: int, h: dict) -> Poly:
 
 
 def _reducer(keys, coeffs):
-    """(lead key, lead coefficient, ecart, keys, coefficients) of a view."""
-    return keys[0], coeffs[0], keys[-1][0] - keys[0][0], keys, coeffs
+    """(lead key, negated lead coefficient, ecart, keys, coefficients) of a view."""
+    a, b, d = coeffs[0]
+    return keys[0], (-a, -b, d), keys[-1][0] - keys[0][0], keys, coeffs
 
 
 def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
@@ -155,8 +157,8 @@ def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
     tail = tuple(map(max, kf[0][1:], kg[0][1:]))
     lcm = (sum(tail),) + tail
     s: dict = {}  # the two leading terms cancel, so neither is formed
-    _add_shifted(s, kf, cf, tuple(map(sub, lcm, kf[0])), ONE / cf[0], _corner)
-    _add_shifted(s, kg, cg, tuple(map(sub, lcm, kg[0])), -(ONE / cg[0]), _corner)
+    _add_shifted(s, kf, cf, tuple(map(sub, lcm, kf[0])), quotient((1, 0, 1), cf[0]), _corner)
+    _add_shifted(s, kg, cg, tuple(map(sub, lcm, kg[0])), quotient((-1, 0, 1), cg[0]), _corner)
     return _poly(f.nvars, s)
 
 
@@ -185,15 +187,15 @@ def mora_normal_form(
                 best = entry
         if best is None:
             break
-        lg, cg, eg, keys, coeffs = best
+        lg, minus_cg, eg, keys, coeffs = best
         eh = max(h)[0] - lead[0]
         if eg > eh:
             stored = sorted(h)
             pool.append(_reducer(stored, [h[k] for k in stored]))
         budget.spend()
         # h -= (ch/cg) * x^(lead - lg) * g: the leading terms cancel
-        ch = h.pop(lead)
-        _add_shifted(h, keys, coeffs, tuple(map(sub, lead, lg)), -(ch / cg), _corner)
+        _add_shifted(h, keys, coeffs, tuple(map(sub, lead, lg)), quotient(h.pop(lead), minus_cg),
+                     _corner)
     return _poly(f.nvars, h)
 
 

@@ -16,7 +16,7 @@ from math import comb
 
 from ._record import record
 from .errors import InputError, ZeroPolynomialError
-from .gaussian import ONE, GaussianRational, add_multiple
+from .gaussian import GaussianRational, add_multiple, quotient
 from .localring import DEFAULT_MAX_STEPS, standard_basis
 from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
 
@@ -85,7 +85,8 @@ class _Row:
     ``shift`` of degree ``offset``) plus the ``steps`` multiples of their
     pivots' layers, times ``inv`` once the row is a pivot (a one-term
     pivot that leaves the replay at once needs none).  No term of degree
-    above ``top`` can appear.  Every step and every scaling by ``inv`` is
+    above ``top`` can appear.  Every coefficient here is an ``(a, b, d)``
+    triple, the parts g's own; every step and every scaling by ``inv`` is
     one call of :func:`germinv.gaussian.add_multiple`.
     """
 
@@ -95,12 +96,12 @@ class _Row:
         self.shift = shift
         self.offset = mono_degree(shift)
         self.parts = parts
-        self.steps: list[tuple[GaussianRational, _Row]] = []
-        self.inv: GaussianRational | None = None
+        self.steps: list[tuple[tuple, _Row]] = []
+        self.inv: tuple | None = None
         self.top = top
         self.layer = self.source(d)
 
-    def source(self, d: int) -> dict[Monomial, GaussianRational]:
+    def source(self, d: int) -> dict[Monomial, tuple]:
         shift = self.shift
         return {mono_mul(m, shift): c for m, c in self.parts.get(d - self.offset, ())}
 
@@ -122,12 +123,13 @@ class _Row:
             if pivot is None:
                 pivots[lead] = self
                 if len(layer) == 1 and self.top == d:
-                    self.layer = {lead: ONE}  # leaves the replay: no inverse needed
+                    self.layer = {lead: (1, 0, 1)}  # leaves the replay: no inverse needed
                 else:
-                    self.inv = inv = ONE / layer[lead]
+                    self.inv = inv = quotient((1, 0, 1), layer[lead])
                     self.layer = add_multiple({}, inv, layer.items())
                 return True
-            factor = -layer[lead]
+            a, b, e = layer[lead]
+            factor = -a, -b, e
             self.steps.append((factor, pivot))
             if pivot.top > self.top:
                 self.top = pivot.top
@@ -168,7 +170,7 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     split = []
     for g in gens:
         parts: dict[int, list] = {}
-        for m, c in g.terms().items():
+        for m, c in g._terms.items():
             parts.setdefault(mono_degree(m), []).append((m, c))
         split.append((g.order(), g.degree(), parts))
     pivots: dict[Monomial, _Row] = {}

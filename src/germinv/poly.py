@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
 A polynomial germ is stored as a map from exponent vectors (tuples of
-non-negative ints, one slot per variable) to nonzero
-:class:`~germinv.gaussian.GaussianRational` coefficients.  The zero
-polynomial is the empty map.  Zero coefficients are never stored, so
-equality and hashing are structural.
+non-negative ints, one slot per variable) to nonzero coefficients, each
+the canonical int triple ``(a, b, d)`` of :mod:`germinv.gaussian`.  The
+zero polynomial is the empty map, and equality and hashing are structural.
+The triples stay inside: methods take scalars (int, Fraction or
+:class:`~germinv.gaussian.GaussianRational`) and hand coefficients out,
+and pickle them, as GaussianRationals.
 
 The variable count ``nvars`` is fixed per polynomial; mixing different
 variable counts in one operation is a hard error, never a broadcast.
@@ -25,12 +27,12 @@ order upward.  ``parse_poly(str(f), names) == f`` holds for every f.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError, ParseError, ZeroPolynomialError
-from .gaussian import GaussianRational, ONE, ZERO, add_multiple
+from .gaussian import GaussianRational, ZERO, _make, add_multiple, triple
 
 Monomial = tuple[int, ...]
 
@@ -84,7 +86,7 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
             raise InputError("a polynomial needs at least one variable")
-        clean: dict[Monomial, GaussianRational] = {}
+        clean: dict[Monomial, tuple] = {}
         for mono, coeff in (terms or {}).items():
             mono = tuple(mono)
             if len(mono) != nvars:
@@ -93,22 +95,21 @@ class Poly:
                 )
             if any(e < 0 for e in mono):
                 raise InputError(f"negative exponent in {mono}")
-            c = GaussianRational.of(coeff)
-            if c:
-                acc = clean.get(mono)
-                clean[mono] = c if acc is None else acc + c
-                if not clean[mono]:
-                    del clean[mono]
+            c = triple(coeff)
+            if mono in clean:  # two keys that read as one exponent vector
+                add_multiple(clean, (1, 0, 1), ((mono, c),))
+            elif c[0] or c[1]:
+                clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_view", None)
 
     @staticmethod
-    def _clean(nvars: int, terms: dict[Monomial, GaussianRational]) -> "Poly":
+    def _clean(nvars: int, terms: dict[Monomial, tuple]) -> "Poly":
         """A Poly that adopts terms without checking them: every key must be
-        an exponent vector of length nvars, every value a nonzero
-        GaussianRational.  For results built from another Poly's terms."""
+        an exponent vector of length nvars, every value a nonzero canonical
+        triple.  For results built from another Poly's terms."""
         poly = object.__new__(Poly)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "_terms", terms)
@@ -121,7 +122,7 @@ class Poly:
 
     def __reduce__(self):
         # rebuilt through the checked constructor; the caches are not kept
-        return Poly, (self.nvars, self._terms)
+        return Poly, (self.nvars, self.terms())
 
     # -- constructors ------------------------------------------------------
 
@@ -131,27 +132,27 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, value) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: GaussianRational.of(value)})
+        return Poly(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         if not 0 <= index < nvars:
             raise InputError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return Poly(nvars, {mono: ONE})
+        return Poly._clean(nvars, {mono: (1, 0, 1)})
 
     @staticmethod
     def monomial(nvars: int, mono: Monomial, coeff=1) -> "Poly":
-        return Poly(nvars, {tuple(mono): GaussianRational.of(coeff)})
+        return Poly(nvars, {tuple(mono): coeff})
 
     # -- structural queries ------------------------------------------------
 
     def items(self) -> list[tuple[Monomial, GaussianRational]]:
         """Terms in canonical graded-lex order (a fresh list)."""
-        return sorted(self._terms.items(), key=lambda kv: grlex_key(kv[0]))
+        return [(m, _make(*self._terms[m])) for m in sorted(self._terms, key=grlex_key)]
 
     def terms(self) -> dict[Monomial, GaussianRational]:
-        return dict(self._terms)
+        return {m: _make(*c) for m, c in self._terms.items()}
 
     def monomials(self):
         """The exponent vectors present, as a read-only view (no copy)."""
@@ -161,10 +162,10 @@ class Poly:
         return frozenset(self._terms)
 
     def coeff(self, mono: Monomial) -> GaussianRational:
-        return self._terms.get(tuple(mono), ZERO)
+        return _make(*self._terms.get(tuple(mono), (0, 0, 1)))
 
     def constant_term(self) -> GaussianRational:
-        return self._terms.get((0,) * self.nvars, ZERO)
+        return self.coeff((0,) * self.nvars)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -232,12 +233,13 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check_same_vars(other)
-        return Poly._clean(self.nvars, add_multiple(dict(self._terms), ONE, other._terms.items()))
+        return Poly._clean(self.nvars,
+                           add_multiple(dict(self._terms), (1, 0, 1), other._terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._clean(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._clean(self.nvars, {m: (-a, -b, d) for m, (a, b, d) in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if not isinstance(other, Poly):
@@ -251,7 +253,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_same_vars(other)
-        acc: dict[Monomial, GaussianRational] = {}
+        acc: dict[Monomial, tuple] = {}
         terms = other._terms.items()
         for m1, c1 in self._terms.items():
             add_multiple(acc, c1, [(mono_mul(m1, m2), c2) for m2, c2 in terms])
@@ -261,21 +263,18 @@ class Poly:
         return self.scale(other)
 
     def scale(self, scalar) -> "Poly":
-        return Poly._clean(
-            self.nvars, add_multiple({}, GaussianRational.of(scalar), self._terms.items())
-        )
+        return Poly._clean(self.nvars, add_multiple({}, triple(scalar), self._terms.items()))
 
     def mul_term(self, mono: Monomial, coeff) -> "Poly":
-        """Multiply by coeff * x^mono in one pass (reduction hot path)."""
-        c = GaussianRational.of(coeff)
-        if not c:
+        """Multiply by coeff * x^mono in one pass; no engine calls it."""
+        c = triple(coeff)
+        if not (c[0] or c[1]):
             return Poly(self.nvars)
         mono = tuple(mono)
         if len(mono) != self.nvars or any(e < 0 for e in mono):
             raise InputError(f"bad exponent vector {mono} for {self.nvars} variables")
-        return Poly._clean(
-            self.nvars, {mono_mul(m, mono): c * v for m, v in self._terms.items()}
-        )
+        return Poly._clean(self.nvars, add_multiple(
+            {}, c, [(mono_mul(m, mono), v) for m, v in self._terms.items()]))
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
@@ -295,12 +294,13 @@ class Poly:
         """d/dx_index."""
         if not 0 <= index < self.nvars:
             raise InputError(f"variable index {index} out of range")
-        # m -> m - e_index is injective on the terms kept, so nothing merges
-        acc: dict[Monomial, GaussianRational] = {}
-        for m, c in self._terms.items():
+        # nothing merges (m -> m - e_index is injective); gcd(a, b, d) == 1
+        acc: dict[Monomial, tuple] = {}
+        for m, (a, b, d) in self._terms.items():
             e = m[index]
             if e:
-                acc[m[:index] + (e - 1,) + m[index + 1:]] = c * e
+                g = gcd(e, d)
+                acc[m[:index] + (e - 1,) + m[index + 1:]] = a * (e // g), b * (e // g), d // g
         return Poly._clean(self.nvars, acc)
 
     def jacobian(self) -> tuple["Poly", ...]:
@@ -314,8 +314,7 @@ class Poly:
             )
         values = [GaussianRational.of(p) for p in point]
         total = ZERO
-        for m, c in self._terms.items():
-            term = c
+        for m, term in self.terms().items():
             for v, e in zip(values, m):
                 if e:
                     term = term * v ** e
@@ -348,7 +347,7 @@ class Poly:
 
         total = Poly.zero(out_vars)
         for m, c in self._terms.items():
-            term = Poly.constant(out_vars, c)
+            term = Poly._clean(out_vars, {(0,) * out_vars: c})
             for i, e in enumerate(m):
                 if e:
                     term = term * power(i, e)
@@ -691,22 +690,18 @@ def _format_monomial(mono: Monomial, names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
-def _format_coeff(c: GaussianRational, with_monomial: bool) -> tuple[str, str]:
-    """Return (sign, magnitude-string); mixed coefficients keep their parens."""
-    re, im = c.re, c.im  # each read builds a Fraction
-    if re != 0 and im != 0:
-        return "+", f"({c})"
-    if im != 0:
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        if mag == 1:
-            return sign, "i"
-        return sign, f"{mag}*i"
-    sign = "+" if re > 0 else "-"
-    mag = abs(re)
-    if mag == 1 and with_monomial:
-        return sign, ""
-    return sign, str(mag)
+def _format_coeff(c: tuple, with_monomial: bool) -> tuple[str, str]:
+    """Return (sign, magnitude-string) of a triple; mixed coefficients keep
+    their parens.  A pure part n/d is already reduced, as its Fraction is."""
+    a, b, d = c
+    if a and b:
+        return "+", f"({_make(a, b, d)})"
+    n = abs(a or b)
+    mag = str(n) if d == 1 else f"{n}/{d}"
+    sign = "+" if a > 0 or b > 0 else "-"
+    if b:
+        return sign, "i" if mag == "1" else f"{mag}*i"
+    return sign, "" if mag == "1" and with_monomial else mag
 
 
 def format_poly(f: Poly, names: Sequence[str]) -> str:
@@ -715,7 +710,7 @@ def format_poly(f: Poly, names: Sequence[str]) -> str:
     if not f:
         return "0"
     pieces = []
-    for mono, coeff in f.items():
+    for mono, coeff in sorted(f._terms.items(), key=lambda kv: grlex_key(kv[0])):
         monomial = _format_monomial(mono, names)
         sign, mag = _format_coeff(coeff, bool(monomial))
         if monomial and mag:

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from germinv.gaussian import I, ONE, ZERO, GaussianRational, add_multiple
+from germinv.gaussian import I, ONE, ZERO, GaussianRational, add_multiple, quotient, triple
 
 
 def gq(re, im=0):
@@ -269,6 +269,10 @@ def operator_loop(h, factor, terms):
     return h
 
 
+def triples(terms):
+    return {k: triple(c) for k, c in terms.items()}
+
+
 @settings(max_examples=300)
 @given(term_dicts, st.one_of(st.just(ZERO), kernel_scalars), term_dicts,
        st.sets(st.integers(0, 7)))
@@ -278,18 +282,28 @@ def test_add_multiple_matches_the_operator_loop(h, factor, terms, cancel):
         for k in cancel & h.keys() & terms.keys():
             terms[k] = -h[k] / factor
     expected = operator_loop(dict(h), factor, terms.items())
-    got = dict(h)
-    assert add_multiple(got, factor, terms.items()) is got
-    assert list(got.items()) == list(expected.items())  # keys, values and order
-    for g in got.values():
-        assert g and g._d > 0 and gcd(g._a, g._b, g._d) == 1
-    assert add_multiple({}, factor, terms.items()) == {k: factor * c for k, c in terms.items()
-                                                       if factor}
+    got = triples(h)
+    assert add_multiple(got, triple(factor), triples(terms).items()) is got
+    assert list(got.items()) == list(triples(expected).items())  # keys, values and order
+    for a, b, d in got.values():
+        assert (a or b) and d > 0 and gcd(a, b, d) == 1
+    assert add_multiple({}, triple(factor), triples(terms).items()) == {
+        k: triple(factor * c) for k, c in terms.items() if factor}
 
 
 def test_add_multiple_cancels_and_appends_in_order():
-    h = {1: gq(1, 2), 2: gq(Fraction(1, 3))}
-    add_multiple(h, gq(0, 1), {2: gq(5), 1: gq(-2, 1), 3: gq(Fraction(1, 2))}.items())
-    assert list(h.items()) == [(2, gq(Fraction(1, 3), 5)), (3, gq(0, Fraction(1, 2)))]
-    assert add_multiple(h, ZERO, {4: ONE}.items()) == {2: gq(Fraction(1, 3), 5),
-                                                       3: gq(0, Fraction(1, 2))}
+    h = triples({1: gq(1, 2), 2: gq(Fraction(1, 3))})
+    add_multiple(h, (0, 1, 1), triples({2: gq(5), 1: gq(-2, 1), 3: gq(Fraction(1, 2))}).items())
+    assert h == {2: (1, 15, 3), 3: (0, 1, 2)}
+    assert list(h) == [2, 3]
+    assert add_multiple(h, (0, 0, 1), {4: (1, 0, 1)}.items()) == {2: (1, 15, 3), 3: (0, 1, 2)}
+
+
+def test_triple_and_quotient_are_canonical():
+    assert triple(-4) == (-4, 0, 1)
+    assert triple(Fraction(6, -4)) == (-3, 0, 2)
+    assert triple(gq(Fraction(1, 6), Fraction(1, 3))) == (1, 2, 6)
+    assert quotient((1, 0, 1), (-2, 0, 3)) == (-3, 0, 2)
+    assert quotient((1, 2, 6), (0, 1, 1)) == (2, -1, 6)
+    with pytest.raises(ZeroDivisionError):
+        quotient((1, 0, 1), (0, 0, 1))

@@ -375,6 +375,14 @@ def small_ideals(draw):
 @example([P("1 + x"), P("y")], 3)
 @example([P("x^2*y + y^3")], 9)
 @example([P("x^2"), P("y^3"), P("x*y")], 9)
+# a stepped row left with one term below its top, whose lead denominator
+# equals that top degree: it still needs its inverse; the quotient is C{z}/(z^5)
+@example([P("2*y + x", XYZ), P("x + z^2", XYZ) + P("y", XYZ).scale(Fraction(1, 2)),
+          P("x + y", XYZ) + P("z^2", XYZ).scale(Fraction(2, 3)), P("z^5", XYZ)], 9)
+# the same case in a Jacobian ideal: a wrong shortcut reads 21, not None
+@example(list(Poly(3, {(4, 0, 1): Fraction(1, 5), (1, 0, 3): Fraction(1, 2),
+                       (0, 1, 2): Fraction(5, 6), (2, 2, 0): Fraction(5, 4),
+                       (0, 3, 1): Fraction(-1, 5)}).jacobian()), 9)
 def test_oracle_matches_the_per_horizon_specification(gens, dmax):
     assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
 

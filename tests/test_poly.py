@@ -3,6 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -450,3 +451,80 @@ def test_pickle_and_copy_round_trip(text):
         assert type(copied) is Poly
         assert copied == f and repr(copied) == repr(f) and hash(copied) == hash(f)
         assert copied._view is None  # caches are rebuilt, never carried over
+
+
+# -- triple storage against the scalar operators -------------------------------
+
+def scalar_kinds(small=False):
+    top = 3 if small else 9
+    rational = st.fractions(min_value=-top, max_value=top, max_denominator=12)
+    return st.one_of(st.integers(-top, top), rational,
+                     st.builds(GaussianRational, rational, rational))
+
+
+@st.composite
+def polys_in(draw, nvars):
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return Poly(nvars, draw(st.dictionaries(exps, scalar_kinds(), max_size=5)))
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(1, 3))
+    return draw(polys_in(nvars)), draw(polys_in(nvars))
+
+
+def ref_combine(f, g, factor=1):
+    """f + factor * g through the GaussianRational operators on terms()."""
+    acc = f.terms()
+    for m, c in g.terms().items():
+        acc[m] = acc.get(m, GaussianRational()) + c * factor
+    return {m: c for m, c in acc.items() if c}
+
+
+def ref_mul(f, g):
+    acc = {}
+    for m1, c1 in f.terms().items():
+        for m2, c2 in g.terms().items():
+            m = mono_mul(m1, m2)
+            acc[m] = acc.get(m, GaussianRational()) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+def assert_triples(f):
+    for value in f._terms.values():
+        assert type(value) is tuple and len(value) == 3
+        a, b, d = value
+        assert (a or b) and d > 0 and gcd(a, b, d) == 1
+    assert all(type(c) is GaussianRational for c in f.terms().values())
+    assert all(type(c) is GaussianRational for _, c in f.items())
+
+
+@settings(max_examples=150)
+@given(poly_pairs(), scalar_kinds(), st.integers(0, 3), st.integers(0, 5))
+def test_triples_match_the_scalar_operators(pair, s, e, jet):
+    f, g = pair
+    n = f.nvars
+    power = {(0,) * n: GaussianRational(1)}
+    for _ in range(e):
+        power = ref_mul(Poly(n, power), f)
+    results = {
+        "add": (f + g, ref_combine(f, g)),
+        "sub": (f - g, ref_combine(f, g, -1)),
+        "mul": (f * g, ref_mul(f, g)),
+        "pow": (f ** e, power),
+        "scale": (f.scale(s), {m: c * s for m, c in f.terms().items() if s}),
+        "jet": (f.truncate_jet(jet), {m: c for m, c in f.terms().items() if sum(m) <= jet}),
+        "rebuilt": (Poly(n, f.terms()), f.terms()),
+    }
+    for i in range(n):
+        results[f"partial{i}"] = (f.partial(i), {
+            m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in f.terms().items() if m[i]})
+    for name, (got, expected) in results.items():
+        assert got.terms() == expected, name
+        assert_triples(got)
+    names = default_names(n)
+    assert parse_poly(format_poly(f, names), names) == f
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert copied == f and copied.terms() == f.terms()
+        assert_triples(copied)

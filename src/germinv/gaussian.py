@@ -7,14 +7,9 @@ A scalar is stored as three Python ints ``(a, b, d)``, the value
 ``(a + b*i) / d``, always in canonical form: ``d > 0`` and
 ``gcd(a, b, d) == 1``.  Each value has exactly one such triple, so
 equality compares the triples and a scalar is zero exactly when
-``a == b == 0``.  Every ``+ - * /`` works on the ints and restores the
-canonical form with one ``math.gcd`` over the result (Knuth, TAOCP
-vol. 2, 4.5.1, on a rational kept as a reduced integer pair), and skips
-even that when it can prove the result already canonical: a sum over a
-common denominator of 1, a sum over coprime denominators, a product of
-two integers.  Almost every scalar the engines meet is real, so products
-and quotients with a real factor compute one or two integer products
-instead of four.
+``a == b == 0``.  The arithmetic is written once, on the ints, and
+restores the canonical form with one ``math.gcd`` per result (Knuth,
+TAOCP vol. 2, 4.5.1, on a rational kept as a reduced integer pair).
 
 Below the public API the bare triple is the only coefficient form: a
 :class:`~germinv.poly.Poly` stores triples and both Milnor engines reduce
@@ -23,7 +18,8 @@ c``, in normal forms, s-polynomials, the oracle's echelon and a Poly's
 sum, product and scaling, runs in :func:`add_multiple`; the divisions of
 a reduction step run in :func:`quotient`.  :class:`GaussianRational`
 wraps one triple and is the public scalar type, which a Poly accepts and
-hands out.
+hands out; its ``+``, ``-`` and ``*`` call :func:`add_multiple` and its
+``/`` calls :func:`quotient` on the operands' triples.
 
 ``fractions.Fraction`` appears only at the boundary: the constructor and
 :meth:`of` coerce through it, and the read-only properties ``re`` and
@@ -104,28 +100,7 @@ class GaussianRational:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        a, b, d = self._a, self._b, self._d
-        c, e, f = other._a, other._b, other._d
-        if d == f:
-            a += c
-            b += e
-            if d == 1:
-                return _make(a, b, 1)
-            g = gcd(d, a, b)
-            return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
-        g = gcd(d, f)
-        if g == 1:
-            # a prime of d*f divides exactly one of d, f: no common factor
-            return _make(a * f + c * d, b * f + e * d, d * f)
-        d1, f1 = d // g, f // g
-        a = a * f1 + c * d1
-        b = b * f1 + e * d1
-        d = d1 * f
-        # only the primes of gcd(d, f) can divide the sum
-        g = gcd(g, a, b)
-        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+        return _sum(triple(self), (1, 0, 1), triple(other))
 
     __radd__ = __add__
 
@@ -139,26 +114,7 @@ class GaussianRational:
         return GaussianRational.of(other) + (-self)
 
     def __mul__(self, other) -> "GaussianRational":
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.of(other)
-        a, b, d = self._a, self._b, self._d
-        c, e, f = other._a, other._b, other._d
-        if not e:
-            if not b:
-                a *= c
-                d *= f
-                if d == 1:
-                    return _make(a, 0, 1)
-                g = gcd(a, d)
-                return _make(a // g, 0, d // g) if g != 1 else _make(a, 0, d)
-            a, b = a * c, b * c
-        elif not b:
-            a, b = a * c, a * e
-        else:
-            a, b = a * c - b * e, a * e + b * c
-        d *= f
-        g = gcd(d, a, b)
-        return _make(a // g, b // g, d // g) if g != 1 else _make(a, b, d)
+        return _sum((0, 0, 1), triple(self), triple(other))
 
     __rmul__ = __mul__
 
@@ -230,6 +186,14 @@ def _make(a: int, b: int, d: int) -> GaussianRational:
     _set_b(g, b)
     _set_d(g, d)
     return g
+
+
+def _sum(x: tuple, factor: tuple, y: tuple) -> GaussianRational:
+    """x + factor * y as a scalar; a zero x or y stays out of add_multiple."""
+    h = {0: x} if x[0] or x[1] else {}
+    if y[0] or y[1]:
+        add_multiple(h, factor, ((0, y),))
+    return _make(*h.get(0, (0, 0, 1)))
 
 
 def triple(value) -> tuple[int, int, int]:

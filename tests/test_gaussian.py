@@ -137,8 +137,8 @@ def reference(op, a, b):
 
 @given(real_scalars, real_scalars, nonreal_scalars, nonreal_scalars)
 def test_operations_match_the_textbook_formulas(r1, r2, n1, n2):
-    # every pairing of real and non-real operands, so each fast path and
-    # the general path is exercised
+    # every pairing of real and non-real operands, so each real and
+    # Gaussian path of add_multiple and quotient is exercised
     ops = {"+": GaussianRational.__add__, "-": GaussianRational.__sub__,
            "*": GaussianRational.__mul__, "/": GaussianRational.__truediv__}
     for a, b in ((r1, r2), (r1, n2), (n1, r2), (n1, n2)):
@@ -238,7 +238,11 @@ def test_every_result_is_in_canonical_form(a, b, exponent):
         results.append(a ** exponent)
     for g in results:
         assert_canonical(g)
-    assert a - a == ZERO and a + (-a) == ZERO and a * ZERO == ZERO
+    # a zero operand gives the other operand or ZERO, stored as (0, 0, 1)
+    for x in (a, ZERO):
+        assert triple(x + 0) == triple(0 + x) == triple(x)
+        for z in (x * 0, 0 * x, ZERO * ZERO, x - x, x + (-x), x * ZERO):
+            assert z == ZERO and triple(z) == (0, 0, 1)
 
 
 def test_equal_values_from_different_inputs_are_equal():
@@ -258,37 +262,49 @@ kernel_scalars = st.one_of(operands, st.builds(GaussianRational, small_parts, sm
 term_dicts = st.dictionaries(st.integers(0, 7), kernel_scalars.filter(bool), max_size=6)
 
 
-def operator_loop(h, factor, terms):
-    """h[k] = h[k] + factor * c through the scalar operators, zeros dropped."""
+def reference_loop(h, factor, terms):
+    """h[k] += factor * c on (re, im) pairs of Fractions by the textbook
+    formulas, zeros dropped; independent of add_multiple and the operators."""
+    out = {k: (c.re, c.im) for k, c in h.items()}
     for k, c in terms:
-        s = h.get(k, ZERO) + factor * c
-        if s:
-            h[k] = s
+        p, q = reference("*", factor, c)
+        r, s = out.get(k, (0, 0))
+        if p + r or q + s:
+            out[k] = p + r, q + s
         else:
-            h.pop(k, None)
-    return h
+            out.pop(k, None)
+    return out
 
 
 def triples(terms):
     return {k: triple(c) for k, c in terms.items()}
 
 
+def parts(t):
+    """The (re, im) pair of Fractions of a canonical triple."""
+    a, b, d = t
+    return Fraction(a, d), Fraction(b, d)
+
+
 @settings(max_examples=300)
 @given(term_dicts, st.one_of(st.just(ZERO), kernel_scalars), term_dicts,
        st.sets(st.integers(0, 7)))
-def test_add_multiple_matches_the_operator_loop(h, factor, terms, cancel):
+def test_add_multiple_matches_the_textbook_formulas(h, factor, terms, cancel):
     # terms at the keys in cancel are chosen so that their sum with h is zero
     if factor:
         for k in cancel & h.keys() & terms.keys():
-            terms[k] = -h[k] / factor
-    expected = operator_loop(dict(h), factor, terms.items())
+            re, im = reference("/", h[k], factor)
+            terms[k] = GaussianRational(-re, -im)
+    expected = reference_loop(h, factor, terms.items())
     got = triples(h)
     assert add_multiple(got, triple(factor), triples(terms).items()) is got
-    assert list(got.items()) == list(triples(expected).items())  # keys, values and order
-    for a, b, d in got.values():
+    assert list(got) == list(expected)  # keys and their order
+    assert [parts(t) for t in got.values()] == list(expected.values())
+    scaled = add_multiple({}, triple(factor), triples(terms).items())
+    assert {k: parts(t) for k, t in scaled.items()} == {
+        k: reference("*", factor, c) for k, c in terms.items() if factor}
+    for a, b, d in [*got.values(), *scaled.values()]:
         assert (a or b) and d > 0 and gcd(a, b, d) == 1
-    assert add_multiple({}, triple(factor), triples(terms).items()) == {
-        k: triple(factor * c) for k, c in terms.items() if factor}
 
 
 def test_add_multiple_cancels_and_appends_in_order():

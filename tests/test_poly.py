@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
@@ -453,7 +453,7 @@ def test_pickle_and_copy_round_trip(text):
         assert copied._view is None  # caches are rebuilt, never carried over
 
 
-# -- triple storage against the scalar operators -------------------------------
+# -- triple storage against the textbook formulas ------------------------------
 
 def scalar_kinds(small=False):
     top = 3 if small else 9
@@ -474,21 +474,37 @@ def poly_pairs(draw):
     return draw(polys_in(nvars)), draw(polys_in(nvars))
 
 
+def parts(f):
+    """A Poly's terms as (re, im) pairs of Fractions."""
+    return {m: (c.re, c.im) for m, c in f.terms().items()}
+
+
+def times(x, y):
+    """The product of two (re, im) pairs, by the textbook formula."""
+    (p, q), (r, s) = x, y
+    return p * r - q * s, p * s + q * r
+
+
 def ref_combine(f, g, factor=1):
-    """f + factor * g through the GaussianRational operators on terms()."""
-    acc = f.terms()
-    for m, c in g.terms().items():
-        acc[m] = acc.get(m, GaussianRational()) + c * factor
-    return {m: c for m, c in acc.items() if c}
+    """f + factor * g on (re, im) pairs of Fractions, zeros dropped."""
+    acc = parts(f)
+    for m, c in parts(g).items():
+        p, q = times(c, (factor, 0))
+        r, s = acc.get(m, (0, 0))
+        acc[m] = r + p, s + q
+    return {m: c for m, c in acc.items() if any(c)}
 
 
 def ref_mul(f, g):
+    """The product of two term maps of (re, im) pairs, zeros dropped."""
     acc = {}
-    for m1, c1 in f.terms().items():
-        for m2, c2 in g.terms().items():
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             m = mono_mul(m1, m2)
-            acc[m] = acc.get(m, GaussianRational()) + c1 * c2
-    return {m: c for m, c in acc.items() if c}
+            p, q = times(c1, c2)
+            r, s = acc.get(m, (0, 0))
+            acc[m] = r + p, s + q
+    return {m: c for m, c in acc.items() if any(c)}
 
 
 def assert_triples(f):
@@ -502,26 +518,30 @@ def assert_triples(f):
 
 @settings(max_examples=150)
 @given(poly_pairs(), scalar_kinds(), st.integers(0, 3), st.integers(0, 5))
-def test_triples_match_the_scalar_operators(pair, s, e, jet):
+# negative pure imaginary coefficients, first and later, for the printer's signs
+@example((P("-i*x - 1/2*i*y^2"), P("(1-i)*x*y")), Fraction(-1, 2), 2, 1)
+def test_triples_match_the_textbook_formulas(pair, s, e, jet):
     f, g = pair
     n = f.nvars
-    power = {(0,) * n: GaussianRational(1)}
+    terms = parts(f)
+    power = {(0,) * n: (1, 0)}
     for _ in range(e):
-        power = ref_mul(Poly(n, power), f)
+        power = ref_mul(power, terms)
+    sg = GaussianRational.of(s)
     results = {
         "add": (f + g, ref_combine(f, g)),
         "sub": (f - g, ref_combine(f, g, -1)),
-        "mul": (f * g, ref_mul(f, g)),
+        "mul": (f * g, ref_mul(terms, parts(g))),
         "pow": (f ** e, power),
-        "scale": (f.scale(s), {m: c * s for m, c in f.terms().items() if s}),
-        "jet": (f.truncate_jet(jet), {m: c for m, c in f.terms().items() if sum(m) <= jet}),
-        "rebuilt": (Poly(n, f.terms()), f.terms()),
+        "scale": (f.scale(s), {m: times(c, (sg.re, sg.im)) for m, c in terms.items() if sg}),
+        "jet": (f.truncate_jet(jet), {m: c for m, c in terms.items() if sum(m) <= jet}),
+        "rebuilt": (Poly(n, f.terms()), terms),
     }
     for i in range(n):
         results[f"partial{i}"] = (f.partial(i), {
-            m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in f.terms().items() if m[i]})
+            m[:i] + (m[i] - 1,) + m[i + 1:]: times(c, (m[i], 0)) for m, c in terms.items() if m[i]})
     for name, (got, expected) in results.items():
-        assert got.terms() == expected, name
+        assert parts(got) == expected, name
         assert_triples(got)
     names = default_names(n)
     assert parse_poly(format_poly(f, names), names) == f

@@ -6,8 +6,10 @@ never touches that engine; it does degree-by-degree exact linear algebra on
 truncations and certifies its answer with the local Nakayama argument
 (m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
 quotient dimension are read off the pivot degrees of one row echelon that
-grows a degree layer at a time, each row entering once.  The two are kept
-apart on purpose so each can catch the other lying.
+grows a degree layer at a time, each row entering once; a pivot of one
+term with nothing above its degree (every row of a one-term generator, as
+in Brieskorn and Fermat Jacobians) is a shared mark, not a kept row.  The
+two are kept apart on purpose so each can catch the other lying.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from math import comb
 
 from ._record import record
-from .errors import InputError, ZeroPolynomialError
+from .errors import EngineError, InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, add_multiple, quotient
 from .localring import DEFAULT_MAX_STEPS, standard_basis
 from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
@@ -77,17 +79,26 @@ def is_isolated(f: Poly) -> bool:
 
 # -- the independent oracle --------------------------------------------------
 
+# The pivot of a row whose layer is one term with no term above its degree
+# d.  Its layer is empty from degree d + 1 on, so it needs no _Row, no
+# inverse, no replay and no reduction step recorded against it: a row whose
+# lead meets it just drops that term.
+ONE_TERM = object()
+
+
 class _Row:
     """One row mono*g of the layered echelon, kept so it can be rebuilt.
 
     ``layer`` holds the row's reduced terms of the current degree only.  Any
     later layer is the source's (``parts`` is g split by degree, shifted by
     ``shift`` of degree ``offset``) plus the ``steps`` multiples of their
-    pivots' layers, times ``inv`` once the row is a pivot (a one-term
-    pivot that leaves the replay at once needs none).  No term of degree
-    above ``top`` can appear.  Every coefficient here is an ``(a, b, d)``
-    triple, the parts g's own; every step and every scaling by ``inv`` is
-    one call of :func:`germinv.gaussian.add_multiple`.
+    pivots' layers, times ``inv`` once the row is a pivot.  No term of
+    degree above ``top`` can appear.  Only generators of two or more terms
+    have rows, and a row that reduces to one term with nothing above the
+    current degree is not kept: its pivot is :data:`ONE_TERM`.  Every
+    coefficient here is an ``(a, b, d)`` triple, the parts g's own; every
+    step and every scaling by ``inv`` is one call of
+    :func:`germinv.gaussian.add_multiple`.
     """
 
     __slots__ = ("shift", "offset", "parts", "steps", "inv", "top", "layer")
@@ -115,18 +126,23 @@ class _Row:
         self.layer = layer if inv is None else add_multiple({}, inv, layer.items())
 
     def reduce(self, pivots: dict, d: int) -> bool:
-        """Reduce the layer against the pivots; True if it becomes one."""
+        """Reduce the layer against the pivots; True if it becomes one that
+        stays in the replay.  A layer left with one term and nothing above
+        d becomes a :data:`ONE_TERM` mark instead, and the row is dropped."""
         layer = self.layer
         while layer:
             lead = min(layer)
             pivot = pivots.get(lead)
+            if pivot is ONE_TERM:
+                del layer[lead]
+                continue
             if pivot is None:
-                pivots[lead] = self
                 if len(layer) == 1 and self.top == d:
-                    self.layer = {lead: (1, 0, 1)}  # leaves the replay: no inverse needed
-                else:
-                    self.inv = inv = quotient((1, 0, 1), layer[lead])
-                    self.layer = add_multiple({}, inv, layer.items())
+                    pivots[lead] = ONE_TERM
+                    return False
+                pivots[lead] = self
+                self.inv = inv = quotient((1, 0, 1), layer[lead])
+                self.layer = add_multiple({}, inv, layer.items())
                 return True
             a, b, e = layer[lead]
             factor = -a, -b, e
@@ -152,13 +168,18 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
 
     Each row enters once, at its lowest degree, and holds only its terms of
     the current degree.  Moving to degree d rebuilds every pivot's layer
-    from its source and its reduction steps, in creation order; adds the
-    rows of lowest degree d; and resumes the pending rows, those that
-    cancelled in every degree so far.  A row with no term left at or above
-    d leaves the replay.  Layer d of every row is what an untruncated
-    echelon holds in degree d, and the lowest monomials of a span do not
-    depend on the row order, so the pivot counts per degree are those of a
-    fresh echelon of all rows truncated above d.
+    from its source and its reduction steps, in creation order; marks the
+    rows of lowest degree d of each one-term generator; adds the other rows
+    of lowest degree d; and resumes the pending rows, those that cancelled
+    in every degree so far.  A row with no term left at or above d leaves
+    the replay.  A mark is the :data:`ONE_TERM` pivot at the row's
+    monomial (a repeated monomial is the same row, dropped).  Marks are
+    placed before any degree-d row reduces, so no kept row holds that lead
+    yet, and a lead that meets a mark is simply deleted.  Layer d of every
+    row is what an untruncated echelon holds in degree d, and the lowest
+    monomials of a span do not depend on the row order, so the pivot
+    counts per degree are those of a fresh echelon of all rows truncated
+    above d.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -168,12 +189,17 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         if g.nvars != nvars:
             raise InputError("generators disagree on variable count")
     split = []
+    marks = []  # (degree, monomial) of each one-term generator
     for g in gens:
+        if len(g) == 1:
+            (m,) = g._terms
+            marks.append((mono_degree(m), m))
+            continue
         parts: dict[int, list] = {}
         for m, c in g._terms.items():
             parts.setdefault(mono_degree(m), []).append((m, c))
         split.append((g.order(), g.degree(), parts))
-    pivots: dict[Monomial, _Row] = {}
+    pivots: dict[Monomial, _Row | object] = {}
     replay: list[_Row] = []  # pivots that can still gain terms, in creation order
     pending: list[_Row] = []
     for d in range(dmax):
@@ -186,13 +212,17 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
                 live.append(row)
         for row in pending:
             row.rebuild(d)
+        below = len(pivots)  # the pivots below degree d: count before the marks
+        for low, m in marks:
+            if d >= low:
+                for shift in monomials_of_degree(nvars, d - low):
+                    pivots.setdefault(mono_mul(m, shift), ONE_TERM)
         # new rows reduce before the pending ones: the other way round is
         # slower on dense ideals
         rows = [_Row(shift, parts, d - low + high, d)
                 for low, high, parts in split if d >= low
                 for shift in monomials_of_degree(nvars, d - low)]
         rows += pending
-        below = len(pivots)
         replay, pending = live, []
         for row in rows:
             if row.reduce(pivots, d):
@@ -259,14 +289,31 @@ class GermInvariants:
     semihomogeneous: bool
 
 
+def _check_bounds(f: Poly, mu: int | None):
+    """Raise EngineError unless (order-1)^n <= mu <= (degree-1)^n.
+
+    Every isolated germ obeys both bounds: the lower is Fulton,
+    Intersection Theory, Cor. 12.4 (the n partials have order >= order-1),
+    the upper refined Bezout, Ex. 12.3.1 (they have degree <= degree-1).
+    A finite mu outside them can only come from a faulty engine.
+    """
+    if mu is None:
+        return
+    low, high = (f.order() - 1) ** f.nvars, (f.degree() - 1) ** f.nvars
+    if not low <= mu <= high:
+        raise EngineError(f"mu = {mu} is outside the a-priori bounds {low} <= mu <= {high}")
+
+
 def germ_invariants(f: Poly) -> GermInvariants:
     """mu, order, degree and class of f, from one standard basis.
 
     The class needs no second basis on the initial form: by the
     inequality on GermInvariants, f is semihomogeneous iff
-    mu == (order-1)^nvars.
+    mu == (order-1)^nvars.  A mu outside the a-priori bounds raises
+    EngineError.
     """
     mu = milnor_number(f).mu
+    _check_bounds(f, mu)
     order = f.order()
     semihomogeneous = order >= 2 and mu == (order - 1) ** f.nvars
     return GermInvariants(f.nvars, order, f.degree(), mu, semihomogeneous)
@@ -274,22 +321,28 @@ def germ_invariants(f: Poly) -> GermInvariants:
 
 def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
                        dmax: int | None = None) -> MilnorResult:
-    """Dispatcher used by the CLI; method names are part of the wire format."""
+    """Dispatcher used by the CLI; method names are part of the wire format.
+
+    A mu outside the a-priori bounds raises EngineError, whatever the method.
+    """
     if dmax is not None and dmax < 0:
         raise InputError(f"dmax must be non-negative, got {dmax}")
     if dmax is not None and dmax > MAX_ORACLE_DMAX:
         raise InputError(f"dmax above the maximum of {MAX_ORACLE_DMAX}")
     if method == METHOD_STANDARD_BASIS:
-        return milnor_number(f)
-    if method == METHOD_ORACLE:
+        result = milnor_number(f)
+    elif method == METHOD_ORACLE:
         mu = milnor_oracle(f, DEFAULT_ORACLE_DMAX if dmax is None else dmax)
         note = None
         if mu is None:
             note = "no stabilization within dmax: not isolated, or dmax too small"
-        return MilnorResult(mu, METHOD_ORACLE, None, note)
-    if method == METHOD_FAST:
-        return MilnorResult(milnor_semihomogeneous(f), METHOD_FAST, None)
-    raise InputError(f"unknown milnor method {method!r}")
+        result = MilnorResult(mu, METHOD_ORACLE, None, note)
+    elif method == METHOD_FAST:
+        result = MilnorResult(milnor_semihomogeneous(f), METHOD_FAST, None)
+    else:
+        raise InputError(f"unknown milnor method {method!r}")
+    _check_bounds(f, result.mu)
+    return result
 
 
 # -- local data at points away from the origin -------------------------------

@@ -8,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 
 import germinv
+from germinv import milnor
 from germinv.cli import main
 from germinv.milnor import MAX_ORACLE_DMAX
 from germinv.poly import MAX_TERMS
@@ -652,6 +654,36 @@ def test_empty_option_value_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert message in err
+    assert not out
+
+
+@pytest.mark.parametrize("offset", [-3, 4], ids=["below", "above"])
+@pytest.mark.parametrize("argv", [
+    ("milnor", "x^3 + y^4"),
+    ("discriminate", "x^3 + y^4", "x^3 + y^3"),
+], ids=["milnor", "discriminate"])
+def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, offset):
+    # 4 <= mu <= 9 for x^3 + y^4 (true mu 6), mu = 4 for x^3 + y^3: an
+    # engine off by -3 or +4 breaks (order-1)^n <= mu <= (degree-1)^n
+    engine = milnor.standard_basis
+
+    def off(gens, **options):
+        result = engine(gens, **options)
+        return SimpleNamespace(quotient_dim=result.quotient_dim + offset,
+                               staircase=result.staircase)
+
+    monkeypatch.setattr(milnor, "standard_basis", off)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "outside the a-priori bounds" in err
+    assert not out
+
+
+def test_an_oracle_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(milnor, "truncated_dim_oracle", lambda gens, dmax: 10)
+    code, out, err = run(capsys, "milnor", "x^3 + y^4", "--method", "truncated-oracle")
+    assert code == 3
+    assert "outside the a-priori bounds 4 <= mu <= 9" in err
     assert not out
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from germinv import milnor
 from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS
 from germinv.errors import InputError
 from germinv.gaussian import GaussianRational
@@ -383,8 +384,34 @@ def small_ideals(draw):
 @example(list(Poly(3, {(4, 0, 1): Fraction(1, 5), (1, 0, 3): Fraction(1, 2),
                        (0, 1, 2): Fraction(5, 6), (2, 2, 0): Fraction(5, 4),
                        (0, 3, 1): Fraction(-1, 5)}).jacobian()), 9)
+# one-term generators: their rows are bare pivot marks.  A mark that meets
+# a kept row's lead (y^2 against y^2 + x*y); two generators marking the same
+# monomial (x^2*y from x^2 and x*y); a Gaussian coefficient; a constant
+@example([P("y^2 + x*y"), P("y^2")], 9)
+@example([P("y^2 + x*y"), P("y^2"), P("x^3")], 9)
+@example([P("x^2"), P("x*y"), P("y^3")], 9)
+@example([P("(1+i)*x^3"), P("y^2")], 9)
+@example([P("3"), P("x")], 9)
 def test_oracle_matches_the_per_horizon_specification(gens, dmax):
     assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
+
+
+def test_one_term_generators_build_no_rows(monkeypatch):
+    built = []
+
+    class CountedRow(milnor._Row):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(milnor, "_Row", CountedRow)
+    # a Brieskorn Jacobian has only one-term generators: every row is a mark
+    assert milnor_oracle(P("x^5 + y^7 + z^4", XYZ), oracle_dmax_for(72)) == 72
+    assert not built
+    assert milnor_oracle(P("x^2*y^2 + x^5 + y^5"), oracle_dmax_for(11)) == 11
+    assert built
 
 
 def test_fermat_grid_small():

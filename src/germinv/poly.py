@@ -17,6 +17,11 @@ The parser is the one reader of names and scalars: a name is one token of
 its grammar (a letter or ``_``, then letters, digits or ``_``, in any
 script), :func:`variable_names` lists those an expression mentions, and
 :func:`parse_scalar` reads a scalar as an expression without variables.
+Each text is lexed once, by one regular expression, into a token list; a
+character the grammar refuses ends the list as an error token, raised only
+when the parser reaches it.  A number literal becomes its triple directly,
+every summand of a sum is added into one term dict, and a power of a
+one-term polynomial is formed from its exponents, with no products.
 
 Terms are iterated and printed in graded lexicographic order: ascending
 total degree, and within one degree descending lexicographically in the
@@ -26,7 +31,7 @@ order upward.  ``parse_poly(str(f), names) == f`` holds for every f.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from math import comb, gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -273,6 +278,12 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative exponent")
+        if len(self._terms) == 1:  # c*x^m: (c^e)*x^(e*m), with no products
+            ((mono, c),) = self._terms.items()
+            if c != (1, 0, 1):
+                c = (c[0] ** exponent, 0, c[2] ** exponent) if not c[1] \
+                    else triple(_make(*c) ** exponent)
+            return Poly._clean(self.nvars, {tuple(e * exponent for e in mono): c})
         result = Poly.constant(self.nvars, 1)
         base, e = self, exponent
         while e:
@@ -435,53 +446,42 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"z{i + 1}" for i in range(nvars))
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# One token after optional whitespace: an operator, a number (digits, and
+# /digits for a rational literal), or a name (a word character that is not
+# a digit, then word characters).  Nothing matched there means the end of
+# the text or a character the grammar refuses.
+_TOKEN = re.compile(r"\s*(?:([-+*^()])|(\d+(?:/\d+)?)|([^\W\d]\w*))?")
+_KINDS = (None, "op", "number", "name")
 
-    def peek(self):
-        text, n = self.text, len(self.text)
-        pos = self.pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        if pos >= n:
-            return ("end", "", pos)
-        ch = text[pos]
-        if ch in "+-*^()":
-            return ("op", ch, pos)
-        if ch.isdecimal():
-            end = pos
-            while end < n and text[end].isdecimal():
-                end += 1
-            # A rational literal may continue with /denominator.
-            if end < n and text[end] == "/":
-                d = end + 1
-                if d < n and text[d].isdecimal():
-                    end = d
-                    while end < n and text[end].isdecimal():
-                        end += 1
-            return ("number", text[pos:end], pos)
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            return ("name", text[pos:end], pos)
-        raise ParseError(f"unexpected character {ch!r}", pos)
 
-    def take(self):
-        kind, value, pos = self.peek()
-        self.pos = pos + len(value)
-        return kind, value, pos
+def _starts_name(text: str) -> bool:
+    """A name starts with a letter or '_'; \\w also holds characters such
+    as '²' or '½' that are neither, and those are refused."""
+    return text[0].isalpha() or text[0] == "_"
+
+
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, position) tokens of text, read in one pass.  The
+    last is ("end", "", len(text)), or an ("error", message, position)
+    token at the first character the grammar refuses, which raises only
+    when a parser reaches it."""
+    tokens, pos, match = [], 0, _TOKEN.match
+    while True:
+        m = match(text, pos)
+        group = m.lastindex
+        if group is None or group == 3 and not _starts_name(m[3]):
+            at = m.start(group) if group else m.end()
+            tokens.append(("error", f"unexpected character {text[at]!r}", at)
+                          if at < len(text) else ("end", "", at))
+            return tokens
+        tokens.append((_KINDS[group], m[group], m.start(group)))
+        pos = m.end()
 
 
 def _is_name(text: str) -> bool:
     """True iff text is exactly one name token."""
-    try:
-        return _Tokenizer(text).peek()[:2] == ("name", text)
-    except ParseError:
-        return False
+    m = _TOKEN.match(text)
+    return m[3] == text and _starts_name(text)
 
 
 def exceeds_digits(top: int, e: int = 1) -> bool:
@@ -495,6 +495,9 @@ def _bounded(size: int, den: int, pos: int, e: int = 1) -> tuple[int, int]:
     if exceeds_digits(max(size, den), e):
         raise ParseError(f"coefficient above the maximum of {MAX_DIGITS} digits", pos)
     return size ** e, den ** e
+
+
+_PLUS, _MINUS = (1, 0, 1), (-1, 0, 1)
 
 
 class _Parser:
@@ -518,44 +521,56 @@ class _Parser:
             if name in seen:
                 raise InputError(f"duplicate variable name {name!r}")
             seen.add(name)
-        self.toks = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.at = 0  # the index of the next token
         self.names = {name: idx for idx, name in enumerate(names)}
         self.nvars = len(names) or 1  # parse_scalar: a constant no name reaches
 
+    def peek(self) -> tuple[str, str, int]:
+        token = self.tokens[self.at]
+        if token[0] == "error":
+            raise ParseError(token[1], token[2])
+        return token
+
+    def take(self) -> tuple[str, str, int]:
+        token = self.peek()
+        self.at += 1
+        return token
+
     def parse(self) -> Poly:
         poly, _, _ = self.expr()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
         return poly
 
     def expr(self) -> tuple[Poly, int, int]:
-        kind, value, pos = self.toks.peek()
-        negate = False
+        """All summands go into one dict, each added with factor +1 or -1."""
+        kind, value, pos = self.peek()
+        sign = _PLUS
         if kind == "op" and value in "+-":
-            self.toks.take()
-            negate = value == "-"
+            self.take()
+            sign = _MINUS if value == "-" else _PLUS
         poly, size, den = self.term()
-        if negate:
-            poly = -poly
+        terms = add_multiple({}, sign, poly._terms.items())
         while True:
-            kind, value, pos = self.toks.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
-                self.toks.take()
+                self.take()
                 rhs, size2, den2 = self.term()
                 common = lcm(den, den2)
                 size, den = _bounded(size * (common // den) + size2 * (common // den2),
                                      common, pos)
-                poly = poly - rhs if value == "-" else poly + rhs
+                add_multiple(terms, _MINUS if value == "-" else _PLUS, rhs._terms.items())
             else:
-                return poly, size, den
+                return Poly._clean(self.nvars, terms), size, den
 
     def term(self) -> tuple[Poly, int, int]:
         poly, size, den = self.factor()
         while True:
-            kind, value, pos = self.toks.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "*":
-                self.toks.take()
+                self.take()
                 rhs, size2, den2 = self.factor()
                 if poly and rhs:
                     self._check_expansion(len(poly) * len(rhs), poly.order() + rhs.order(),
@@ -567,10 +582,10 @@ class _Parser:
 
     def factor(self) -> tuple[Poly, int, int]:
         base, size, den = self.atom()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "^":
-            self.toks.take()
-            kind, value, pos = self.toks.peek()
+            self.take()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "-":
                 raise ParseError("negative exponent", pos)
             if kind != "number" or "/" in value:
@@ -578,7 +593,7 @@ class _Parser:
             digits = value.lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the maximum of {MAX_EXPONENT}", pos)
-            self.toks.take()
+            self.take()
             e = int(value)
             if base and e > 1:
                 self._check_expansion(comb(len(base) + e - 1, e), base.order() * e,
@@ -603,27 +618,33 @@ class _Parser:
             raise ParseError(f"expansion of up to {bound} terms above the maximum of "
                              f"{MAX_TERMS}", pos)
 
+    def _constant(self, c: tuple) -> Poly:
+        return Poly._clean(self.nvars, {(0,) * self.nvars: c} if c[0] or c[1] else {})
+
     def atom(self) -> tuple[Poly, int, int]:
-        kind, value, pos = self.toks.take()
+        kind, value, pos = self.take()
         if kind == "number":
+            # the literal p or p/q as the canonical triple (p, 0, q)
+            num, _, den = value.partition("/")
             try:
-                number = Fraction(value)
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {value!r}", pos) from None
+                p, q = int(num), int(den or 1)
             except ValueError:  # more digits than int() converts
                 raise ParseError(f"number literal of {len(value)} characters is too long",
                                  pos) from None
-            return (Poly.constant(self.nvars, number), number.numerator,
-                    number.denominator)
+            if not q:
+                raise ParseError(f"zero denominator in {value!r}", pos)
+            g = gcd(p, q)
+            p, q = p // g, q // g
+            return self._constant((p, 0, q)), p, q
         if kind == "name":
             if value == "i":
-                return Poly.constant(self.nvars, GaussianRational(0, 1)), 1, 1
+                return self._constant((0, 1, 1)), 1, 1
             if value in self.names:
                 return Poly.variable(self.nvars, self.names[value]), 1, 1
             raise ParseError(f"unknown variable {value!r}", pos)
         if kind == "op" and value == "(":
             bounded = self.expr()
-            kind, value, pos = self.toks.take()
+            kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
                 raise ParseError("expected ')'", pos)
             return bounded
@@ -664,10 +685,12 @@ def variable_names(text: str) -> set[str]:
     """The variable names an expression mentions: its name tokens other
     than ``i``. Raises :class:`ParseError` at a character the parser
     refuses."""
-    toks, names = _Tokenizer(text), set()
-    while (token := toks.take())[0] != "end":
-        if token[0] == "name":
-            names.add(token[1])
+    names = set()
+    for kind, value, pos in _tokens(text):
+        if kind == "error":
+            raise ParseError(value, pos)
+        if kind == "name":
+            names.add(value)
     names.discard("i")
     return names
 

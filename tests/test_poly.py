@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from germinv import poly
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
 from germinv.localring import ecart
@@ -143,7 +144,35 @@ def test_parse_literals_and_precedence():
     assert P("(x + y)^2") == P("x^2 + 2*x*y + y^2")
     assert P("x - y - y") == P("x - 2*y")
     assert P("3/2*x") == Poly.monomial(2, (1, 0), Fraction(3, 2))
+    assert P("6/4*x - 0/3 + 0") == P("3/2*x")  # literals in lowest terms
     assert P("i^2") == Poly.constant(2, -1)
+
+
+def repeated_product(f, e):
+    result = Poly.constant(f.nvars, 1)
+    for _ in range(e):
+        result = result * f
+    return result
+
+
+@pytest.mark.parametrize("coeff", [1, -3, Fraction(-2, 3), GaussianRational(Fraction(1, 2), -2),
+                                   GaussianRational(0, -1)])
+def test_a_one_term_power_equals_repeated_multiplication(coeff):
+    f = Poly.monomial(2, (1, 2), coeff)
+    for e in (0, 1, 2, 7):
+        assert f ** e == repeated_product(f, e)
+        assert_triples(f ** e)
+    x = Poly.variable(2, 0)
+    assert x ** MAX_EXPONENT == repeated_product(x, MAX_EXPONENT) == P(f"x^{MAX_EXPONENT}")
+
+
+def test_sums_cancel_and_keep_the_order_of_repeated_additions():
+    for text in ("x - x", "-x + x", "-(x - y) + x - y"):
+        assert P(text) == Poly.zero(2) and not P(text)._terms
+    assert P(" + ".join(["x"] * 2000)) == P("2000*x")
+    # a cancelled term comes back last, as it does through Poly.__add__
+    assert list(P("x + y - x + x").monomials()) == [(0, 1), (1, 0)]
+    assert list((P("x") + P("y") - P("x") + P("x")).monomials()) == [(0, 1), (1, 0)]
 
 
 def test_parse_round_trip_examples():
@@ -246,6 +275,112 @@ def test_variable_names_reads_name_tokens():
     assert variable_names("1 + i") == set()
 
 
+class ReferenceTokenizer:
+    """The specification of the lexer, one character at a time: skip
+    whitespace; an operator; decimal digits, with /digits when a decimal
+    digit follows the '/'; a letter or '_' and then letters, digits or '_';
+    anything else raises where it stands."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        text, n = self.text, len(self.text)
+        pos = self.pos
+        while pos < n and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        if pos >= n:
+            return ("end", "", pos)
+        ch = text[pos]
+        if ch in "+-*^()":
+            return ("op", ch, pos)
+        if ch.isdecimal():
+            end = pos
+            while end < n and text[end].isdecimal():
+                end += 1
+            if end < n and text[end] == "/":
+                d = end + 1
+                if d < n and text[d].isdecimal():
+                    end = d
+                    while end < n and text[end].isdecimal():
+                        end += 1
+            return ("number", text[pos:end], pos)
+        if ch.isalpha() or ch == "_":
+            end = pos
+            while end < n and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            return ("name", text[pos:end], pos)
+        raise ParseError(f"unexpected character {ch!r}", pos)
+
+    def take(self):
+        kind, value, pos = self.peek()
+        self.pos = pos + len(value)
+        return kind, value, pos
+
+
+class ReferenceParser(poly._Parser):
+    """The grammar, reading its tokens lazily from the specification."""
+
+    def __init__(self, text, names):
+        super().__init__("", names)  # the names' checks, with no token read
+        self.reference = ReferenceTokenizer(text)
+
+    def peek(self):
+        return self.reference.peek()
+
+    def take(self):
+        return self.reference.take()
+
+
+def reference_variable_names(text):
+    toks, names = ReferenceTokenizer(text), set()
+    while (token := toks.take())[0] != "end":
+        if token[0] == "name":
+            names.add(token[1])
+    return names - {"i"}
+
+
+def reference_is_name(text):
+    try:
+        return ReferenceTokenizer(text).peek()[:2] == ("name", text)
+    except ParseError:
+        return False
+
+
+def outcome(call, *args):
+    try:
+        return "value", call(*args)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# ASCII operators, digits, letters, '/', whitespace, and Unicode digits of
+# other scripts, superscripts, fractions, Roman numerals, a no-break space,
+# a separator control and characters the grammar refuses
+lexer_text = st.text(st.sampled_from(
+    list("+-*^()0123456789xyzai_/ \t") + ["\u0663", "\u0661", "\U0001d7d8", "\u00b2", "\u00bd",
+                                          "\u2177", "\u2163", "\u00a0", "\x1c", "$", "."]),
+    max_size=14)
+
+
+@settings(max_examples=400)
+@given(lexer_text)
+@example("y\u00b2^2")
+@example("x + \u00b2")
+@example("1 / 2")
+@example(" x")
+@example("a + b $ c")
+@example("3^2 ")
+def test_the_one_pass_lexer_matches_the_char_by_char_specification(text):
+    names = ("x", "y", "a")
+    assert outcome(parse_poly, text, names) == outcome(
+        lambda t, n: ReferenceParser(t, n).parse(), text, names)
+    assert outcome(variable_names, text) == outcome(reference_variable_names, text)
+    assert poly._is_name(text) == reference_is_name(text)
+
+
 def test_parse_scalar():
     assert parse_scalar(" -3/4 ") == GaussianRational(Fraction(-3, 4))
     assert parse_scalar("(1 + i)^2 - 1/2") == GaussianRational(Fraction(-1, 2), 2)
@@ -261,6 +396,8 @@ def test_parse_caps_coefficient_digits_before_forming_them():
     # at the cap: 4300 digits each, and printable
     assert format_poly(P("10^4299*x"), XY) == f"{limit // 10}*x"
     assert format_poly(P("(1/4)^7142*x"), XY) == f"1/{4 ** 7142}*x"
+    # a literal is bounded in lowest terms: 2^10000 has 3011 digits, 4^10000 6021
+    assert P("(4/2)^10000") == P("2^10000")
     assert P("(10^2150 + x)*(10^2149 + y)").constant_term() == GaussianRational(limit // 10)
     big = "7" * MAX_DIGITS
     for text, position in (("x + 10^4300", 7), ("x + (1/4)^7143", 10),

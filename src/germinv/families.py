@@ -147,10 +147,6 @@ class MuProfile:
     mu_at_zero: int | None
     jump: int | None
 
-    def is_constant(self) -> bool:
-        values = {s.mu for s in self.samples}
-        return len(values) == 1 and None not in values
-
 
 def _mu_of(f: Poly) -> tuple[int | None, str]:
     if not f:

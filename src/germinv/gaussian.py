@@ -140,9 +140,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self._a or self._b)
 
-    def conjugate(self) -> "GaussianRational":
-        return _make(self._a, -self._b, self._d)
-
     def norm_sq(self) -> Fraction:
         """|a+bi|^2 = a^2 + b^2, as an exact Fraction."""
         a, b, d = self._a, self._b, self._d

@@ -54,19 +54,11 @@ from itertools import product as iter_product
 from operator import add, le, sub
 
 from ._record import record
-from .errors import IterationLimitError, ZeroPolynomialError
-from .gaussian import GaussianRational, _make, add_multiple, quotient
+from .errors import InputError, IterationLimitError, ZeroPolynomialError
+from .gaussian import add_multiple, quotient
 from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
 
 DEFAULT_MAX_STEPS = 200_000
-
-
-def local_key(mono: Monomial):
-    """Sort key; larger key means larger monomial in the local order.
-
-    It is the componentwise negation of the index key (degree, e_n, ..., e_1)
-    that :func:`_view` sorts terms by."""
-    return (-mono_degree(mono), tuple(-e for e in reversed(mono)))
 
 
 def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
@@ -88,17 +80,6 @@ def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, i
 
 def leading_monomial(f: Poly) -> Monomial:
     return _view(f)[0][0][:0:-1]
-
-
-def leading_term(f: Poly) -> tuple[Monomial, GaussianRational]:
-    keys, coeffs = _view(f)
-    return keys[0][:0:-1], _make(*coeffs[0])
-
-
-def ecart(f: Poly) -> int:
-    """deg(f) - deg(LM(f)) >= 0; zero exactly for homogeneous f."""
-    keys = _view(f)[0]
-    return keys[-1][0] - keys[0][0]
 
 
 class _Budget:
@@ -217,10 +198,6 @@ class StandardBasisResult:
     staircase: frozenset[Monomial] | None
 
     @property
-    def finite(self) -> bool:
-        return self.staircase is not None
-
-    @property
     def quotient_dim(self) -> int | None:
         return None if self.staircase is None else len(self.staircase)
 
@@ -280,9 +257,10 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     """Mora's completion of the generators to a standard basis.
 
     Zero generators are dropped.  An empty ideal (all generators zero)
-    yields an empty basis with infinite staircase.  Completion uses the
-    product criterion and picks pairs by smallest lcm degree, so the run
-    is deterministic for a given input order.
+    yields an empty basis with infinite staircase.  No generators at all,
+    or generators in different numbers of variables, raise InputError.
+    Completion uses the product criterion and picks pairs by smallest lcm
+    degree, so the run is deterministic for a given input order.
 
     Whenever the leading monomials found so far have a finite staircase,
     its highest corner k = 1 + (top staircase degree) bounds the work:
@@ -296,8 +274,10 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     """
     gens = list(gens)
     if not gens:
-        raise ValueError("standard_basis needs at least one generator")
+        raise InputError("standard_basis needs at least one generator")
     nvars = gens[0].nvars
+    if any(g.nvars != nvars for g in gens):
+        raise InputError("generators disagree on variable count")
     budget = _Budget(max_steps)
     basis: list[Poly] = [_monic(g) for g in gens if g]
     if not basis:

@@ -176,10 +176,6 @@ class SSequence:
             "duplicate s-sequence index",
         ))
 
-    @staticmethod
-    def from_map(values: dict[int, int]) -> "SSequence":
-        return SSequence(tuple(values.items()))
-
     def total(self) -> int:
         return sum(s for _, s in self.entries)
 
@@ -215,7 +211,7 @@ def invert_lefschetz(lam: Sequence[int]) -> SSequence:
         s_k = sum(mobius(k // d) * lam[d - 1] for d in divisors(k))
         if s_k:
             values[k] = s_k
-    return SSequence.from_map(values)
+    return SSequence(tuple(values.items()))
 
 
 def milnor_from_s(s: SSequence, n: int) -> int:

@@ -57,11 +57,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_quotient(b: Monomial, a: Monomial) -> Monomial:
-    """Exponent vector of x^b / x^a; caller guarantees divisibility."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -152,19 +147,8 @@ class Poly:
 
     # -- structural queries ------------------------------------------------
 
-    def items(self) -> list[tuple[Monomial, GaussianRational]]:
-        """Terms in canonical graded-lex order (a fresh list)."""
-        return [(m, _make(*self._terms[m])) for m in sorted(self._terms, key=grlex_key)]
-
     def terms(self) -> dict[Monomial, GaussianRational]:
         return {m: _make(*c) for m, c in self._terms.items()}
-
-    def monomials(self):
-        """The exponent vectors present, as a read-only view (no copy)."""
-        return self._terms.keys()
-
-    def support(self) -> frozenset[Monomial]:
-        return frozenset(self._terms)
 
     def coeff(self, mono: Monomial) -> GaussianRational:
         return _make(*self._terms.get(tuple(mono), (0, 0, 1)))
@@ -379,20 +363,6 @@ class Poly:
             raise InputError("direction vector must have a nonzero entry")
         t = Poly.variable(1, 0)
         return self.substitute([t.scale(v) for v in direction])
-
-    def linear_change(self, matrix: Sequence[Sequence]) -> "Poly":
-        """f(M z) for a square matrix of scalars acting on the variables."""
-        if len(matrix) != self.nvars:
-            raise InputError("matrix size does not match variable count")
-        images = []
-        for row in matrix:
-            if len(row) != self.nvars:
-                raise InputError("matrix is not square")
-            img = Poly.zero(self.nvars)
-            for j, entry in enumerate(row):
-                img = img + Poly.variable(self.nvars, j).scale(entry)
-            images.append(img)
-        return self.substitute(images)
 
     # -- printing ----------------------------------------------------------
 

@@ -38,10 +38,6 @@ class VectorField:
             raise InputError("the zero vector field has no invariants")
         object.__setattr__(self, "components", components)
 
-    @property
-    def nvars(self) -> int:
-        return self.components[0].nvars
-
 
 def vf_multiplicity(field: VectorField) -> int:
     """Smallest order among the nonzero components."""

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import settings
 
 from germinv import milnor
+from germinv.poly import Poly
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
@@ -31,6 +32,23 @@ def standard_basis_calls(monkeypatch):
 
     monkeypatch.setattr(milnor, "standard_basis", counted)
     return calls
+
+
+# unimodular integer matrices: each is an invertible change of coordinates
+# over the integers, so exact arithmetic keeps every comparison strict
+UNIMODULAR_CHANGES = (
+    ((1, 1), (0, 1)),
+    ((1, 0), (2, 1)),
+    ((2, 1), (1, 1)),
+    ((1, -1), (1, 1)),
+)
+
+
+def linear_change(f, matrix):
+    """f(M z) for a square matrix M of scalars acting on the variables."""
+    n = f.nvars
+    return f.substitute([sum((Poly.variable(n, j).scale(a) for j, a in enumerate(row)),
+                             Poly.zero(n)) for row in matrix])
 
 
 _FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",

@@ -119,7 +119,7 @@ def test_criterion_05_moebius_inversion_round_trip():
     for _ in range(500):
         support = rng.sample(range(1, 25), rng.randint(0, 6))
         values = {i: rng.randint(-100, 100) for i in support}
-        s = SSequence.from_map(values)
+        s = SSequence(tuple(values.items()))
         horizon = max((i for i, _ in s.entries), default=1)
         lam = lefschetz_from_s(s, horizon)
         assert invert_lefschetz(lam) == s
@@ -267,7 +267,7 @@ def test_criterion_08_rescaling_profiles():
         if not germ.semihomogeneous:
             continue
         profile = mu_profile(rescaling_family(germ.poly()))
-        assert profile.is_constant(), germ.name
+        assert len({s.mu for s in profile.samples}) == 1, germ.name
         assert profile.jump == 0, germ.name
     degenerating = GermFamily(
         (FamilyPiece(P("x^3 + y^3"), 0), FamilyPiece(P("x*y"), 1))

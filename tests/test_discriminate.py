@@ -4,6 +4,8 @@ and the cone criterion that upgrades it to an equimultiplicity certificate."""
 import json
 
 import pytest
+from conftest import UNIMODULAR_CHANGES, linear_change
+from test_milnor import KNOWN
 
 from germinv.corpus import ISOLATED_GERMS
 from germinv.equising import (
@@ -26,10 +28,11 @@ from germinv.equising import (
     discriminate,
 )
 from germinv.errors import InputError
-from germinv.milnor import germ_invariants
+from germinv.milnor import germ_invariants, milnor_number, milnor_oracle, oracle_dmax_for
 from germinv.poly import fermat, parse_poly
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def P(text, names=XY):
@@ -188,6 +191,37 @@ def test_self_comparison_never_rules_out():
         f = germ.poly()
         report = discriminate(f, f)
         assert report.verdict != NOT_EQUISINGULAR, germ.name
+
+
+# -- soundness: topologically equivalent pairs are never ruled out ------------
+
+def assert_never_ruled_out(f, g):
+    assert discriminate(f, g).verdict != NOT_EQUISINGULAR, (str(f), str(g))
+    assert discriminate(g, f).verdict != NOT_EQUISINGULAR, (str(g), str(f))
+
+
+def test_linear_changes_of_coordinates_are_never_ruled_out():
+    for text, names, _ in KNOWN[:6]:
+        f = P(text, names)
+        for matrix in UNIMODULAR_CHANGES:
+            assert_never_ruled_out(f, linear_change(f, matrix))
+
+
+def test_semiquasihomogeneous_deformation_is_never_ruled_out():
+    # x^2*y^2 lies above the Newton diagonal of x^3 + y^4 (weight 7/6 > 1)
+    assert_never_ruled_out(P("x^3 + y^4"), P("x^3 + y^4 + x^2*y^2"))
+
+
+def test_briancon_speder_pair_is_never_ruled_out():
+    # F_t = z^5 + t*y^6*z + y^7*x + x^15 is quasihomogeneous of weights
+    # (1/15, 2/15, 1/5) for every t, so F_0 and F_1 are topologically
+    # equivalent, with mu = 14 * 13/2 * 4 = 364 (Briançon & Speder 1975)
+    f0 = P("z^5 + y^7*x + x^15", XYZ)
+    f1 = P("z^5 + y^6*z + y^7*x + x^15", XYZ)
+    for f in (f0, f1):
+        assert milnor_number(f).mu == 364
+        assert milnor_oracle(f, dmax=oracle_dmax_for(364)) == 364
+    assert_never_ruled_out(f0, f1)
 
 
 def test_non_isolated_inputs_are_rejected_with_diagnosis():

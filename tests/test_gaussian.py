@@ -76,9 +76,8 @@ def test_division_by_zero_raises():
 
 def test_conjugate_and_norm():
     a = gq(3, -4)
-    assert a.conjugate() == gq(3, 4)
     assert a.norm_sq() == Fraction(25)
-    assert (a * a.conjugate()) == gq(25)
+    assert (a * gq(a.re, -a.im)) == gq(25)
 
 
 def test_is_rational_and_truthiness():
@@ -113,7 +112,7 @@ def test_field_inverses(a):
 
 @given(scalars)
 def test_norm_is_multiplicative_with_conjugate(a):
-    assert a * a.conjugate() == GaussianRational(a.norm_sq(), 0)
+    assert a * GaussianRational(a.re, -a.im) == GaussianRational(a.norm_sq(), 0)
 
 
 # -- the scalar contract -------------------------------------------------------
@@ -231,7 +230,7 @@ def assert_canonical(g):
 @given(operands, operands, st.integers(-4, 6))
 def test_every_result_is_in_canonical_form(a, b, exponent):
     assert_canonical(a)
-    results = [a + b, a - b, a * b, -a, a.conjugate(), a + 1, 1 - a, a * 3, 2 / (a or ONE)]
+    results = [a + b, a - b, a * b, -a, GaussianRational(a.re, -a.im), a + 1, 1 - a, a * 3, 2 / (a or ONE)]
     if b:
         results.append(a / b)
     if a or exponent >= 0:

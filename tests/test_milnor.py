@@ -4,6 +4,7 @@ the closed form for germs with a nondegenerate leading form."""
 from fractions import Fraction
 
 import pytest
+from conftest import UNIMODULAR_CHANGES, linear_change
 from hypothesis import example, given, settings, strategies as st
 
 from germinv import milnor
@@ -191,17 +192,10 @@ def test_staircase_comes_back_with_the_engine():
 
 
 def test_coordinate_invariance_under_linear_changes():
-    # unimodular integer matrices, exact arithmetic keeps this strict
-    changes = [
-        ((1, 1), (0, 1)),
-        ((1, 0), (2, 1)),
-        ((2, 1), (1, 1)),
-        ((1, -1), (1, 1)),
-    ]
     for text, names, mu in KNOWN[:6]:
         f = parse_poly(text, names)
-        for matrix in changes:
-            assert milnor_number(f.linear_change(matrix)).mu == mu
+        for matrix in UNIMODULAR_CHANGES:
+            assert milnor_number(linear_change(f, matrix)).mu == mu
 
 
 def test_semihomogeneous_predicate():

@@ -179,7 +179,7 @@ def test_inversion_round_trip_on_the_cusp():
     )
 )
 def test_inversion_round_trip_random(values):
-    s = SSequence.from_map(values)
+    s = SSequence(tuple(values.items()))
     horizon = max((i for i, _ in s.entries), default=1)
     lam = lefschetz_from_s(s, horizon)
     assert invert_lefschetz(lam) == s
@@ -200,12 +200,12 @@ def test_cusp_zeta_string():
 
 
 def test_trivial_zeta_prints_as_one():
-    assert str(zeta(SSequence.from_map({}))) == "1"
+    assert str(zeta(SSequence(()))) == "1"
 
 
 def test_zeta_divisibility_guard():
     with pytest.raises(InputError):
-        zeta(SSequence.from_map({2: 3}))
+        zeta(SSequence(((2, 3),)))
 
 
 def test_fermat_cubic_zeta():

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from germinv import poly
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
-from germinv.localring import ecart
+from germinv.localring import _view
 from germinv.poly import (
     MAX_DIGITS,
     MAX_EXPONENT,
@@ -24,7 +24,6 @@ from germinv.poly import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    mono_quotient,
     monomials_of_degree,
     parse_poly,
     parse_scalar,
@@ -45,7 +44,6 @@ def test_monomial_helpers():
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
     assert mono_divides((1, 1), (2, 3))
     assert not mono_divides((2, 0), (1, 5))
-    assert mono_quotient((2, 3), (1, 1)) == (1, 2)
     assert mono_lcm((2, 0), (1, 3)) == (2, 3)
 
 
@@ -70,7 +68,7 @@ def str_poly(f):
 
 def test_zero_coefficients_are_not_stored():
     f = P("x + y") - P("y")
-    assert f.support() == frozenset({(1, 0)})
+    assert list(f.terms()) == [(1, 0)]
     assert (P("x") - P("x")).terms() == {}
 
 
@@ -171,8 +169,8 @@ def test_sums_cancel_and_keep_the_order_of_repeated_additions():
         assert P(text) == Poly.zero(2) and not P(text)._terms
     assert P(" + ".join(["x"] * 2000)) == P("2000*x")
     # a cancelled term comes back last, as it does through Poly.__add__
-    assert list(P("x + y - x + x").monomials()) == [(0, 1), (1, 0)]
-    assert list((P("x") + P("y") - P("x") + P("x")).monomials()) == [(0, 1), (1, 0)]
+    assert list(P("x + y - x + x").terms()) == [(0, 1), (1, 0)]
+    assert list((P("x") + P("y") - P("x") + P("x")).terms()) == [(0, 1), (1, 0)]
 
 
 def test_parse_round_trip_examples():
@@ -451,13 +449,6 @@ def test_restrict_to_line():
     assert not P("x*y").restrict_to_line((1, 0))
 
 
-def test_linear_change_preserves_milnor_relevant_structure():
-    f = P("x^2 + y^3")
-    g = f.linear_change(((1, 1), (0, 1)))  # x -> x + y
-    assert g == P("(x + y)^2 + y^3")
-    assert g.order() == f.order()
-
-
 def test_line_direction_rejects_zero():
     with pytest.raises(InputError, match="nonzero entry"):
         P("x*y").restrict_to_line((0, 0))
@@ -525,7 +516,7 @@ def test_inferred_names_parse_what_they_print(named):
     names, f = named
     text = format_poly(f, names)
     inferred = variable_names(text)
-    assert inferred == {n for k, n in enumerate(names) if any(m[k] for m in f.monomials())}
+    assert inferred == {n for k, n in enumerate(names) if any(m[k] for m in f.terms())}
     if inferred:
         parse_poly(text, tuple(sorted(inferred)))  # no unknown variable
     assert parse_poly(text, names) == f
@@ -583,7 +574,7 @@ def test_pickle_and_copy_round_trip(text):
     f = P(text)
     hash(f)
     if f:
-        ecart(f)  # fills the local-order view cache
+        _view(f)  # fills the local-order view cache
     for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
         assert type(copied) is Poly
         assert copied == f and repr(copied) == repr(f) and hash(copied) == hash(f)
@@ -650,7 +641,6 @@ def assert_triples(f):
         a, b, d = value
         assert (a or b) and d > 0 and gcd(a, b, d) == 1
     assert all(type(c) is GaussianRational for c in f.terms().values())
-    assert all(type(c) is GaussianRational for _, c in f.items())
 
 
 @settings(max_examples=150)

@@ -20,7 +20,7 @@ from .equising import discriminate
 from .errors import EngineError, InputError, ParseError
 from .families import (
     DEFAULT_SAMPLES,
-    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     GermFamily,
     family_from_json,
     find_alpha,
@@ -270,8 +270,7 @@ def _cmd_family(args) -> dict:
 
     if args.find_alpha is not None:
         (target,), names = _read_polys(args, [args.find_alpha])
-        alpha = find_alpha(target, ts, _parse_scalars(args.candidates),
-                           seed=_integer(args.seed))
+        alpha = find_alpha(target, ts, _parse_scalars(args.candidates))
         return {
             "alpha": None if alpha is None else str(alpha),
             "command": "family",
@@ -316,8 +315,7 @@ def _cmd_family(args) -> dict:
             if form not in seen:
                 seen.add(form)
                 forms.append(form)
-        direction = find_transverse_line(forms, trials=_integer(args.trials),
-                                         seed=_integer(args.seed))
+        direction = find_transverse_line(forms, trials=_integer(args.trials))
         if direction is None:
             report["line"] = None
             return report
@@ -436,9 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line", help="probe direction, comma-separated scalars")
     p.add_argument("--find-line", action="store_true",
                    help="search for a direction transverse to all sampled cones")
-    p.add_argument("--trials", default="200")
+    p.add_argument("--trials", default=str(DEFAULT_TRIALS))
     p.add_argument("--candidates", help="explicit alpha candidates for --find-alpha")
-    p.add_argument("--seed", default=str(DEFAULT_SEED))
     add_format(p)
     p.set_defaults(handler=_cmd_family)
 

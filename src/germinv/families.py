@@ -4,18 +4,19 @@ A family is a finite sum of germ pieces weighted by powers of the
 parameter t.  Everything is evaluated at exact rational (or Gaussian
 rational) sample values; nothing here takes limits.  Profiles therefore
 carry per-sample facts only, and callers downstream phrase conclusions
-accordingly.
+accordingly.  The joining search walks alpha = 1, 2, 3, ... and always
+ends for a homogeneous isolated target.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, product as iter_product
+from itertools import count, product as iter_product
 
 from ._record import record
 from .errors import InputError, ZeroPolynomialError
-from .gaussian import GaussianRational, I, ONE
+from .gaussian import GaussianRational, ONE
 from .milnor import is_isolated, milnor_number
 from .monodromy import _is_int
 from .poly import MAX_DIGITS, MAX_EXPONENT, Poly, exceeds_digits, fermat, parse_poly
@@ -27,7 +28,7 @@ DEFAULT_SAMPLES = (
     Fraction(3, 4),
     Fraction(1),
 )
-DEFAULT_SEED = 0
+DEFAULT_TRIALS = 200
 
 STATUS_OK = "ok"
 STATUS_NOT_ISOLATED = "not-isolated"
@@ -200,14 +201,14 @@ def line_order_profile(family: GermFamily, direction, ts=DEFAULT_SAMPLES):
 
 
 def find_transverse_line(
-    forms, trials: int = 200, seed: int = DEFAULT_SEED
+    forms, trials: int = DEFAULT_TRIALS
 ) -> tuple[GaussianRational, ...] | None:
     """A direction on which none of the given initial forms vanish.
 
     Deterministic: a fixed small-integer lattice sweep takes the first half
-    of the trial budget, seeded random rational directions the rest.  The
-    certificate is exact evaluation at every form; None when the budget is
-    exhausted.
+    of the trial budget, random rational directions from a fixed stream
+    the rest.  The certificate is exact evaluation at every form; None when
+    the budget is exhausted.
     """
     if trials < 1:
         raise InputError(f"need at least one trial, got {trials}")
@@ -238,7 +239,7 @@ def find_transverse_line(
                 break
         radius += 1
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     while used < trials:
         entries = tuple(
             Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(nvars)
@@ -253,29 +254,8 @@ def find_transverse_line(
 
 # -- joining a target form to the reference germ -----------------------------
 
-DEFAULT_ALPHA_LADDER = (
-    ONE,
-    -ONE,
-    I,
-    GaussianRational.of(2),
-    ONE + I,
-    -I,
-    ONE - I,
-    -ONE + I,
-    -ONE - I,
-    GaussianRational.of(-2),
-    GaussianRational.of(2) + I,
-    GaussianRational.of(3),
-)
-
-RANDOM_ALPHA_TRIALS = 40  # seeded random candidates tried after the ladder
-
-
 def find_alpha(
-    target: Poly,
-    ts=DEFAULT_SAMPLES,
-    candidates=None,
-    seed: int = DEFAULT_SEED,
+    target: Poly, ts=DEFAULT_SAMPLES, candidates=None
 ) -> GaussianRational | None:
     """A scaling alpha joining the reference germ to alpha * target.
 
@@ -285,9 +265,12 @@ def find_alpha(
     decided by construction and never reach the engine: at t = 0 the germ
     is the reference, isolated since k >= 2, and at t = 1 it is alpha *
     target with alpha nonzero, and the target's isolation is checked on
-    entry.  Candidates default to a fixed ladder followed by seeded
-    bounded-height random Gaussian rationals; None means the candidate set
-    is exhausted (enlarge it or the sample set).
+    entry.  Candidates default to alpha = 1, 2, 3, ..., a walk that always
+    ends: at an interior sample t the germ is isolated unless the resultant
+    of its n partials vanishes, a polynomial in alpha of degree at most
+    n(k-1)^(n-1) that is nonzero at alpha = 0 (the scaled reference).  So
+    m interior samples rule out at most m * n(k-1)^(n-1) integers, and None
+    comes back only when explicit candidates run out.
     """
     if not target:
         raise ZeroPolynomialError("the target form is zero")
@@ -299,18 +282,7 @@ def find_alpha(
     ts = [GaussianRational.of(t) for t in ts]
     # GaussianRational(0) == 0 is False (only scalars compare equal): test truthiness.
     interior = [t for t in ts if t and t != ONE]
-
-    if candidates is not None:
-        stream = [GaussianRational.of(c) for c in candidates]
-    else:
-        rng = random.Random(seed)
-        stream = chain(DEFAULT_ALPHA_LADDER, (
-            GaussianRational(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            )
-            for _ in range(RANDOM_ALPHA_TRIALS)
-        ))
+    stream = count(1) if candidates is None else candidates
 
     def acceptable(alpha: GaussianRational) -> bool:
         for t in interior:
@@ -319,7 +291,7 @@ def find_alpha(
                 return False
         return True
 
-    for alpha in stream:
+    for alpha in map(GaussianRational.of, stream):
         if alpha and acceptable(alpha):
             return alpha
     return None

@@ -240,12 +240,8 @@ def test_closed_stdout_ends_quietly(horizon):
     (("milnor", "x^2 + y^3", "--dmax", "1_0"), "unexpected '_0' (at position 1)"),
     (("family", "--rescale", "x^2*y + y^5", "--find-line", "--trials", "2_0"),
      "unexpected '_0' (at position 1)"),
-    (("family", "--rescale", "x^2*y + y^5", "--find-line", "--seed", "0x10"),
-     "unexpected 'x10' (at position 1)"),
-    (("family", "--find-alpha", "x^3 + y^3", "--seed", "1e3"),
-     "unexpected 'e3' (at position 1)"),
 ], ids=["fermat-underscore", "fermat-fraction", "K-underscore", "K-fraction", "n-decimal",
-        "mu-imaginary", "dmax", "trials", "seed-hex", "seed-exponent"])
+        "mu-imaginary", "dmax", "trials"])
 def test_integer_options_use_the_expression_grammar(capsys, tmp_path, argv, message):
     res = tmp_path / "res.json"
     res.write_text('[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]')
@@ -535,6 +531,15 @@ def test_family_find_alpha_not_found(capsys):
                     "--candidates", "0")
     assert data["found"] is False
     assert data["alpha"] is None
+
+
+def test_family_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--rescale", "x^3 + y^3", "--find-line", "--seed", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in err
+    assert not out
 
 
 def test_family_custom_samples(capsys):

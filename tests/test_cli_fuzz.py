@@ -1,0 +1,97 @@
+"""Fuzzing the CLI in-process: every argv ends with exit 0, 2 or 3.
+
+This slice covers the `family` subcommand in its three modes (rescaling,
+family file, joining search) with short scalar lists that hold 0,
+negatives, Gaussian values and repeats.  Hypothesis runs derandomised
+(see conftest.py), so every run sees the same examples.
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings, strategies as st
+
+from germinv.cli import main
+
+SCALARS = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-3/4", "1/3",
+                           "i", "-i", "1+i", "1/2-3*i", "0*i"])
+SCALAR_LISTS = st.lists(SCALARS, min_size=1, max_size=3).map(",".join)
+LINES = st.one_of(st.lists(SCALARS, min_size=2, max_size=2).map(",".join), SCALAR_LISTS)
+MONOMIALS = st.sampled_from(["x", "y", "x^2", "x*y", "y^2", "x^3", "x^2*y", "x*y^2",
+                             "y^3", "x^4", "x^3*y", "x*y^3", "y^4", "x^5", "y^5"])
+COEFFS = st.sampled_from(["1", "-1", "2", "-3", "1/2", "i", "1-i"])
+
+
+@st.composite
+def homogeneous_forms(draw):
+    degree = draw(st.integers(2, 4))
+    monomials = [f"x^{degree - j}*y^{j}" for j in range(degree + 1)]
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4))
+    return " + ".join(f"({draw(COEFFS)})*{m}" for m in chosen)
+
+
+@st.composite
+def random_polys(draw):
+    terms = draw(st.lists(st.tuples(COEFFS, MONOMIALS), min_size=1, max_size=4))
+    return " + ".join(f"({c})*{m}" for c, m in terms)
+
+
+POLYS = st.one_of(homogeneous_forms(), random_polys())
+
+
+@st.composite
+def family_argv(draw):
+    mode = draw(st.sampled_from(["rescale", "file", "find-alpha"]))
+    argv = ["family"]
+    family_file = None
+    if mode == "file":
+        pieces = draw(st.lists(st.tuples(POLYS, st.integers(0, 3)), min_size=1, max_size=3))
+        family_file = json.dumps({"vars": ["x", "y"],
+                                  "pieces": [{"poly": p, "tpower": k} for p, k in pieces]})
+    else:
+        argv.append(f"--{mode}={draw(POLYS)}")
+    if draw(st.booleans()):
+        argv.append(f"--ts={draw(SCALAR_LISTS)}")
+    if mode == "find-alpha":
+        if draw(st.booleans()):
+            argv.append(f"--candidates={draw(SCALAR_LISTS)}")
+    elif draw(st.booleans()):
+        argv.append(f"--line={draw(LINES)}")
+    elif draw(st.booleans()):
+        argv.append("--find-line")
+        if draw(st.booleans()):
+            argv.append(f"--trials={draw(st.integers(-2, 12))}")
+    return argv, family_file
+
+
+def run_main(argv):
+    """main(argv) with its output captured; argparse's exit counts as a return."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200)
+@given(family_argv())
+def test_family_argv_ends_with_a_documented_exit_code(case):
+    argv, family_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if family_file is not None:
+            path = os.path.join(tmp, "family.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(family_file)
+            argv = [*argv, f"--file={path}"]
+        code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert not out
+    else:
+        json.loads(out)

@@ -118,8 +118,8 @@ def test_profile_reuses_the_zero_sample(standard_basis_calls):
 
 
 def test_find_alpha_sends_only_interior_samples_to_the_engine(standard_basis_calls):
-    # the target on entry, then t = 1/4, 1/2, 3/4 for the first ladder alpha;
-    # t = 0 and t = 1 are isolated by construction
+    # the target on entry, then t = 1/4, 1/2, 3/4 for alpha = 1, the walk's
+    # first step; t = 0 and t = 1 are isolated by construction
     assert find_alpha(P("x^3 + 2*y^3")) == GaussianRational.of(1)
     assert len(standard_basis_calls) == 4
 
@@ -196,6 +196,15 @@ def test_find_transverse_line_budget_exhaustion():
     assert found is not None and form.evaluate(found)
 
 
+def test_find_transverse_line_random_phase_is_the_seed_0_stream():
+    # every lattice direction of the first four trials lies on one of the
+    # eight lines, so the answer comes from the random phase
+    form = P("x*y*(x - y)*(x + y)*(x - 2*y)*(2*x - y)*(x + 2*y)*(2*x + y)")
+    line = find_transverse_line([form], trials=8)
+    assert line == (GaussianRational.of(Fraction(-1, 98)), GaussianRational.of(Fraction(4, 3)))
+    assert form.evaluate(line)
+
+
 def test_find_transverse_line_needs_a_trial():
     for trials in (0, -5):
         with pytest.raises(InputError):
@@ -218,9 +227,34 @@ def test_line_order_profile_rejects_lines_in_the_zero_set():
 
 # -- joining coefficient search ------------------------------------------------
 
-def test_find_alpha_first_ladder_hit():
+def _joins(target, alpha, ts):
+    """(1-t)(x^3 + y^3) + t*alpha*target keeps mu = 4 at every sample t."""
+    reference = P("x^3 + y^3")
+    one = GaussianRational.of(1)
+    for t in map(GaussianRational.of, ts):
+        mix = reference.scale(one - t) + target.scale(t * alpha)
+        if not mix or milnor_number(mix).mu != 4:
+            return False
+    return True
+
+
+def test_find_alpha_walk_starts_at_one():
     alpha = find_alpha(P("x^3 + 2*y^3"))
     assert alpha == GaussianRational.of(1)
+
+
+def test_find_alpha_walks_past_the_integers_that_degenerate():
+    # (1-t)(x^3 + y^3) - t*alpha*(x^3 + y^3) vanishes at alpha = (1-t)/t:
+    # 3, 1 and 1/3 at the default samples, 1, 2 and 3 at t = 1/2, 1/3, 1/4
+    target = P("-x^3 - y^3")
+    thirds = (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 1)
+    assert find_alpha(target) == GaussianRational.of(2)
+    assert find_alpha(target, ts=thirds) == GaussianRational.of(4)
+    assert _joins(target, GaussianRational.of(2), DEFAULT_SAMPLES)
+    assert _joins(target, GaussianRational.of(4), thirds)
+    for bad in (1, 3):
+        assert not _joins(target, GaussianRational.of(bad), DEFAULT_SAMPLES)
+    assert find_alpha(target, candidates=[0]) is None
 
 
 def test_find_alpha_respects_explicit_candidates():
@@ -239,11 +273,4 @@ def test_find_alpha_requires_a_homogeneous_isolated_target():
 
 def test_find_alpha_result_joins_without_degeneration():
     target = P("x^3 + 2*y^3")
-    alpha = find_alpha(target)
-    scaled = target.scale(alpha)
-    reference = P("x^3 + y^3")
-    for t in DEFAULT_SAMPLES:
-        tt = GaussianRational.of(t)
-        one = GaussianRational.of(1)
-        mix = reference.scale(one - tt) + scaled.scale(tt)
-        assert milnor_number(mix).mu == 4
+    assert _joins(target, find_alpha(target), DEFAULT_SAMPLES)

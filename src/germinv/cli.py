@@ -20,7 +20,6 @@ from .equising import discriminate
 from .errors import EngineError, InputError, ParseError
 from .families import (
     DEFAULT_SAMPLES,
-    DEFAULT_TRIALS,
     GermFamily,
     family_from_json,
     find_alpha,
@@ -315,10 +314,7 @@ def _cmd_family(args) -> dict:
             if form not in seen:
                 seen.add(form)
                 forms.append(form)
-        direction = find_transverse_line(forms, trials=_integer(args.trials))
-        if direction is None:
-            report["line"] = None
-            return report
+        direction = find_transverse_line(forms)
     if direction is not None:
         line_profile = line_order_profile(family, direction, ts)
         report["line"] = "(" + ", ".join(map(str, direction)) + ")"
@@ -434,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line", help="probe direction, comma-separated scalars")
     p.add_argument("--find-line", action="store_true",
                    help="search for a direction transverse to all sampled cones")
-    p.add_argument("--trials", default=str(DEFAULT_TRIALS))
     p.add_argument("--candidates", help="explicit alpha candidates for --find-alpha")
     add_format(p)
     p.set_defaults(handler=_cmd_family)

@@ -4,13 +4,14 @@ A family is a finite sum of germ pieces weighted by powers of the
 parameter t.  Everything is evaluated at exact rational (or Gaussian
 rational) sample values; nothing here takes limits.  Profiles therefore
 carry per-sample facts only, and callers downstream phrase conclusions
-accordingly.  The joining search walks alpha = 1, 2, 3, ... and always
-ends for a homogeneous isolated target.
+accordingly.  The probe-line search walks the integer points by max-norm
+1, 2, 3, ... and always ends, by max-norm max(1, ceil(D/2)) for initial
+forms of total degree D; the joining search walks alpha = 1, 2, 3, ...
+and always ends for a homogeneous isolated target.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import count, product as iter_product
 
@@ -28,7 +29,6 @@ DEFAULT_SAMPLES = (
     Fraction(3, 4),
     Fraction(1),
 )
-DEFAULT_TRIALS = 200
 
 STATUS_OK = "ok"
 STATUS_NOT_ISOLATED = "not-isolated"
@@ -200,18 +200,20 @@ def line_order_profile(family: GermFamily, direction, ts=DEFAULT_SAMPLES):
     return tuple(profile)
 
 
-def find_transverse_line(
-    forms, trials: int = DEFAULT_TRIALS
-) -> tuple[GaussianRational, ...] | None:
-    """A direction on which none of the given initial forms vanish.
+def find_transverse_line(forms) -> tuple[GaussianRational, ...]:
+    """A direction on which none of the given forms vanish: the first
+    integer point of max-norm r = 1, 2, 3, ... at which every form
+    evaluates to nonzero, an exact certificate.
 
-    Deterministic: a fixed small-integer lattice sweep takes the first half
-    of the trial budget, random rational directions from a fixed stream
-    the rest.  The certificate is exact evaluation at every form; None when
-    the budget is exhausted.
+    The walk always ends.  The product of the forms is a nonzero
+    polynomial of degree D, the sum of their degrees, and by Alon's
+    Combinatorial Nullstellensatz (1999) it cannot vanish on all of
+    {-r..r}^n once 2r + 1 > D.  A product of initial forms vanishes at the
+    origin, so the answer has max-norm at most max(1, ceil(D/2)), and None
+    never comes back.  (For forms that do not vanish at the origin, the
+    same theorem with 0 dropped from one coordinate's range gives
+    floor(D/2) + 1.)
     """
-    if trials < 1:
-        raise InputError(f"need at least one trial, got {trials}")
     forms = list(forms)
     if not forms:
         raise InputError("need at least one form to probe")
@@ -221,35 +223,10 @@ def find_transverse_line(
             raise InputError("forms disagree on variable count")
         if not form:
             raise InputError("cannot find a transverse line for the zero form")
-
-    def good(entries) -> bool:
-        return all(form.evaluate(entries) for form in forms)
-
-    lattice_budget = max(trials // 2, 1)
-    used = 0
-    radius = 1
-    while used < lattice_budget:
+    for radius in count(1):
         for entries in iter_product(range(-radius, radius + 1), repeat=nvars):
-            if max(abs(e) for e in entries) != radius:
-                continue
-            used += 1
-            if good(entries):
+            if max(map(abs, entries)) == radius and all(f.evaluate(entries) for f in forms):
                 return tuple(map(GaussianRational.of, entries))
-            if used >= lattice_budget:
-                break
-        radius += 1
-
-    rng = random.Random(0)
-    while used < trials:
-        entries = tuple(
-            Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(nvars)
-        )
-        if not any(entries):
-            continue
-        used += 1
-        if good(entries):
-            return tuple(map(GaussianRational.of, entries))
-    return None
 
 
 # -- joining a target form to the reference germ -----------------------------

@@ -508,7 +508,11 @@ class _Parser:
         return token
 
     def parse(self) -> Poly:
-        poly, _, _ = self.expr()
+        try:
+            poly, _, _ = self.expr()
+        except RecursionError:
+            position = self.tokens[min(self.at, len(self.tokens) - 1)][2]
+            raise ParseError("expression nested too deeply", position) from None
         kind, value, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)

@@ -238,10 +238,8 @@ def test_closed_stdout_ends_quietly(horizon):
     (("zeta", "--res", "{res}", "--n", "2.0"), "unexpected character '.' (at position 1)"),
     (("charpoly", "--fermat", "l=3,n=2", "--mu", "i"), "expected an integer, got 'i'"),
     (("milnor", "x^2 + y^3", "--dmax", "1_0"), "unexpected '_0' (at position 1)"),
-    (("family", "--rescale", "x^2*y + y^5", "--find-line", "--trials", "2_0"),
-     "unexpected '_0' (at position 1)"),
 ], ids=["fermat-underscore", "fermat-fraction", "K-underscore", "K-fraction", "n-decimal",
-        "mu-imaginary", "dmax", "trials"])
+        "mu-imaginary", "dmax"])
 def test_integer_options_use_the_expression_grammar(capsys, tmp_path, argv, message):
     res = tmp_path / "res.json"
     res.write_text('[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]')
@@ -486,14 +484,6 @@ def test_family_find_line(capsys):
     assert all(p["order"] == 3 for p in data["lineProfile"])
 
 
-def test_family_find_line_needs_a_trial(capsys):
-    for trials in ("0", "-5"):
-        code, out, err = run(capsys, "family", "--rescale", "x^3 + y^3 + x^4",
-                             "--find-line", "--trials", trials)
-        assert code == 2
-        assert "input error" in err
-
-
 def test_family_find_line_report_is_pinned(capsys):
     code, out, _ = run(capsys, "family", "--rescale", "x^2*y + y^5", "--find-line")
     assert code == 0
@@ -533,12 +523,14 @@ def test_family_find_alpha_not_found(capsys):
     assert data["alpha"] is None
 
 
-def test_family_has_no_seed_option(capsys):
+@pytest.mark.parametrize("option", [("--seed", "1"), ("--trials", "5")],
+                         ids=["seed", "trials"])
+def test_family_has_no_seed_option(capsys, option):
     with pytest.raises(SystemExit) as exc:
-        main(["family", "--rescale", "x^3 + y^3", "--find-line", "--seed", "1"])
+        main(["family", "--rescale", "x^3 + y^3", "--find-line", *option])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert "unrecognized arguments: --seed 1" in err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
     assert not out
 
 
@@ -785,6 +777,48 @@ def test_missing_resolution_source_exits_2(capsys):
 def test_unknown_variable_exits_2(capsys):
     code, _, err = run(capsys, "milnor", "x + w", "--vars", "x,y")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mult", "0", "--vars", "x"), "the zero polynomial has no multiplicity"),
+    (("zeta", "--res", "{strata}"), "--res needs --n"),
+    (("zeta", "--res", "{text}", "--n", "2"), "is not valid JSON"),
+    (("family", "--file", "{text}"), "is not valid JSON"),
+], ids=["mult-zero", "res-without-n", "res-not-json", "file-not-json"])
+def test_input_errors_exit_2(capsys, tmp_path, argv, message):
+    paths = {"strata": tmp_path / "strata.json", "text": tmp_path / "text.json"}
+    paths["strata"].write_text('[{"m": 2, "chi": 1}]')
+    paths["text"].write_text("x^2 + y^3")
+    code, out, err = run(capsys, *(a.format_map(paths) for a in argv))
+    assert code == 2
+    assert message in err
+    assert not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("mult", "--", "{parentheses}"),
+    ("mult", "--", "{signs}"),
+    ("mult", "@{deep}"),
+    ("zeta", "--fermat", "l=3,n=2", "--K", "{parentheses}"),
+    ("family", "--rescale", "x^3 + y^3", "--ts={signs}"),
+    ("family", "--file", "{family}"),
+], ids=["parentheses", "signs", "file", "K", "ts", "family-file"])
+def test_deep_nesting_exits_2(capsys, tmp_path, argv):
+    fields = {"parentheses": "(" * 1000 + "x" + ")" * 1000, "signs": "-" * 1500 + "x",
+              "deep": tmp_path / "deep.txt", "family": tmp_path / "family.json"}
+    fields["deep"].write_text("(" * 300 + "x" + ")" * 300)
+    fields["family"].write_text(json.dumps(
+        {"vars": ["x", "y"], "pieces": [{"poly": "(" * 400 + "x^3 + y^3" + ")" * 400,
+                                         "tpower": 0}]}))
+    code, out, err = run(capsys, *(a.format_map(fields) for a in argv))
+    assert code == 2
+    assert "input error: expression nested too deeply (at position" in err
+    assert not out
+
+
+def test_moderate_nesting_parses(capsys):
+    data = run_json(capsys, "mult", "(" * 50 + "x" + ")" * 50)
+    assert data["poly"] == "x"
 
 
 LONG_INT = "1" * 5001  # more digits than int() converts

@@ -1,9 +1,12 @@
 """Fuzzing the CLI in-process: every argv ends with exit 0, 2 or 3.
 
-This slice covers the `family` subcommand in its three modes (rescaling,
+One slice covers the `family` subcommand in its three modes (rescaling,
 family file, joining search) with short scalar lists that hold 0,
-negatives, Gaussian values and repeats.  Hypothesis runs derandomised
-(see conftest.py), so every run sees the same examples.
+negatives, Gaussian values and repeats.  The other covers the germ
+subcommands `mult`, `milnor` and `discriminate` on expressions, inline or
+as @file, some wrapped in up to 1200 levels of parentheses or unary signs
+and some with a stray character.  Hypothesis runs derandomised (see
+conftest.py), so every run sees the same examples.
 """
 
 import io
@@ -62,9 +65,36 @@ def family_argv(draw):
         argv.append(f"--line={draw(LINES)}")
     elif draw(st.booleans()):
         argv.append("--find-line")
-        if draw(st.booleans()):
-            argv.append(f"--trials={draw(st.integers(-2, 12))}")
     return argv, family_file
+
+
+STRAYS = st.sampled_from(["$", ".", "_", "#", "\u00e9", "\u00a0", "(", ")", "^", "*", "/"])
+
+
+@st.composite
+def expressions(draw):
+    """An expression from POLYS, perhaps nested deeply or with a stray character."""
+    text = draw(POLYS)
+    depth = draw(st.one_of(st.sampled_from([0, 300, 1200]), st.integers(0, 1200)))
+    wrap = draw(st.sampled_from(["parentheses", "-", "+", "+-"]))
+    if wrap == "parentheses":
+        text = "(" * depth + text + ")" * depth
+    else:
+        text = (wrap * depth)[:depth] + "(" + text + ")"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(STRAYS) + text[at:]
+    return text
+
+
+@st.composite
+def germ_argv(draw):
+    """argv for mult, milnor or discriminate, and the expressions to write
+    to files: each argument is an expression inline or a path for it."""
+    command = draw(st.sampled_from(["mult", "milnor", "discriminate"]))
+    texts = [draw(expressions()) for _ in range(2 if command == "discriminate" else 1)]
+    as_files = [draw(st.booleans()) for _ in texts]
+    return command, texts, as_files
 
 
 def run_main(argv):
@@ -90,6 +120,28 @@ def test_family_argv_ends_with_a_documented_exit_code(case):
             argv = [*argv, f"--file={path}"]
         code, out, err = run_main(argv)
     assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert not out
+    else:
+        json.loads(out)
+
+
+@settings(max_examples=150)
+@given(germ_argv())
+def test_germ_argv_ends_with_a_documented_exit_code(case):
+    command, texts, as_files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for index, (text, as_file) in enumerate(zip(texts, as_files)):
+            if as_file:
+                path = os.path.join(tmp, f"expr{index}.txt")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                text = f"@{path}"
+            args.append(text)
+        code, out, err = run_main([command, "--", *args])
+    assert code in (0, 2, 3), (command, texts, code, err)
     assert "Traceback" not in err
     if code:
         assert not out

@@ -2,8 +2,11 @@
 search for a joining coefficient."""
 
 from fractions import Fraction
+from itertools import product as iter_product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germinv.corpus import ISOLATED_GERMS
 from germinv.errors import InputError
@@ -188,27 +191,62 @@ def test_find_transverse_line_is_deterministic():
     assert find_transverse_line(forms) == (GaussianRational.of(-1),) * 2
 
 
-def test_find_transverse_line_budget_exhaustion():
-    # every radius-one lattice direction lies on one of these four lines
-    form = P("x*y*(x - y)*(x + y)")
-    assert find_transverse_line([form], trials=1) is None
-    found = find_transverse_line([form])
-    assert found is not None and form.evaluate(found)
-
-
-def test_find_transverse_line_random_phase_is_the_seed_0_stream():
-    # every lattice direction of the first four trials lies on one of the
-    # eight lines, so the answer comes from the random phase
+def test_find_transverse_line_pins_the_eight_line_form():
+    # every direction of max-norm 1 or 2 lies on one of the eight lines
     form = P("x*y*(x - y)*(x + y)*(x - 2*y)*(2*x - y)*(x + 2*y)*(2*x + y)")
-    line = find_transverse_line([form], trials=8)
-    assert line == (GaussianRational.of(Fraction(-1, 98)), GaussianRational.of(Fraction(4, 3)))
-    assert form.evaluate(line)
+    assert find_transverse_line([form]) == (GaussianRational.of(-3), GaussianRational.of(-2))
 
 
-def test_find_transverse_line_needs_a_trial():
-    for trials in (0, -5):
-        with pytest.raises(InputError):
-            find_transverse_line([P("x*y")], trials=trials)
+def arrangement(radius):
+    """One line through each primitive lattice direction of max-norm at
+    most radius: together they hold every integer point of max-norm at most
+    radius, and none holds (radius + 1, radius)."""
+    return [P(f"({b})*x - ({a})*y")
+            for a in range(radius + 1) for b in range(-radius, radius + 1)
+            if gcd(a, b) == 1 and (a or b == 1)]
+
+
+@st.composite
+def probe_forms(draw):
+    """Products of small linear forms, which vanish on small integer points,
+    and homogeneous forms with Gaussian coefficients; in the plane, on top
+    of the lines of an arrangement of radius 0, 1 or 2."""
+    names = ("x", "y", "z")[:draw(st.integers(2, 3))]
+    forms = arrangement(draw(st.integers(0, 2))) if len(names) == 2 else []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            coeffs = st.lists(st.sampled_from([-2, -1, 0, 1]), min_size=len(names),
+                              max_size=len(names)).filter(any)
+            text = "*".join("(" + " + ".join(f"({c})*{v}" for c, v in zip(row, names)) + ")"
+                            for row in draw(st.lists(coeffs, min_size=1, max_size=4)))
+        else:
+            degree = draw(st.integers(1, 3))
+            monomials = [m for m in iter_product(range(degree + 1), repeat=len(names))
+                         if sum(m) == degree]
+            text = " + ".join(
+                f"({draw(st.sampled_from(['1', '-2', 'i', '1-i']))})*"
+                + "*".join(f"{v}^{e}" for v, e in zip(names, m))
+                for m in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3)))
+        forms.append(parse_poly(text, names))
+    return [form for form in forms if form] or [parse_poly(names[0], names)]
+
+
+@settings(max_examples=150)
+@given(probe_forms())
+def test_find_transverse_line_answers_within_the_nullstellensatz_bound(forms):
+    line = find_transverse_line(forms)
+    assert all(form.evaluate(line) for form in forms)
+    assert all(c.is_rational and c.re.denominator == 1 for c in line)
+    total = sum(form.degree() for form in forms)
+    assert 1 <= max(abs(c.re) for c in line) <= max(1, -(-total // 2))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4])
+def test_find_transverse_line_leaves_the_radius_r_arrangement_at_r_plus_1(radius):
+    lines = arrangement(radius)
+    line = find_transverse_line(lines)
+    assert max(abs(c.re) for c in line) == radius + 1
+    assert all(form.evaluate(line) for form in lines)
 
 
 def test_line_order_profile_constant_for_transverse_line():

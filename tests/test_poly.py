@@ -197,6 +197,13 @@ def test_parse_errors_carry_positions():
         P("")
 
 
+def test_a_sign_chain_of_any_length_is_a_parse_error():
+    # one of these lengths reads the end token just as the recursion runs out
+    for length in range(1, 1200):
+        with pytest.raises(ParseError):
+            P("-" * length)
+
+
 def test_slash_only_forms_rational_literals():
     assert P("3/2") == Poly.constant(2, Fraction(3, 2))
     with pytest.raises(ParseError):

@@ -29,21 +29,19 @@ The bound is read off this engine's own leading monomials, never from the
 truncated-dimension oracle in :mod:`germinv.milnor`, so the two Milnor
 engines stay independent.
 
-Internally a term x^e is indexed by the key (degree, e_n, ..., e_1).  A
-larger monomial in the local order has a smaller key, so the leading term
-is the least key and the degree is the first entry of the greatest, both
-plain tuple comparisons; and keys add when monomials multiply.  Each Poly
-gets its sorted keys and coefficients (its view) once, on first use, and
-keeps them in a cache slot, so leading terms, ecarts and truncation tests
-never rescan it.  A normal form reduces a dict of keyed terms in place,
-takes every reducer's terms from its view, and builds a Poly only for its
-result; s-polynomials are formed the same way.  Coefficients stay the
-Poly's own ``(a, b, d)`` triples throughout.  Each reduction step takes
-its factor from :func:`germinv.gaussian.quotient`, shifts the reducer's
-keys and hands them, with its triples, to
-:func:`germinv.gaussian.add_multiple`.  With a corner k, a reducer's
-terms are cut where the shifted degree reaches k, so no term of degree
->= k is ever formed.
+Internally a monomial is one packed int (:mod:`germinv.poly`): a larger
+monomial in the local order is a smaller int, so the leading term is the
+least key and the degree sits in the greatest, keys add when monomials
+multiply, and divisibility is one subtract and mask.  Completion runs on
+keyed terms alone: a reducer is its sorted keys and coefficient triples
+(with its lead, negated lead coefficient and ecart), and a remainder a
+dict reduced in place; Polys are built only for the basis it returns.
+:func:`mora_normal_form` and :func:`spoly` are its steps wrapped for Polys.
+Each reduction step takes its factor from :func:`germinv.gaussian.quotient`
+and hands the reducer's shifted keys, cut where the shifted degree reaches
+the corner, with its triples to :func:`germinv.gaussian.add_multiple`; a
+term that would reach the packed monomials' ``DEGREE_LIMIT`` raises
+IterationLimitError before it is formed.
 """
 
 from __future__ import annotations
@@ -51,43 +49,37 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from itertools import product as iter_product
-from operator import add, le, sub
+from operator import le
 
 from ._record import record
 from .errors import InputError, IterationLimitError, ZeroPolynomialError
 from .gaussian import add_multiple, quotient
-from .poly import Monomial, Poly, mono_degree, mono_divides, mono_lcm
+from .poly import Monomial, Poly, degree_limit_error, pack, packing, unpack
 
 DEFAULT_MAX_STEPS = 200_000
 
 
-def _view(f: Poly) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int, int], ...]]:
-    """f's terms under the local order: their keys (degree, e_n, ..., e_1)
-    in ascending order, so the leading term comes first and the highest
-    degree last, and the coefficient triples in the same order.
-
-    Built on first use and cached on f.
-    """
-    view = f._view
-    if view is None:
-        if not f:
-            raise ZeroPolynomialError("the zero polynomial has no leading term")
-        keyed = sorted(((sum(m),) + m[::-1], c) for m, c in f._terms.items())
-        view = tuple(zip(*keyed))
-        object.__setattr__(f, "_view", view)
+def _view(f: Poly) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """f's packed keys in ascending order (lead first, top degree last) and
+    its coefficient triples; a term of degree DEGREE_LIMIT or more raises
+    IterationLimitError."""
+    if not f:
+        raise ZeroPolynomialError("the zero polynomial has no leading term")
+    view = tuple(zip(*sorted((pack(m), c) for m, c in f._terms.items())))
+    if view[0][-1] >= packing(f.nvars)[2]:
+        raise degree_limit_error()
     return view
 
 
 def leading_monomial(f: Poly) -> Monomial:
-    return _view(f)[0][0][:0:-1]
+    return unpack(_view(f)[0][0], f.nvars)
 
 
 class _Budget:
     """Shared countdown over all reduction steps of one computation."""
 
     def __init__(self, max_steps: int):
-        self.remaining = max_steps
-        self.max_steps = max_steps
+        self.remaining = self.max_steps = max_steps
 
     def spend(self):
         self.remaining -= 1
@@ -98,49 +90,68 @@ class _Budget:
             )
 
 
-def _monic(f: Poly) -> Poly:
-    return Poly._clean(f.nvars, add_multiple({}, quotient((1, 0, 1), _view(f)[1][0]),
-                                             f._terms.items()))
-
-
-def _below(f: Poly, corner: int | None) -> Poly:
-    """f without its terms of degree >= corner; f itself when there is no corner."""
-    if corner is None or not f or _view(f)[0][-1][0] < corner:
-        return f
-    return f.truncate_jet(corner - 1)
-
-
-def _add_shifted(h: dict, keys, coeffs, q: tuple[int, ...], factor: tuple, corner: int | None):
-    """h += factor * x^q * (the view's terms after its lead, of degree < corner).
-
-    h is keyed as in :func:`_view`, and q is a key too: keys add under
-    multiplication.  No term of degree >= corner is formed.
-    """
-    stop = len(keys) if corner is None else bisect_left(keys, (corner - q[0],))
-    add_multiple(h, factor, zip([tuple(map(add, k, q)) for k in keys[1:stop]], coeffs[1:stop]))
-
-
-def _poly(nvars: int, h: dict) -> Poly:
-    """The polynomial of the keyed terms h."""
-    return Poly._clean(nvars, {k[:0:-1]: c for k, c in h.items()})
-
-
-def _reducer(keys, coeffs):
-    """(lead key, negated lead coefficient, ecart, keys, coefficients) of a view."""
+def _reducer(keys, coeffs, shift: int):
+    """(lead key, negated lead coefficient, ecart, keys, coefficients)."""
     a, b, d = coeffs[0]
-    return keys[0], (-a, -b, d), keys[-1][0] - keys[0][0], keys, coeffs
+    return keys[0], (-a, -b, d), (keys[-1] >> shift) - (keys[0] >> shift), keys, coeffs
+
+
+def _monic(keys, coeffs, shift: int):
+    scaled = add_multiple({}, quotient((1, 0, 1), coeffs[0]), zip(keys, coeffs))
+    return _reducer(keys, list(scaled.values()), shift)
+
+
+def _poly(nvars: int, terms) -> Poly:
+    return Poly._clean(nvars, {unpack(k, nvars): c for k, c in terms})
+
+
+def _add_shifted(h: dict, factor: tuple, g, q: int, cut: int | None, limit: int):
+    """h += factor * x^q * (the reducer g after its lead), forming no term
+    of key >= cut (the corner's) and raising for one of key >= limit."""
+    keys = g[3]
+    stop = len(keys) if cut is None else bisect_left(keys, cut - q)
+    if stop > 1 and keys[stop - 1] + q >= limit:
+        raise degree_limit_error()
+    add_multiple(h, factor, zip([k + q for k in keys[1:stop]], g[4][1:stop]))
+
+
+def _spoly(f, g, lcm: int, cut: int | None, limit: int) -> dict:
+    s: dict = {}  # the two leading terms cancel, so neither is formed
+    _add_shifted(s, quotient((-1, 0, 1), f[1]), f, lcm - f[0], cut, limit)
+    _add_shifted(s, quotient((1, 0, 1), g[1]), g, lcm - g[0], cut, limit)
+    return s
+
+
+def _reduce(h: dict, pool: list, budget: _Budget, cut: int | None, layout) -> dict:
+    """Mora's weak normal form of the keyed terms h, in place; the pool of
+    reducers gains the remainders it keeps."""
+    shift, guards, limit = layout
+    while h:
+        lead = min(h)
+        lead_g = lead + guards
+        best = None
+        for entry in pool:  # the first usable reducer of least ecart
+            if (best is None or entry[2] < best[2]) and (lead_g - entry[0]) & guards == guards:
+                best = entry
+        if best is None:
+            break
+        if best[2] > (max(h) >> shift) - (lead >> shift):
+            stored = sorted(h)
+            pool.append(_reducer(stored, [h[k] for k in stored], shift))
+        budget.spend()
+        # h -= (ch/cg) * x^(lead - lg) * g: the leading terms cancel
+        _add_shifted(h, quotient(h.pop(lead), best[1]), best, lead - best[0], cut, limit)
+    return h
 
 
 def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
     """The s-polynomial of f and g; with ``_corner`` k, only its terms of
     degree < k, without forming the others."""
-    (kf, cf), (kg, cg) = _view(f), _view(g)
-    tail = tuple(map(max, kf[0][1:], kg[0][1:]))
-    lcm = (sum(tail),) + tail
-    s: dict = {}  # the two leading terms cancel, so neither is formed
-    _add_shifted(s, kf, cf, tuple(map(sub, lcm, kf[0])), quotient((1, 0, 1), cf[0]), _corner)
-    _add_shifted(s, kg, cg, tuple(map(sub, lcm, kg[0])), quotient((-1, 0, 1), cg[0]), _corner)
-    return _poly(f.nvars, s)
+    shift, _, limit = packing(f.nvars)
+    lcm = pack(tuple(map(max, leading_monomial(f), leading_monomial(g))))
+    s = _spoly(_reducer(*_view(f), shift), _reducer(*_view(g), shift), lcm,
+               None if _corner is None else _corner << shift, limit)
+    return _poly(f.nvars, s.items())
 
 
 def mora_normal_form(
@@ -152,32 +163,16 @@ def mora_normal_form(
     the ideal): when given, f and every intermediate remainder are
     truncated below degree k, and no term of degree >= k is formed.
     """
-    if budget is None:
-        budget = _Budget(DEFAULT_MAX_STEPS)
     if not f:
         return f
+    layout = packing(f.nvars)
     keys, coeffs = _view(f)
-    stop = len(keys) if _corner is None else bisect_left(keys, (_corner,))
-    h = dict(zip(keys[:stop], coeffs[:stop]))  # the remainder, keyed as in _view
-    pool = [_reducer(*_view(g)) for g in reducers]
-    while h:
-        lead = min(h)
-        best = None
-        for entry in pool:  # the first usable reducer of least ecart
-            if (best is None or entry[2] < best[2]) and all(map(le, entry[0], lead)):
-                best = entry
-        if best is None:
-            break
-        lg, minus_cg, eg, keys, coeffs = best
-        eh = max(h)[0] - lead[0]
-        if eg > eh:
-            stored = sorted(h)
-            pool.append(_reducer(stored, [h[k] for k in stored]))
-        budget.spend()
-        # h -= (ch/cg) * x^(lead - lg) * g: the leading terms cancel
-        _add_shifted(h, keys, coeffs, tuple(map(sub, lead, lg)), quotient(h.pop(lead), minus_cg),
-                     _corner)
-    return _poly(f.nvars, h)
+    cut = None if _corner is None else _corner << layout[0]
+    stop = len(keys) if cut is None else bisect_left(keys, cut)
+    pool = [_reducer(*_view(g), layout[0]) for g in reducers]
+    h = _reduce(dict(zip(keys[:stop], coeffs[:stop])), pool, budget or _Budget(DEFAULT_MAX_STEPS),
+                cut, layout)
+    return _poly(f.nvars, h.items())
 
 
 @record
@@ -204,53 +199,62 @@ class StandardBasisResult:
 
 def _minimalize(monos: list[Monomial]) -> tuple[Monomial, ...]:
     """Keep only the divisibility-minimal monomials, deterministically."""
-    unique = sorted(set(monos), key=lambda m: (mono_degree(m), m))
     keep: list[Monomial] = []
-    for m in unique:
-        if not any(mono_divides(k, m) for k in keep):
+    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
+        if not any(all(map(le, k, m)) for k in keep):
             keep.append(m)
     return tuple(keep)
 
 
-def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Monomial] | None:
-    """Monomials outside the monomial ideal; None when that set is infinite.
-
-    Finiteness is exact: the quotient is finite dimensional iff the ideal
-    contains a pure power of every variable.
-    """
+def _columns(leading_gens: tuple[Monomial, ...], nvars: int):
+    """The staircase outside a monomial ideal as (point, height) columns, one
+    per point of the box of the other variables, under the least last
+    exponent of a generator dividing there; None if some pure power is
+    missing, exactly when the staircase is infinite."""
     if not leading_gens:
         return None
-    if any(mono_degree(m) == 0 for m in leading_gens):
-        return frozenset()
+    if not all(map(any, leading_gens)):  # the unit ideal
+        return []
     bounds = []
     for i in range(nvars):
-        pure = [
-            m[i]
-            for m in leading_gens
-            if m[i] > 0 and all(e == 0 for j, e in enumerate(m) if j != i)
-        ]
+        pure = [m[i] for m in leading_gens if m[i] and m[i] == sum(m)]
         if not pure:
             return None
         bounds.append(min(pure))
-    # one column of the last variable per point of the box of the others:
-    # its height is the least last exponent among the generators dividing
-    # there, at most bounds[-1] from the pure power
     heads = [(g[:-1], g[-1]) for g in leading_gens]
-    stairs = []
-    for point in iter_product(*(range(b) for b in bounds[:-1])):
-        height = min(e for head, e in heads if mono_divides(head, point))
-        stairs.extend(point + (e,) for e in range(height))
-    return frozenset(stairs)
+    return [(point, min(e for head, e in heads if all(map(le, head, point))))
+            for point in iter_product(*map(range, bounds[:-1]))]
 
 
-def _corner_degree(stairs: frozenset[Monomial] | None) -> int | None:
-    """1 + the top degree of a finite staircase: the least k with m^k outside it.
-
-    0 for the empty staircase (the unit ideal), None for an infinite one.
-    """
-    if stairs is None:
+def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Monomial] | None:
+    """Monomials outside the monomial ideal; None when that set is infinite."""
+    columns = _columns(leading_gens, nvars)
+    if columns is None:
         return None
-    return 1 + max(map(mono_degree, stairs), default=-1)
+    return frozenset(point + (e,) for point, height in columns for e in range(height))
+
+
+def _corner_degree(leading_gens: tuple[Monomial, ...], nvars: int) -> int | None:
+    """1 + the top degree of the staircase, read from its columns: 0 for the
+    unit ideal, None for an infinite staircase."""
+    columns = _columns(leading_gens, nvars)
+    if columns is None:
+        return None
+    return max((sum(point) + height for point, height in columns if height), default=0)
+
+
+def _truncated(basis: list, cut: int | None, shift: int) -> list:
+    """The reducers without their terms of key >= cut, but for one whose lead
+    is past cut: no pair or reduction below the corner can use it."""
+    if cut is None:
+        return basis
+    kept = []
+    for g in basis:
+        if g[0] < cut <= g[3][-1]:
+            stop = bisect_left(g[3], cut)
+            g = _reducer(g[3][:stop], g[4][:stop], shift)
+        kept.append(g)
+    return kept
 
 
 def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisResult:
@@ -263,14 +267,11 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     degree, so the run is deterministic for a given input order.
 
     Whenever the leading monomials found so far have a finite staircase,
-    its highest corner k = 1 + (top staircase degree) bounds the work:
-    m^k is inside the leading monomials, hence inside the ideal (local
-    degree order), so basis elements, s-polynomials and normal forms are
-    truncated below degree k and pairs with an lcm of degree >= k are
-    never reduced (their s-polynomials lie in m^k).  The corner comes from this engine's own
-    leading monomials, not from the oracle, so the two Milnor engines stay
-    independent.  Since m^k already lies in the leading monomials, the
-    leading ideal and staircase are those of the untruncated completion.
+    its highest corner k bounds the work (see the module docstring):
+    basis elements, s-polynomials and normal forms are truncated below
+    degree k, and pairs with an lcm of degree >= k are never reduced.
+    Since m^k already lies in the leading monomials, the leading ideal and
+    staircase are those of the untruncated completion.
     """
     gens = list(gens)
     if not gens:
@@ -279,58 +280,45 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     if any(g.nvars != nvars for g in gens):
         raise InputError("generators disagree on variable count")
     budget = _Budget(max_steps)
-    basis: list[Poly] = [_monic(g) for g in gens if g]
+    layout = shift, _, limit = packing(nvars)
+    basis = [_monic(*_view(g), shift) for g in gens if g]
     if not basis:
         return StandardBasisResult((), (), None)
 
-    lm = [leading_monomial(g) for g in basis]
+    lm = [unpack(g[0], nvars) for g in basis]
     leading = _minimalize(lm)
-    stairs = staircase_of(leading, nvars)
-    corner = _corner_degree(stairs)
-
-    def lcm_degree(i, j):
-        return mono_degree(mono_lcm(lm[i], lm[j]))
-
-    def truncated():
-        # an element inside m^corner would truncate to 0: it stays as it is,
-        # and no pair or reduction below the corner can use it
-        return [g if mono_degree(m) >= corner else _below(g, corner) for g, m in zip(basis, lm)]
-
-    if corner is not None:
-        basis = truncated()
-    pairs = [(lcm_degree(i, j), i, j) for j in range(len(basis)) for i in range(j)]
+    corner = _corner_degree(leading, nvars)
+    cut = None if corner is None else corner << shift
+    basis = _truncated(basis, cut, shift)
+    pairs = [(sum(map(max, lm[i], lm[j])), i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
     while pairs:
         degree, i, j = heapq.heappop(pairs)
         if corner is not None and degree >= corner:
             break  # this and every later s-polynomial lies in m^corner
-        if degree == mono_degree(lm[i]) + mono_degree(lm[j]):
+        if degree == sum(lm[i]) + sum(lm[j]):
             continue  # coprime leading monomials: s-polynomial reduces to 0
-        s = spoly(basis[i], basis[j], _corner=corner)
-        h = mora_normal_form(s, basis, budget, _corner=corner)
+        lcm = pack(tuple(map(max, lm[i], lm[j])))
+        h = _reduce(_spoly(basis[i], basis[j], lcm, cut, limit), list(basis), budget, cut, layout)
         if h:
-            h = _monic(h)
-            new_index = len(basis)
-            basis.append(h)
-            lm.append(leading_monomial(h))
-            for other in range(new_index):
-                heapq.heappush(pairs, (lcm_degree(other, new_index), other, new_index))
+            keys = sorted(h)
+            basis.append(_monic(keys, [h[k] for k in keys], shift))
+            lm.append(unpack(keys[0], nvars))
+            new = len(basis) - 1
+            for other in range(new):
+                heapq.heappush(pairs, (sum(map(max, lm[other], lm[new])), other, new))
             leading = _minimalize(lm)
-            stairs = staircase_of(leading, nvars)
-            new_corner = _corner_degree(stairs)
-            if new_corner != corner:
-                corner = new_corner
-                basis = truncated()
+            corner, old = _corner_degree(leading, nvars), corner
+            if corner != old:
+                cut = corner << shift
+                basis = _truncated(basis, cut, shift)
 
-    kept = []
-    seen_lm = set()
+    kept = {}
     for g, m in zip(basis, lm):
-        if m in leading and m not in seen_lm:
-            if corner is not None and mono_degree(m) >= corner:
-                g = Poly.monomial(nvars, m)  # in m^corner, so in the ideal
-            kept.append(g)
-            seen_lm.add(m)
-    return StandardBasisResult(tuple(kept), leading, stairs)
+        if m in leading and m not in kept:  # a lead in m^corner: the monomial is in the ideal
+            kept[m] = (Poly.monomial(nvars, m) if corner is not None and sum(m) >= corner
+                       else _poly(nvars, zip(g[3], g[4])))
+    return StandardBasisResult(tuple(kept.values()), leading, staircase_of(leading, nvars))
 
 
 def ideal_quotient_dim(gens) -> int | None:

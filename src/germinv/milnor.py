@@ -5,11 +5,11 @@ size of the Jacobian ideal.  The second route, :func:`truncated_dim_oracle`,
 never touches that engine; it does degree-by-degree exact linear algebra on
 truncations and certifies its answer with the local Nakayama argument
 (m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
-quotient dimension are read off the pivot degrees of one row echelon that
-grows a degree layer at a time, each row entering once; a pivot of one
-term with nothing above its degree (every row of a one-term generator, as
-in Brieskorn and Fermat Jacobians) is a shared mark, not a kept row.  The
-two are kept apart on purpose so each can catch the other lying.
+quotient dimension are read off the pivot degrees of one row echelon on
+packed monomials that grows a degree layer at a time, each row entering
+once and no pivot ever normalised; a one-term pivot with nothing above its
+degree (every row of a one-term generator) is a shared mark, not a kept
+row.  The two are kept apart on purpose so each can catch the other lying.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._record import record
 from .errors import EngineError, InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, add_multiple, quotient
 from .localring import DEFAULT_MAX_STEPS, standard_basis
-from .poly import Monomial, Poly, mono_degree, mono_mul, monomials_of_degree
+from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
 DEFAULT_ORACLE_DMAX = 32
 # The largest oracle horizon milnor_with_method (the CLI's --dmax) accepts.
@@ -81,40 +81,38 @@ def is_isolated(f: Poly) -> bool:
 
 # The pivot of a row whose layer is one term with no term above its degree
 # d.  Its layer is empty from degree d + 1 on, so it needs no _Row, no
-# inverse, no replay and no reduction step recorded against it: a row whose
-# lead meets it just drops that term.
+# replay and no reduction step recorded against it: a row whose lead meets
+# it just drops that term.
 ONE_TERM = object()
 
 
 class _Row:
     """One row mono*g of the layered echelon, kept so it can be rebuilt.
 
-    ``layer`` holds the row's reduced terms of the current degree only.  Any
-    later layer is the source's (``parts`` is g split by degree, shifted by
-    ``shift`` of degree ``offset``) plus the ``steps`` multiples of their
-    pivots' layers, times ``inv`` once the row is a pivot.  No term of
+    ``layer`` holds the row's reduced terms of the current degree only, on
+    packed monomials.  Any later layer is the source's (``parts`` is g
+    split by degree, shifted by ``shift`` of degree ``offset``) plus the
+    ``steps`` multiples of their pivots' layers.  A pivot keeps its lead
+    coefficient, so a step's factor is -(row's lead)/(pivot's lead), and
+    each step is one :func:`germinv.gaussian.add_multiple`.  No term of
     degree above ``top`` can appear.  Only generators of two or more terms
-    have rows, and a row that reduces to one term with nothing above the
-    current degree is not kept: its pivot is :data:`ONE_TERM`.  Every
-    coefficient here is an ``(a, b, d)`` triple, the parts g's own; every
-    step and every scaling by ``inv`` is one call of
-    :func:`germinv.gaussian.add_multiple`.
+    have rows; one that reduces to one term with nothing above the current
+    degree is not kept: its pivot is :data:`ONE_TERM`.
     """
 
-    __slots__ = ("shift", "offset", "parts", "steps", "inv", "top", "layer")
+    __slots__ = ("shift", "offset", "parts", "steps", "top", "layer")
 
-    def __init__(self, shift: Monomial, parts: dict, top: int, d: int):
+    def __init__(self, shift: int, offset: int, parts: dict, top: int, d: int):
         self.shift = shift
-        self.offset = mono_degree(shift)
+        self.offset = offset
         self.parts = parts
         self.steps: list[tuple[tuple, _Row]] = []
-        self.inv: tuple | None = None
         self.top = top
         self.layer = self.source(d)
 
-    def source(self, d: int) -> dict[Monomial, tuple]:
+    def source(self, d: int) -> dict[int, tuple]:
         shift = self.shift
-        return {mono_mul(m, shift): c for m, c in self.parts.get(d - self.offset, ())}
+        return {k + shift: c for k, c in self.parts.get(d - self.offset, ())}
 
     def rebuild(self, d: int):
         """Replace the layer by the degree-d one; every step pivot must
@@ -122,8 +120,7 @@ class _Row:
         layer = self.source(d)
         for factor, pivot in self.steps:
             add_multiple(layer, factor, pivot.layer.items())
-        inv = self.inv
-        self.layer = layer if inv is None else add_multiple({}, inv, layer.items())
+        self.layer = layer
 
     def reduce(self, pivots: dict, d: int) -> bool:
         """Reduce the layer against the pivots; True if it becomes one that
@@ -141,16 +138,22 @@ class _Row:
                     pivots[lead] = ONE_TERM
                     return False
                 pivots[lead] = self
-                self.inv = inv = quotient((1, 0, 1), layer[lead])
-                self.layer = add_multiple({}, inv, layer.items())
                 return True
             a, b, e = layer[lead]
-            factor = -a, -b, e
+            factor = quotient((-a, -b, e), pivot.layer[lead])
             self.steps.append((factor, pivot))
             if pivot.top > self.top:
                 self.top = pivot.top
             add_multiple(layer, factor, pivot.layer.items())
         return False
+
+
+def _next_degree(level: list[int], units: list[int], degree: int) -> list[int]:
+    """The packed monomials of degree + 1 from level, those of degree, both
+    lex-descending: x_i times the tail of level free of x_1 .. x_(i-1)."""
+    n = len(units)
+    return [k + unit for i, unit in enumerate(units)
+            for k in level[len(level) - comb(degree + n - 1 - i, degree):]]
 
 
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
@@ -164,7 +167,8 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     degree < d modulo the span truncated there, whose rank is the count of
     lower pivots.  Exact rational arithmetic throughout; None means no
     stabilization by dmax: either the quotient is infinite dimensional or
-    dmax is too small for it.
+    dmax is too small for it.  A degree whose rows would reach the packed
+    monomials' DEGREE_LIMIT raises IterationLimitError before it is built.
 
     Each row enters once, at its lowest degree, and holds only its terms of
     the current degree.  Moving to degree d rebuilds every pivot's layer
@@ -185,24 +189,34 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     if not gens:
         return None
     nvars = gens[0].nvars
-    for g in gens:
-        if g.nvars != nvars:
-            raise InputError("generators disagree on variable count")
+    if any(g.nvars != nvars for g in gens):
+        raise InputError("generators disagree on variable count")
+    shift, _, limit = packing(nvars)
     split = []
-    marks = []  # (degree, monomial) of each one-term generator
+    marks = []  # (degree, packed monomial) of each one-term generator
     for g in gens:
         if len(g) == 1:
             (m,) = g._terms
-            marks.append((mono_degree(m), m))
+            marks.append((sum(m), pack(m)))
             continue
         parts: dict[int, list] = {}
         for m, c in g._terms.items():
-            parts.setdefault(mono_degree(m), []).append((m, c))
+            parts.setdefault(sum(m), []).append((pack(m), c))
         split.append((g.order(), g.degree(), parts))
-    pivots: dict[Monomial, _Row | object] = {}
+    top_degree = max(g.degree() for g in gens)
+    reach = max(g.order() for g in gens)  # degree d needs no shift of degree < d - reach
+    units = [pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+    levels = [[0]]  # levels[s]: the packed shifts of degree s, lex-descending
+    pivots: dict[int, _Row | object] = {}
     replay: list[_Row] = []  # pivots that can still gain terms, in creation order
     pending: list[_Row] = []
     for d in range(dmax):
+        if (d + top_degree) << shift >= limit:
+            raise degree_limit_error()
+        if d:
+            levels.append(_next_degree(levels[-1], units, d - 1))
+            if d > reach:
+                levels[d - reach - 1] = None
         live = []
         for row in replay:
             if row.top < d:
@@ -215,13 +229,13 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         below = len(pivots)  # the pivots below degree d: count before the marks
         for low, m in marks:
             if d >= low:
-                for shift in monomials_of_degree(nvars, d - low):
-                    pivots.setdefault(mono_mul(m, shift), ONE_TERM)
+                for k in levels[d - low]:
+                    pivots.setdefault(m + k, ONE_TERM)
         # new rows reduce before the pending ones: the other way round is
         # slower on dense ideals
-        rows = [_Row(shift, parts, d - low + high, d)
+        rows = [_Row(k, d - low, parts, d - low + high, d)
                 for low, high, parts in split if d >= low
-                for shift in monomials_of_degree(nvars, d - low)]
+                for k in levels[d - low]]
         rows += pending
         replay, pending = live, []
         for row in rows:
@@ -229,7 +243,7 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
                 replay.append(row)
             elif row.top > d:
                 pending.append(row)
-        if len(pivots) - below == comb(d - 1 + nvars, nvars - 1):
+        if len(pivots) - below == len(levels[d]):
             return comb(d - 1 + nvars, nvars) - below
     return None
 

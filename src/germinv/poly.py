@@ -36,7 +36,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .errors import InputError, ParseError, ZeroPolynomialError
+from .errors import InputError, IterationLimitError, ParseError, ZeroPolynomialError
 from .gaussian import GaussianRational, ZERO, _make, add_multiple, triple
 
 Monomial = tuple[int, ...]
@@ -52,13 +52,41 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+# -- packed monomials -------------------------------------------------------
+#
+# Inside both Milnor engines a monomial is one int of FIELD_BITS-bit fields,
+# from the top the degree, then e_n, ..., e_1, each field's top bit a clear
+# guard.  Integer order is the order of (degree, e_n, ..., e_1), the local
+# order reversed; a product is one +, and x^a divides x^b exactly when
+# (b + G) - a keeps every guard bit of G (Bachmann & Schoenemann, ISSAC
+# 1998).  That holds while degrees stay below DEGREE_LIMIT: the engines
+# check before they form a term and raise degree_limit_error() past it.
+FIELD_BITS = 20
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def pack(m: Monomial) -> int:
+    k = sum(m)
+    for e in reversed(m):
+        k = (k << FIELD_BITS) + e
+    return k
+
+
+def unpack(k: int, nvars: int) -> Monomial:
+    mask = (1 << FIELD_BITS) - 1
+    return tuple(k >> (FIELD_BITS * i) & mask for i in range(nvars))
+
+
+def packing(nvars: int) -> tuple[int, int, int]:
+    """(degree shift, guard bits G, least key of degree DEGREE_LIMIT) for nvars variables."""
+    shift = FIELD_BITS * nvars
+    ones = ((1 << (shift + FIELD_BITS)) - 1) // ((1 << FIELD_BITS) - 1)  # 1 in every field
+    return shift, ones << (FIELD_BITS - 1), DEGREE_LIMIT << shift
+
+
+def degree_limit_error() -> IterationLimitError:
+    return IterationLimitError(f"a term would reach degree {DEGREE_LIMIT} or more, past the "
+                               "engines' limit on the degree of a packed monomial")
 
 
 def grlex_key(m: Monomial):
@@ -79,9 +107,7 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 # -- the polynomial type -----------------------------------------------------
 
 class Poly:
-    # _view: germinv.localring's index of the terms under the local order,
-    # built on first use there and cached like _hash
-    __slots__ = ("nvars", "_terms", "_hash", "_view")
+    __slots__ = ("nvars", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -103,7 +129,6 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_view", None)
 
     @staticmethod
     def _clean(nvars: int, terms: dict[Monomial, tuple]) -> "Poly":
@@ -114,14 +139,13 @@ class Poly:
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "_terms", terms)
         object.__setattr__(poly, "_hash", None)
-        object.__setattr__(poly, "_view", None)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # rebuilt through the checked constructor; the caches are not kept
+        # rebuilt through the checked constructor; the hash cache is not kept
         return Poly, (self.nvars, self.terms())
 
     # -- constructors ------------------------------------------------------

@@ -13,10 +13,10 @@ from types import SimpleNamespace
 import pytest
 
 import germinv
-from germinv import milnor
+from germinv import milnor, poly
 from germinv.cli import main
 from germinv.milnor import MAX_ORACLE_DMAX
-from germinv.poly import MAX_TERMS
+from germinv.poly import MAX_EXPONENT, MAX_TERMS
 
 
 def run(capsys, *argv):
@@ -682,6 +682,27 @@ def test_an_oracle_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch):
     assert code == 3
     assert "outside the a-priori bounds 4 <= mu <= 9" in err
     assert not out
+
+
+@pytest.mark.parametrize("argv", [
+    ("milnor", "x^10 + y^3"),  # the partial 10*x^9
+    ("milnor", "x^7 + y^7 + x^3*y^3"),  # partials of degree 6; completion climbs
+    ("milnor", "x^5 + y^5", "--method", "truncated-oracle"),  # the oracle's degree 4 rows
+], ids=["input-term", "completion", "oracle"])
+def test_a_term_past_the_degree_limit_exits_3(capsys, monkeypatch, argv):
+    monkeypatch.setattr(poly, "DEGREE_LIMIT", 8)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert "would reach degree 8 or more" in err
+    assert not out
+
+
+@pytest.mark.parametrize("text, mu", [
+    (f"x^{MAX_EXPONENT} + y^2", MAX_EXPONENT - 1),
+    (f"x^2*y^{MAX_EXPONENT - 2} + y^{MAX_EXPONENT} + x^3", 2 * (MAX_EXPONENT - 1)),
+], ids=["pure-power", "mixed-term"])
+def test_a_germ_of_the_largest_parsed_degree_keeps_its_mu(capsys, text, mu):
+    assert run_json(capsys, "milnor", text)["mu"] == mu
 
 
 SCALAR_OPTIONS = {

@@ -32,6 +32,7 @@ from germinv.poly import Poly, fermat, monomials_of_degree, parse_poly
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+XYZW = ("x", "y", "z", "w")
 
 
 def P(text, names=XY):
@@ -348,13 +349,13 @@ def reference_oracle(gens, dmax):
 
 @st.composite
 def small_ideals(draw):
-    """n-1..3 generators in n = 1..3 variables, each 1-4 terms of degree
-    1..4 and now and then a constant: unit ideals, finite and infinite
-    quotients."""
-    nvars = draw(st.integers(1, 3))
+    """n-1..max(n, 3) generators in n = 1..4 variables, each 1-4 terms of
+    degree 1..4 and now and then a constant: unit ideals, finite and
+    infinite quotients."""
+    nvars = draw(st.integers(1, 4))
     coefficient = COEFFICIENTS[draw(st.sampled_from(sorted(COEFFICIENTS)))]
     gens = []
-    for _ in range(draw(st.integers(max(1, nvars - 1), 3))):
+    for _ in range(draw(st.integers(max(1, nvars - 1), max(3, nvars)))):
         terms = {}
         if draw(st.integers(0, 7)) == 0:
             terms[(0,) * nvars] = draw(coefficient)
@@ -370,8 +371,8 @@ def small_ideals(draw):
 @example([P("1 + x"), P("y")], 3)
 @example([P("x^2*y + y^3")], 9)
 @example([P("x^2"), P("y^3"), P("x*y")], 9)
-# a stepped row left with one term below its top, whose lead denominator
-# equals that top degree: it still needs its inverse; the quotient is C{z}/(z^5)
+# a stepped row left with one term below its top: it stays a kept pivot, not
+# a mark, and later steps divide by its lead; the quotient is C{z}/(z^5)
 @example([P("2*y + x", XYZ), P("x + z^2", XYZ) + P("y", XYZ).scale(Fraction(1, 2)),
           P("x + y", XYZ) + P("z^2", XYZ).scale(Fraction(2, 3)), P("z^5", XYZ)], 9)
 # the same case in a Jacobian ideal: a wrong shortcut reads 21, not None
@@ -386,6 +387,9 @@ def small_ideals(draw):
 @example([P("x^2"), P("x*y"), P("y^3")], 9)
 @example([P("(1+i)*x^3"), P("y^2")], 9)
 @example([P("3"), P("x")], 9)
+# four variables, a finite and an infinite quotient
+@example(list(P("x^2*y + y^3 + z^3 + w^3 + x*z*w", XYZW).jacobian()), 9)
+@example(list(P("x^2*y^2 + z^3 + (1+i)*w^2", XYZW).jacobian()), 9)
 def test_oracle_matches_the_per_horizon_specification(gens, dmax):
     assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
 

@@ -4,6 +4,7 @@ import copy
 import pickle
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,22 +12,23 @@ from hypothesis import example, given, settings, strategies as st
 from germinv import poly
 from germinv.errors import InputError, ParseError, ZeroPolynomialError
 from germinv.gaussian import GaussianRational
-from germinv.localring import _view
 from germinv.poly import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    DEGREE_LIMIT,
     MAX_TERMS,
     Poly,
     default_names,
     fermat,
     format_poly,
     mono_degree,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     monomials_of_degree,
+    pack,
+    packing,
     parse_poly,
     parse_scalar,
+    unpack,
     variable_names,
 )
 
@@ -42,9 +44,39 @@ def P(text, names=XY):
 def test_monomial_helpers():
     assert mono_degree((2, 3)) == 5
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
-    assert mono_divides((1, 1), (2, 3))
-    assert not mono_divides((2, 0), (1, 5))
-    assert mono_lcm((2, 0), (1, 3)) == (2, 3)
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials in 1-4 variables, each of degree below DEGREE_LIMIT,
+    small or near the limit."""
+    nvars = draw(st.integers(1, 4))
+    pair = []
+    for _ in range(2):
+        top = draw(st.sampled_from([4, DEGREE_LIMIT - 1]))
+        mono = []
+        for _ in range(nvars):
+            mono.append(draw(st.integers(0, top - sum(mono))))
+        pair.append(tuple(draw(st.permutations(mono))))
+    return pair
+
+
+@settings(max_examples=200)
+@given(monomial_pairs())
+def test_packed_monomials_keep_order_products_and_divisibility(pair):
+    a, b = pair
+    nvars = len(a)
+    shift, guards, limit = packing(nvars)
+    assert unpack(pack(a), nvars) == a
+    assert pack(a) >> shift == mono_degree(a) and pack(a) < limit
+    # integer order is the order of (degree, e_n, ..., e_1)
+    key = lambda m: (mono_degree(m), m[::-1])
+    assert (pack(a) < pack(b)) == (key(a) < key(b))
+    assert pack(a) & guards == 0
+    # x^a divides x^b exactly when (b + G) - a keeps every guard bit
+    assert ((pack(b) + guards - pack(a)) & guards == guards) == all(map(le, a, b))
+    if mono_degree(a) + mono_degree(b) < DEGREE_LIMIT:
+        assert pack(a) + pack(b) == pack(mono_mul(a, b))
 
 
 def test_monomials_of_degree_count():
@@ -580,12 +612,10 @@ def test_partials_are_canonical(f):
 def test_pickle_and_copy_round_trip(text):
     f = P(text)
     hash(f)
-    if f:
-        _view(f)  # fills the local-order view cache
     for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert copied._hash is None  # the hash cache is rebuilt, never carried over
         assert type(copied) is Poly
         assert copied == f and repr(copied) == repr(f) and hash(copied) == hash(f)
-        assert copied._view is None  # caches are rebuilt, never carried over
 
 
 # -- triple storage against the textbook formulas ------------------------------

@@ -35,7 +35,10 @@ least key and the degree sits in the greatest, keys add when monomials
 multiply, and divisibility is one subtract and mask.  Completion runs on
 keyed terms alone: a reducer is its sorted keys and coefficient triples
 (with its lead, negated lead coefficient and ecart), and a remainder a
-dict reduced in place; Polys are built only for the basis it returns.
+dict reduced in place; Polys are built only for the basis it returns.  A
+reducer keeps its own lead coefficient, as every step divides by it, so
+only the returned elements are normalised, once, at the end; the minimal
+leading monomials are updated as each new element arrives.
 :func:`mora_normal_form` and :func:`spoly` are its steps wrapped for Polys.
 Each reduction step takes its factor from :func:`germinv.gaussian.quotient`
 and hands the reducer's shifted keys, cut where the shifted degree reaches
@@ -47,7 +50,7 @@ IterationLimitError before it is formed.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from itertools import product as iter_product
 from operator import le
 
@@ -94,11 +97,6 @@ def _reducer(keys, coeffs, shift: int):
     """(lead key, negated lead coefficient, ecart, keys, coefficients)."""
     a, b, d = coeffs[0]
     return keys[0], (-a, -b, d), (keys[-1] >> shift) - (keys[0] >> shift), keys, coeffs
-
-
-def _monic(keys, coeffs, shift: int):
-    scaled = add_multiple({}, quotient((1, 0, 1), coeffs[0]), zip(keys, coeffs))
-    return _reducer(keys, list(scaled.values()), shift)
 
 
 def _poly(nvars: int, terms) -> Poly:
@@ -197,13 +195,15 @@ class StandardBasisResult:
         return None if self.staircase is None else len(self.staircase)
 
 
-def _minimalize(monos: list[Monomial]) -> tuple[Monomial, ...]:
-    """Keep only the divisibility-minimal monomials, deterministically."""
-    keep: list[Monomial] = []
-    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
-        if not any(all(map(le, k, m)) for k in keep):
-            keep.append(m)
-    return tuple(keep)
+def _add_lead(leading: list[Monomial], m: Monomial) -> bool:
+    """Add m to the divisibility-minimal monomials, kept sorted by (degree,
+    m), and drop those it divides; False, changing nothing, if one of them
+    divides m."""
+    if any(all(map(le, k, m)) for k in leading):
+        return False
+    leading[:] = [k for k in leading if not all(map(le, m, k))]
+    insort(leading, m, key=lambda m: (sum(m), m))
+    return True
 
 
 def _columns(leading_gens: tuple[Monomial, ...], nvars: int):
@@ -281,12 +281,14 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
         raise InputError("generators disagree on variable count")
     budget = _Budget(max_steps)
     layout = shift, _, limit = packing(nvars)
-    basis = [_monic(*_view(g), shift) for g in gens if g]
+    basis = [_reducer(*_view(g), shift) for g in gens if g]
     if not basis:
         return StandardBasisResult((), (), None)
 
     lm = [unpack(g[0], nvars) for g in basis]
-    leading = _minimalize(lm)
+    leading: list[Monomial] = []
+    for m in lm:
+        _add_lead(leading, m)
     corner = _corner_degree(leading, nvars)
     cut = None if corner is None else corner << shift
     basis = _truncated(basis, cut, shift)
@@ -302,12 +304,13 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
         h = _reduce(_spoly(basis[i], basis[j], lcm, cut, limit), list(basis), budget, cut, layout)
         if h:
             keys = sorted(h)
-            basis.append(_monic(keys, [h[k] for k in keys], shift))
+            basis.append(_reducer(keys, [h[k] for k in keys], shift))
             lm.append(unpack(keys[0], nvars))
             new = len(basis) - 1
             for other in range(new):
                 heapq.heappush(pairs, (sum(map(max, lm[other], lm[new])), other, new))
-            leading = _minimalize(lm)
+            if not _add_lead(leading, lm[new]):
+                continue
             corner, old = _corner_degree(leading, nvars), corner
             if corner != old:
                 cut = corner << shift
@@ -315,10 +318,14 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
 
     kept = {}
     for g, m in zip(basis, lm):
-        if m in leading and m not in kept:  # a lead in m^corner: the monomial is in the ideal
-            kept[m] = (Poly.monomial(nvars, m) if corner is not None and sum(m) >= corner
-                       else _poly(nvars, zip(g[3], g[4])))
-    return StandardBasisResult(tuple(kept.values()), leading, staircase_of(leading, nvars))
+        if m not in leading or m in kept:
+            continue
+        if corner is not None and sum(m) >= corner:  # a lead in m^corner: m is in the ideal
+            kept[m] = Poly._clean(nvars, {m: (1, 0, 1)})
+        else:  # the one normalisation, to lead coefficient 1
+            monic = add_multiple({}, quotient((-1, 0, 1), g[1]), zip(g[3], g[4]))
+            kept[m] = _poly(nvars, monic.items())
+    return StandardBasisResult(tuple(kept.values()), tuple(leading), staircase_of(leading, nvars))
 
 
 def ideal_quotient_dim(gens) -> int | None:

@@ -9,7 +9,9 @@ quotient dimension are read off the pivot degrees of one row echelon on
 packed monomials that grows a degree layer at a time, each row entering
 once and no pivot ever normalised; a one-term pivot with nothing above its
 degree (every row of a one-term generator) is a shared mark, not a kept
-row.  The two are kept apart on purpose so each can catch the other lying.
+row, and a row that a Koszul syzygy g_i*g_j = g_j*g_i makes redundant is
+never built.  The two are kept apart on purpose so each can catch the other
+lying.
 """
 
 from __future__ import annotations
@@ -182,8 +184,20 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     yet, and a lead that meets a mark is simply deleted.  Layer d of every
     row is what an untruncated echelon holds in degree d, and the lowest
     monomials of a span do not depend on the row order, so the pivot
-    counts per degree are those of a fresh echelon of all rows truncated
-    above d.
+    counts per degree are those of a fresh echelon of the built rows
+    truncated above d.
+
+    The row m*g_j of a generator of two or more terms is never built when
+    the lead x^a of an earlier generator g_i (i < j; a lead c*x^a is the
+    lowest-degree, local-order-largest term) divides m = m'*x^a: the case
+    of Faugère's F5 criterion on the generators' own leads.  By
+    g_i*g_j = g_j*g_i, c*m*g_j is m'*g_i*g_j, a combination of rows of g_i,
+    minus m'*(g_i - c*x^a)*g_j, one of rows of g_j at shifts local-order
+    smaller than m.  Induction on (j, shift) over the finitely many rows
+    that enter at degree <= d ends, and rows that enter above d change only
+    terms above d; so every dropped row, truncated above d, is a combination
+    of built ones, every degree's pivot count is unchanged, and so is every
+    result, None included.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -191,20 +205,23 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     nvars = gens[0].nvars
     if any(g.nvars != nvars for g in gens):
         raise InputError("generators disagree on variable count")
-    shift, _, limit = packing(nvars)
-    split = []
+    shift, guards, limit = packing(nvars)
+    split = []  # (order, degree, parts, the earlier leads) of each generator of 2+ terms
     marks = []  # (degree, packed monomial) of each one-term generator
+    leads = []
+    top_degree = reach = 0  # degree d needs no shift of degree < d - reach
     for g in gens:
-        if len(g) == 1:
-            (m,) = g._terms
-            marks.append((sum(m), pack(m)))
-            continue
         parts: dict[int, list] = {}
         for m, c in g._terms.items():
             parts.setdefault(sum(m), []).append((pack(m), c))
-        split.append((g.order(), g.degree(), parts))
-    top_degree = max(g.degree() for g in gens)
-    reach = max(g.order() for g in gens)  # degree d needs no shift of degree < d - reach
+        low, high = min(parts), max(parts)
+        lead = min(parts[low])[0]
+        if len(g) == 1:
+            marks.append((low, lead))
+        else:
+            split.append((low, high, parts, tuple(leads)))
+        leads.append(lead)
+        top_degree, reach = max(top_degree, high), max(reach, low)
     units = [pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
     levels = [[0]]  # levels[s]: the packed shifts of degree s, lex-descending
     pivots: dict[int, _Row | object] = {}
@@ -233,9 +250,13 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
                     pivots.setdefault(m + k, ONE_TERM)
         # new rows reduce before the pending ones: the other way round is
         # slower on dense ideals
-        rows = [_Row(k, d - low, parts, d - low + high, d)
-                for low, high, parts in split if d >= low
-                for k in levels[d - low]]
+        rows = []
+        for low, high, parts, earlier in split:
+            if d >= low:
+                shifts = levels[d - low]
+                for a in earlier:  # no row whose shift an earlier lead divides
+                    shifts = [k for k in shifts if (k + guards - a) & guards != guards]
+                rows += [_Row(k, d - low, parts, d - low + high, d) for k in shifts]
         rows += pending
         replay, pending = live, []
         for row in rows:

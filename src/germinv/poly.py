@@ -37,7 +37,7 @@ from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError, IterationLimitError, ParseError, ZeroPolynomialError
-from .gaussian import GaussianRational, ZERO, _make, add_multiple, triple
+from .gaussian import GaussianRational, _make, add_multiple, triple
 
 Monomial = tuple[int, ...]
 
@@ -325,14 +325,21 @@ class Poly:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
-        values = [GaussianRational.of(p) for p in point]
-        total = ZERO
-        for m, term in self.terms().items():
-            for v, e in zip(values, m):
+        tables = [[(1, 0, 1), triple(p)] for p in point]  # powers, grown as exponents need
+        total: dict = {}
+        for m, c in self._terms.items():
+            value = None
+            for table, e in zip(tables, m):
                 if e:
-                    term = term * v ** e
-            total = total + term
-        return total
+                    if not (table[1][0] or table[1][1]):
+                        break  # a zero coordinate: the term vanishes
+                    while len(table) <= e:
+                        table.append(add_multiple({}, table[-1], ((0, table[1]),))[0])
+                    power = table[e]
+                    value = power if value is None else add_multiple({}, value, ((0, power),))[0]
+            else:
+                add_multiple(total, value or (1, 0, 1), ((0, c),))
+        return _make(*total.get(0, (0, 0, 1)))
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Plug images[i] in for variable i; images share one variable count."""

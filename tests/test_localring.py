@@ -13,7 +13,6 @@ from germinv.localring import (
     DEFAULT_MAX_STEPS,
     StandardBasisResult,
     _Budget,
-    _minimalize,
     _view,
     ideal_quotient_dim,
     leading_monomial,
@@ -254,6 +253,12 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+def minimal_monomials(monos):
+    """The divisibility-minimal monomials, sorted by degree, then exponents."""
+    minimal = {m for m in monos if not any(mono_divides(k, m) and k != m for k in monos)}
+    return tuple(sorted(minimal, key=lambda m: (mono_degree(m), m)))
+
+
 def mono_quotient(b, a):
     """Exponent vector of x^b / x^a, for x^a dividing x^b."""
     return tuple(y - x for x, y in zip(a, b))
@@ -329,7 +334,7 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
     if not basis:
         return StandardBasisResult((), (), None)
     lm = [ref_leading_term(g)[0] for g in basis]
-    leading = _minimalize(lm)
+    leading = minimal_monomials(lm)
     stairs = ref_staircase(leading, nvars)
     corner = ref_corner(stairs)
 
@@ -357,7 +362,7 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
             lm.append(ref_leading_term(h)[0])
             for other in range(len(basis) - 1):
                 heapq.heappush(pairs, (lcm_degree(other, len(basis) - 1), other, len(basis) - 1))
-            leading = _minimalize(lm)
+            leading = minimal_monomials(lm)
             stairs = ref_staircase(leading, nvars)
             if ref_corner(stairs) != corner:
                 corner = ref_corner(stairs)
@@ -434,6 +439,12 @@ def test_normal_form_matches_the_specification(problem):
 @example((P("0"), list(P("x^2*y + y^3 + z^3 + w^3 + x*z*w", XYZW).jacobian()), None))
 @example((P("0"), [P("(1+i)*x*y + z^2 - 2/3*w^3", XYZW), P("x^2 + y*w", XYZW),
                    P("y^2 + x*z*w", XYZW)], None))
+# leads of coefficient 2+i, 1/2-3/2*i, 2/3 and 5: completion keeps them and
+# normalises only what it returns
+@example((P("0"), [P("(2+i)*x*y + y^3"), P("(1/2 - 3/2*i)*x^2 + i*y^4")], None))
+@example((P("0"), [P("2/3*x^2 - y^3"), P("5*x*y + 3/2*y^4")], None))
+# a new lead x*y^2 makes the earlier minimal lead x*y^3 redundant
+@example((P("0"), [P("x^2*y + y^4"), P("x^3 + x*y^2"), P("x^2 + x*y^2")], None))
 def test_standard_basis_matches_the_specification(problem):
     _, gens, _ = problem
     got = outcome(lambda: standard_basis(gens, max_steps=60))
@@ -444,6 +455,16 @@ def test_standard_basis_matches_the_specification(problem):
         assert got.basis == expected.basis
         assert got.leading_ideal_gens == expected.leading_ideal_gens
         assert got.staircase == expected.staircase
+
+
+@settings(max_examples=100)
+@given(local_problems())
+@example((P("0"), [P("(2+i)*x*y + y^3"), P("2/3*x^2 - y^3")], None))
+def test_every_basis_element_has_lead_coefficient_one(problem):
+    _, gens, _ = problem
+    result = outcome(lambda: standard_basis(gens, max_steps=60))
+    if not isinstance(result, str):
+        assert all(ref_leading_term(g)[1] == ONE for g in result.basis)
 
 
 @settings(max_examples=100)

@@ -390,11 +390,21 @@ def small_ideals(draw):
 # four variables, a finite and an infinite quotient
 @example(list(P("x^2*y + y^3 + z^3 + w^3 + x*z*w", XYZW).jacobian()), 9)
 @example(list(P("x^2*y^2 + z^3 + (1+i)*w^2", XYZW).jacobian()), 9)
+# rows m*g_j that an earlier generator's lead divides are never built: a
+# unit lead after and before another generator, a repeated generator, an
+# earlier lead dividing a later one, and a dense Jacobian in four variables
+@example([P("x*y + y^3"), P("1 + x")], 9)
+@example([P("1 + x"), P("x*y + y^3")], 9)
+@example([P("x + y^2"), P("x + y^2"), P("y^3")], 9)
+@example([P("x + y^3"), P("x^2 + x*y + y^4")], 9)
+@example(list(P("x^3 + y^3 + z^3 + w^3 + x*y*z + x*y*w + x*z*w + y*z*w + x^2*y + z^2*w",
+                XYZW).jacobian()), 9)
 def test_oracle_matches_the_per_horizon_specification(gens, dmax):
     assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
 
 
-def test_one_term_generators_build_no_rows(monkeypatch):
+def counted_rows(monkeypatch) -> list:
+    """The arguments of every oracle row built from now on."""
     built = []
 
     class CountedRow(milnor._Row):
@@ -405,11 +415,24 @@ def test_one_term_generators_build_no_rows(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(milnor, "_Row", CountedRow)
+    return built
+
+
+def test_one_term_generators_build_no_rows(monkeypatch):
+    built = counted_rows(monkeypatch)
     # a Brieskorn Jacobian has only one-term generators: every row is a mark
     assert milnor_oracle(P("x^5 + y^7 + z^4", XYZ), oracle_dmax_for(72)) == 72
     assert not built
     assert milnor_oracle(P("x^2*y^2 + x^5 + y^5"), oracle_dmax_for(11)) == 11
     assert built
+
+
+def test_rows_an_earlier_lead_divides_are_never_built(monkeypatch):
+    # Briancon-Speder F_1: every row of the three partials would be 14,011
+    built = counted_rows(monkeypatch)
+    f1 = P("z^5 + y^6*z + y^7*x + x^15", XYZ)
+    assert milnor_oracle(f1, oracle_dmax_for(364)) == 364
+    assert len(built) == 8762
 
 
 def test_fermat_grid_small():

@@ -462,6 +462,43 @@ def test_evaluate():
     assert f.evaluate((Fraction(1, 2), 0)) == GaussianRational.of(Fraction(1, 4))
 
 
+def reference_evaluate(f, point):
+    """Evaluation's specification: a scalar power and product per variable
+    of every term, summed."""
+    values = [GaussianRational.of(p) for p in point]
+    total = GaussianRational(0)
+    for m, term in f.terms().items():
+        for v, e in zip(values, m):
+            if e:
+                term = term * v ** e
+        total = total + term
+    return total
+
+
+small = st.integers(-4, 4)
+coordinates = (small | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+               | st.builds(GaussianRational, small, st.fractions(-2, 2, max_denominator=3)))
+
+
+@st.composite
+def points_and_polys(draw):
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 5)] * nvars)
+    f = Poly(nvars, draw(st.dictionaries(exps, gaussian_coeffs, max_size=6)))
+    return f, tuple(draw(st.lists(coordinates, min_size=nvars, max_size=nvars)))
+
+
+@settings(max_examples=200)
+@given(points_and_polys())
+@example((P("x^2 + 2*y"), (0, 0)))
+@example((P("3 + x^3*y + (1+i)*y^2"), (GaussianRational(0, 1), Fraction(-2, 3))))
+@example((P("x*y^4 - x^5"), (0, GaussianRational(1, 1))))
+@example((P("0"), (1, 2)))
+def test_evaluate_matches_the_specification(problem):
+    f, point = problem
+    assert f.evaluate(point) == reference_evaluate(f, point)
+
+
 def test_substitute_composition():
     f = P("x^2 + y")
     g = f.substitute((P("x + y"), P("x*y")))

@@ -39,7 +39,7 @@ dict reduced in place; Polys are built only for the basis it returns.  A
 reducer keeps its own lead coefficient, as every step divides by it, so
 only the returned elements are normalised, once, at the end; the minimal
 leading monomials are updated as each new element arrives.
-:func:`mora_normal_form` and :func:`spoly` are its steps wrapped for Polys.
+:func:`mora_normal_form` is its normal form wrapped for Polys.
 Each reduction step takes its factor from :func:`germinv.gaussian.quotient`
 and hands the reducer's shifted keys, cut where the shifted degree reaches
 the corner, with its triples to :func:`germinv.gaussian.add_multiple`; a
@@ -72,10 +72,6 @@ def _view(f: Poly) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
     if view[0][-1] >= packing(f.nvars)[2]:
         raise degree_limit_error()
     return view
-
-
-def leading_monomial(f: Poly) -> Monomial:
-    return unpack(_view(f)[0][0], f.nvars)
 
 
 class _Budget:
@@ -140,16 +136,6 @@ def _reduce(h: dict, pool: list, budget: _Budget, cut: int | None, layout) -> di
         # h -= (ch/cg) * x^(lead - lg) * g: the leading terms cancel
         _add_shifted(h, quotient(h.pop(lead), best[1]), best, lead - best[0], cut, limit)
     return h
-
-
-def spoly(f: Poly, g: Poly, _corner: int | None = None) -> Poly:
-    """The s-polynomial of f and g; with ``_corner`` k, only its terms of
-    degree < k, without forming the others."""
-    shift, _, limit = packing(f.nvars)
-    lcm = pack(tuple(map(max, leading_monomial(f), leading_monomial(g))))
-    s = _spoly(_reducer(*_view(f), shift), _reducer(*_view(g), shift), lcm,
-               None if _corner is None else _corner << shift, limit)
-    return _poly(f.nvars, s.items())
 
 
 def mora_normal_form(

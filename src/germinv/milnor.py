@@ -7,11 +7,10 @@ truncations and certifies its answer with the local Nakayama argument
 (m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
 quotient dimension are read off the pivot degrees of one row echelon on
 packed monomials that grows a degree layer at a time, each row entering
-once and no pivot ever normalised; a one-term pivot with nothing above its
-degree (every row of a one-term generator) is a shared mark, not a kept
-row, and a row that a Koszul syzygy g_i*g_j = g_j*g_i makes redundant is
-never built.  The two are kept apart on purpose so each can catch the other
-lying.
+once, no pivot ever normalised and none kept past its own degree; every
+row of a one-term generator is a shared mark, not a kept row, and a row
+that a Koszul syzygy g_i*g_j = g_j*g_i makes redundant is never built.
+The two are kept apart on purpose so each can catch the other lying.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
 DEFAULT_ORACLE_DMAX = 32
 # The largest oracle horizon milnor_with_method (the CLI's --dmax) accepts.
-# The oracle's cost on a germ that never stabilises grows 10-20x per
+# The oracle's cost on a germ that never stabilises grows 3-12x per
 # doubling of the horizon; at 128 the slowest 2- and 3-variable germs found
-# take 0.6 s (x^2*y^2 + x^5) and 5.2 s (x^2*y^2 + z^2) in-process on a
-# 2-vCPU Xeon (Python 3.11.7).  milnor_oracle itself is not capped: the
+# take 0.03 s (x^2*y^2 + x^5) and 0.16 s (x^2*y^2 + z^2) in-process on a
+# 2-vCPU Xeon (Python 3.11.7, best of three).  milnor_oracle itself is not capped: the
 # corpus cross-check passes it oracle_dmax_for(mu), which can be larger.
 MAX_ORACLE_DMAX = 128
 
@@ -81,73 +80,9 @@ def is_isolated(f: Poly) -> bool:
 
 # -- the independent oracle --------------------------------------------------
 
-# The pivot of a row whose layer is one term with no term above its degree
-# d.  Its layer is empty from degree d + 1 on, so it needs no _Row, no
-# replay and no reduction step recorded against it: a row whose lead meets
-# it just drops that term.
+# The pivot of each row of a one-term generator, which has no term above its
+# degree: a lead that meets it is just deleted, and no step is recorded.
 ONE_TERM = object()
-
-
-class _Row:
-    """One row mono*g of the layered echelon, kept so it can be rebuilt.
-
-    ``layer`` holds the row's reduced terms of the current degree only, on
-    packed monomials.  Any later layer is the source's (``parts`` is g
-    split by degree, shifted by ``shift`` of degree ``offset``) plus the
-    ``steps`` multiples of their pivots' layers.  A pivot keeps its lead
-    coefficient, so a step's factor is -(row's lead)/(pivot's lead), and
-    each step is one :func:`germinv.gaussian.add_multiple`.  No term of
-    degree above ``top`` can appear.  Only generators of two or more terms
-    have rows; one that reduces to one term with nothing above the current
-    degree is not kept: its pivot is :data:`ONE_TERM`.
-    """
-
-    __slots__ = ("shift", "offset", "parts", "steps", "top", "layer")
-
-    def __init__(self, shift: int, offset: int, parts: dict, top: int, d: int):
-        self.shift = shift
-        self.offset = offset
-        self.parts = parts
-        self.steps: list[tuple[tuple, _Row]] = []
-        self.top = top
-        self.layer = self.source(d)
-
-    def source(self, d: int) -> dict[int, tuple]:
-        shift = self.shift
-        return {k + shift: c for k, c in self.parts.get(d - self.offset, ())}
-
-    def rebuild(self, d: int):
-        """Replace the layer by the degree-d one; every step pivot must
-        already hold its own degree-d layer."""
-        layer = self.source(d)
-        for factor, pivot in self.steps:
-            add_multiple(layer, factor, pivot.layer.items())
-        self.layer = layer
-
-    def reduce(self, pivots: dict, d: int) -> bool:
-        """Reduce the layer against the pivots; True if it becomes one that
-        stays in the replay.  A layer left with one term and nothing above
-        d becomes a :data:`ONE_TERM` mark instead, and the row is dropped."""
-        layer = self.layer
-        while layer:
-            lead = min(layer)
-            pivot = pivots.get(lead)
-            if pivot is ONE_TERM:
-                del layer[lead]
-                continue
-            if pivot is None:
-                if len(layer) == 1 and self.top == d:
-                    pivots[lead] = ONE_TERM
-                    return False
-                pivots[lead] = self
-                return True
-            a, b, e = layer[lead]
-            factor = quotient((-a, -b, e), pivot.layer[lead])
-            self.steps.append((factor, pivot))
-            if pivot.top > self.top:
-                self.top = pivot.top
-            add_multiple(layer, factor, pivot.layer.items())
-        return False
 
 
 def _next_degree(level: list[int], units: list[int], degree: int) -> list[int]:
@@ -156,6 +91,32 @@ def _next_degree(level: list[int], units: list[int], degree: int) -> list[int]:
     n = len(units)
     return [k + unit for i, unit in enumerate(units)
             for k in level[len(level) - comb(degree + n - 1 - i, degree):]]
+
+
+def _new_row(shift: int, terms: list) -> dict[int, tuple]:
+    """The first layer of a new row x^shift*g: g's lowest-degree terms, shifted."""
+    return {shift + k: c for k, c in terms}
+
+
+def _carry(rows: list, sources: list, steps: list, news: int, d: int) -> list[dict]:
+    """The terms above d, by degree, of the rows that cancelled at degree d
+    and have some, formed for them and every pivot they reach through steps."""
+    needed = [not layer for layer in rows]
+    for i in range(len(rows) - 1, -1, -1):
+        if needed[i]:
+            for _, pivot in steps[i]:
+                needed[pivot] = True
+    aboves = [None] * len(rows)
+    for i, above in enumerate(sources):
+        if needed[i]:
+            if i < news:
+                k, tail = above
+                above = {d + o: {k + m: c for m, c in terms} for o, terms in tail}
+            for factor, pivot in steps[i]:
+                for e, terms in aboves[pivot].items():
+                    add_multiple(above.setdefault(e, {}), factor, terms.items())
+            aboves[i] = above
+    return [above for above, layer in zip(aboves, rows) if above and not layer]
 
 
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
@@ -172,20 +133,22 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     dmax is too small for it.  A degree whose rows would reach the packed
     monomials' DEGREE_LIMIT raises IterationLimitError before it is built.
 
-    Each row enters once, at its lowest degree, and holds only its terms of
-    the current degree.  Moving to degree d rebuilds every pivot's layer
-    from its source and its reduction steps, in creation order; marks the
-    rows of lowest degree d of each one-term generator; adds the other rows
-    of lowest degree d; and resumes the pending rows, those that cancelled
-    in every degree so far.  A row with no term left at or above d leaves
-    the replay.  A mark is the :data:`ONE_TERM` pivot at the row's
-    monomial (a repeated monomial is the same row, dropped).  Marks are
-    placed before any degree-d row reduces, so no kept row holds that lead
-    yet, and a lead that meets a mark is simply deleted.  Layer d of every
-    row is what an untruncated echelon holds in degree d, and the lowest
-    monomials of a span do not depend on the row order, so the pivot
-    counts per degree are those of a fresh echelon of the built rows
-    truncated above d.
+    Each row enters once, at its lowest degree, and holds only its layer,
+    its terms of the current degree d.  Degree d first places the marks:
+    the :data:`ONE_TERM` pivot at each row's monomial of a one-term
+    generator (a repeated monomial is the same row), so a lead that meets
+    one is simply deleted.  Then the new rows reduce, then the pending ones,
+    which cancelled in every degree so far; each step against a kept pivot
+    is recorded, as (factor, pivot), for degree d only.  (i) A row reduced
+    at degree d has its lead there, so a pivot of degree d is met only at
+    degree d.  (ii) The terms above d of a row are its own plus its steps'
+    multiples of their pivots' terms above d (a mark's row has none);
+    formed in reduction order for every row that a pending row reaches
+    through steps, they give each pending row what the untruncated echelon
+    holds.  (iii) So layer d of every row is the untruncated echelon's, and
+    as the lowest monomials of a span do not depend on the row order, every
+    degree's pivot count is that of a fresh echelon of the built rows
+    truncated above d, and so is every result, None included.
 
     The row m*g_j of a generator of two or more terms is never built when
     the lead x^a of an earlier generator g_i (i < j; a lead c*x^a is the
@@ -206,7 +169,7 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     if any(g.nvars != nvars for g in gens):
         raise InputError("generators disagree on variable count")
     shift, guards, limit = packing(nvars)
-    split = []  # (order, degree, parts, the earlier leads) of each generator of 2+ terms
+    split = []  # (degree, its terms, the (offset, terms) above, earlier leads) of each 2+-term g
     marks = []  # (degree, packed monomial) of each one-term generator
     leads = []
     top_degree = reach = 0  # degree d needs no shift of degree < d - reach
@@ -219,14 +182,14 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         if len(g) == 1:
             marks.append((low, lead))
         else:
-            split.append((low, high, parts, tuple(leads)))
+            tail = [(e - low, terms) for e, terms in parts.items() if e > low]
+            split.append((low, parts[low], tail, tuple(leads)))
         leads.append(lead)
         top_degree, reach = max(top_degree, high), max(reach, low)
     units = [pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
     levels = [[0]]  # levels[s]: the packed shifts of degree s, lex-descending
-    pivots: dict[int, _Row | object] = {}
-    replay: list[_Row] = []  # pivots that can still gain terms, in creation order
-    pending: list[_Row] = []
+    below = 0  # the pivots of degree < d
+    pending: list[dict] = []  # the terms above d - 1, by degree, of each row cancelled so far
     for d in range(dmax):
         if (d + top_degree) << shift >= limit:
             raise degree_limit_error()
@@ -234,38 +197,54 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
             levels.append(_next_degree(levels[-1], units, d - 1))
             if d > reach:
                 levels[d - reach - 1] = None
-        live = []
-        for row in replay:
-            if row.top < d:
-                row.layer = {}
-            else:
-                row.rebuild(d)
-                live.append(row)
-        for row in pending:
-            row.rebuild(d)
-        below = len(pivots)  # the pivots below degree d: count before the marks
+        pivots: dict[int, int | object] = {}  # lead -> its row's place in rows, or ONE_TERM
         for low, m in marks:
             if d >= low:
                 for k in levels[d - low]:
-                    pivots.setdefault(m + k, ONE_TERM)
+                    pivots[m + k] = ONE_TERM
         # new rows reduce before the pending ones: the other way round is
         # slower on dense ideals
-        rows = []
-        for low, high, parts, earlier in split:
+        rows = []  # the degree-d layer of each row, in reduction order
+        sources = []  # (shift, tail) of each new row, then each resumed row's terms above d
+        for low, first, tail, earlier in split:
             if d >= low:
                 shifts = levels[d - low]
                 for a in earlier:  # no row whose shift an earlier lead divides
                     shifts = [k for k in shifts if (k + guards - a) & guards != guards]
-                rows += [_Row(k, d - low, parts, d - low + high, d) for k in shifts]
-        rows += pending
-        replay, pending = live, []
-        for row in rows:
-            if row.reduce(pivots, d):
-                replay.append(row)
-            elif row.top > d:
-                pending.append(row)
-        if len(pivots) - below == len(levels[d]):
+                rows += [_new_row(k, first) for k in shifts]
+                sources += [(k, tail) for k in shifts]
+        news = len(rows)
+        waiting = []  # pending rows with no term of degree d
+        for above in pending:
+            layer = above.pop(d, None)
+            if layer:
+                rows.append(layer)
+                sources.append(above)
+            elif above:
+                waiting.append(above)
+        steps = []
+        for i, layer in enumerate(rows):
+            taken = []
+            while layer:
+                lead = min(layer)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = i
+                    break
+                if pivot is ONE_TERM:
+                    del layer[lead]
+                    continue
+                a, b, e = layer[lead]
+                factor = quotient((-a, -b, e), rows[pivot][lead])
+                taken.append((factor, pivot))
+                add_multiple(layer, factor, rows[pivot].items())
+            steps.append(taken)
+        if len(pivots) == len(levels[d]):
             return comb(d - 1 + nvars, nvars) - below
+        below += len(pivots)
+        if rows:
+            waiting += _carry(rows, sources, steps, news, d)
+        pending = waiting
     return None
 
 

@@ -13,11 +13,12 @@ from germinv.localring import (
     DEFAULT_MAX_STEPS,
     StandardBasisResult,
     _Budget,
+    _poly,
+    _reducer,
+    _spoly,
     _view,
     ideal_quotient_dim,
-    leading_monomial,
     mora_normal_form,
-    spoly,
     staircase_of,
     standard_basis,
 )
@@ -25,7 +26,10 @@ from germinv.poly import (
     Poly,
     mono_degree,
     monomials_of_degree,
+    pack,
+    packing,
     parse_poly,
+    unpack,
 )
 
 XY = ("x", "y")
@@ -85,7 +89,7 @@ def test_spoly_below_a_corner_is_the_truncated_spoly():
     g = P("x*y + 3*x^3 - y^4 + 1/2*x^2*y^3")
     for corner in range(3, 9):
         expected = spoly(f, g).truncate_jet(corner - 1)
-        assert spoly(f, g, _corner=corner) == expected
+        assert spoly(f, g, corner) == expected
 
 
 # -- Mora weak normal form ---------------------------------------------------
@@ -269,6 +273,21 @@ def ref_leading_term(f):
     return m, f.coeff(m)
 
 
+def leading_monomial(f):
+    """The engine's leading monomial: the least key of f's view."""
+    return unpack(_view(f)[0][0], f.nvars)
+
+
+def spoly(f, g, corner=None):
+    """The engine's s-polynomial of f and g, with a corner k only its terms
+    of degree < k, none of the others formed."""
+    shift, _, limit = packing(f.nvars)
+    lcm = pack(tuple(map(max, leading_monomial(f), leading_monomial(g))))
+    s = _spoly(_reducer(*_view(f), shift), _reducer(*_view(g), shift), lcm,
+               None if corner is None else corner << shift, limit)
+    return _poly(f.nvars, s.items())
+
+
 def ref_ecart(f):
     return f.degree() - mono_degree(ref_leading_term(f)[0])
 
@@ -428,7 +447,7 @@ def test_normal_form_matches_the_specification(problem):
     assert got == outcome(lambda: ref_normal_form(f, reducers, _Budget(60), corner))
     if len(reducers) >= 2:
         a, b = reducers[:2]
-        assert spoly(a, b, _corner=corner) == ref_spoly(a, b, corner)
+        assert spoly(a, b, corner) == ref_spoly(a, b, corner)
 
 
 @settings(max_examples=150)

@@ -198,8 +198,9 @@ def _cmd_milnor(args) -> dict:
         "poly": format_poly(f, names),
         "vars": list(names),
     }
-    if result.staircase is not None:
-        report["staircase"] = _staircase_strings(result.staircase, names)
+    staircase = result.staircase
+    if staircase is not None:
+        report["staircase"] = _staircase_strings(staircase, names)
     if result.note:
         report["note"] = result.note
     return report

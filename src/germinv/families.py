@@ -152,10 +152,8 @@ class MuProfile:
 def _mu_of(f: Poly) -> tuple[int | None, str]:
     if not f:
         return None, STATUS_ZERO
-    result = milnor_number(f)
-    if result.mu is None:
-        return None, STATUS_NOT_ISOLATED
-    return result.mu, STATUS_OK
+    mu = milnor_number(f).mu
+    return mu, STATUS_NOT_ISOLATED if mu is None else STATUS_OK
 
 
 def mu_profile(family: GermFamily, ts=DEFAULT_SAMPLES) -> MuProfile:

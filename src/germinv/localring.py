@@ -35,10 +35,10 @@ least key and the degree sits in the greatest, keys add when monomials
 multiply, and divisibility is one subtract and mask.  Completion runs on
 keyed terms alone: a reducer is its sorted keys and coefficient triples
 (with its lead, negated lead coefficient and ecart), and a remainder a
-dict reduced in place; Polys are built only for the basis it returns.  A
-reducer keeps its own lead coefficient, as every step divides by it, so
-only the returned elements are normalised, once, at the end; the minimal
-leading monomials are updated as each new element arrives.
+dict reduced in place; a reducer keeps its own lead coefficient, as every
+step divides by it.  The quotient dimension sums the columns of the last
+corner walk, which saw the final leading monomials; the monic basis Polys
+and the staircase are formed only when read, and mu reads neither.
 :func:`mora_normal_form` is its normal form wrapped for Polys.
 Each reduction step takes its factor from :func:`germinv.gaussian.quotient`
 and hands the reducer's shifted keys, cut where the shifted degree reaches
@@ -161,24 +161,26 @@ def mora_normal_form(
 
 @record
 class StandardBasisResult:
-    """Monic standard basis plus the combinatorics read off from it.
-
-    When the completion found a highest corner k (m^k lies in the ideal),
-    basis elements are truncated below degree k, and a leading generator
-    of degree k is represented by the monomial itself.
-
-    staircase is the set of monomials outside the leading ideal when that
-    set is finite, else None; its size is the quotient's vector space
-    dimension over the scalars.
+    """The minimal leading monomials, the quotient's dimension (None when
+    infinite) and the kept elements as keys and coefficient triples, not
+    normalised: ``basis`` (monic Polys) and ``staircase`` are formed anew
+    at each read.  Past a highest corner k (m^k lies in the ideal) the
+    elements are truncated below degree k, one with a lead of degree k
+    being that monomial.  Results with the same kept elements are equal.
     """
 
-    basis: tuple[Poly, ...]
     leading_ideal_gens: tuple[Monomial, ...]
-    staircase: frozenset[Monomial] | None
+    quotient_dim: int | None
+    elements: tuple[tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]], ...]
 
     @property
-    def quotient_dim(self) -> int | None:
-        return None if self.staircase is None else len(self.staircase)
+    def basis(self) -> tuple[Poly, ...]:
+        monic = [add_multiple({}, quotient((1, 0, 1), c[0]), zip(k, c)) for k, c in self.elements]
+        return tuple(_poly(len(self.leading_ideal_gens[0]), h.items()) for h in monic)
+
+    @property
+    def staircase(self) -> frozenset[Monomial] | None:
+        return staircase_of(self.leading_ideal_gens)
 
 
 def _add_lead(leading: list[Monomial], m: Monomial) -> bool:
@@ -192,7 +194,7 @@ def _add_lead(leading: list[Monomial], m: Monomial) -> bool:
     return True
 
 
-def _columns(leading_gens: tuple[Monomial, ...], nvars: int):
+def _columns(leading_gens: tuple[Monomial, ...]):
     """The staircase outside a monomial ideal as (point, height) columns, one
     per point of the box of the other variables, under the least last
     exponent of a generator dividing there; None if some pure power is
@@ -202,7 +204,7 @@ def _columns(leading_gens: tuple[Monomial, ...], nvars: int):
     if not all(map(any, leading_gens)):  # the unit ideal
         return []
     bounds = []
-    for i in range(nvars):
+    for i in range(len(leading_gens[0])):
         pure = [m[i] for m in leading_gens if m[i] and m[i] == sum(m)]
         if not pure:
             return None
@@ -212,32 +214,33 @@ def _columns(leading_gens: tuple[Monomial, ...], nvars: int):
             for point in iter_product(*map(range, bounds[:-1]))]
 
 
-def staircase_of(leading_gens: tuple[Monomial, ...], nvars: int) -> frozenset[Monomial] | None:
-    """Monomials outside the monomial ideal; None when that set is infinite."""
-    columns = _columns(leading_gens, nvars)
+def staircase_of(leading_gens: tuple[Monomial, ...]) -> frozenset[Monomial] | None:
+    """Monomials outside the monomial ideal; None when that set is infinite
+    or no generator is given."""
+    columns = _columns(leading_gens)
     if columns is None:
         return None
     return frozenset(point + (e,) for point, height in columns for e in range(height))
 
 
-def _corner_degree(leading_gens: tuple[Monomial, ...], nvars: int) -> int | None:
+def _corner_degree(columns) -> int | None:
     """1 + the top degree of the staircase, read from its columns: 0 for the
     unit ideal, None for an infinite staircase."""
-    columns = _columns(leading_gens, nvars)
     if columns is None:
         return None
     return max((sum(point) + height for point, height in columns if height), default=0)
 
 
 def _truncated(basis: list, cut: int | None, shift: int) -> list:
-    """The reducers without their terms of key >= cut, but for one whose lead
-    is past cut: no pair or reduction below the corner can use it."""
+    """The reducers without their terms of key >= cut, but for the lead of one
+    past cut: m^corner holds that monomial, and no pair or reduction below
+    the corner can use it."""
     if cut is None:
         return basis
     kept = []
     for g in basis:
-        if g[0] < cut <= g[3][-1]:
-            stop = bisect_left(g[3], cut)
+        if cut <= g[3][-1]:
+            stop = max(1, bisect_left(g[3], cut))
             g = _reducer(g[3][:stop], g[4][:stop], shift)
         kept.append(g)
     return kept
@@ -268,14 +271,12 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
     budget = _Budget(max_steps)
     layout = shift, _, limit = packing(nvars)
     basis = [_reducer(*_view(g), shift) for g in gens if g]
-    if not basis:
-        return StandardBasisResult((), (), None)
-
     lm = [unpack(g[0], nvars) for g in basis]
     leading: list[Monomial] = []
     for m in lm:
         _add_lead(leading, m)
-    corner = _corner_degree(leading, nvars)
+    columns = _columns(leading)
+    corner = _corner_degree(columns)
     cut = None if corner is None else corner << shift
     basis = _truncated(basis, cut, shift)
     pairs = [(sum(map(max, lm[i], lm[j])), i, j) for j in range(len(basis)) for i in range(j)]
@@ -297,21 +298,18 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
                 heapq.heappush(pairs, (sum(map(max, lm[other], lm[new])), other, new))
             if not _add_lead(leading, lm[new]):
                 continue
-            corner, old = _corner_degree(leading, nvars), corner
+            columns = _columns(leading)
+            corner, old = _corner_degree(columns), corner
             if corner != old:
                 cut = corner << shift
                 basis = _truncated(basis, cut, shift)
 
     kept = {}
     for g, m in zip(basis, lm):
-        if m not in leading or m in kept:
-            continue
-        if corner is not None and sum(m) >= corner:  # a lead in m^corner: m is in the ideal
-            kept[m] = Poly._clean(nvars, {m: (1, 0, 1)})
-        else:  # the one normalisation, to lead coefficient 1
-            monic = add_multiple({}, quotient((-1, 0, 1), g[1]), zip(g[3], g[4]))
-            kept[m] = _poly(nvars, monic.items())
-    return StandardBasisResult(tuple(kept.values()), tuple(leading), staircase_of(leading, nvars))
+        if m in leading and m not in kept:
+            kept[m] = tuple(g[3]), tuple(g[4])
+    dim = None if columns is None else sum(height for _, height in columns)
+    return StandardBasisResult(tuple(leading), dim, tuple(kept.values()))
 
 
 def ideal_quotient_dim(gens) -> int | None:

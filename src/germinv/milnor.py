@@ -20,7 +20,7 @@ from math import comb
 from ._record import record
 from .errors import EngineError, InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, add_multiple, quotient
-from .localring import DEFAULT_MAX_STEPS, standard_basis
+from .localring import DEFAULT_MAX_STEPS, standard_basis, staircase_of
 from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
 DEFAULT_ORACLE_DMAX = 32
@@ -43,13 +43,18 @@ class MilnorResult:
     from the oracle, where it means undecided.
 
     mu == 0 happens exactly when the germ is regular at 0 (some partial has
-    a nonzero constant term).
+    a nonzero constant term).  leading_ideal_gens are the engine's minimal
+    leading monomials of a finite staircase, which ``staircase`` lists anew.
     """
 
     mu: int | None
     method: str
-    staircase: frozenset[Monomial] | None = None
+    leading_ideal_gens: tuple[Monomial, ...] | None = None
     note: str | None = None
+
+    @property
+    def staircase(self) -> frozenset[Monomial] | None:
+        return staircase_of(self.leading_ideal_gens or ())
 
     @property
     def isolated(self) -> bool | None:
@@ -70,7 +75,8 @@ def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
     """mu(f) = dim of the local ring modulo the Jacobian ideal."""
     _check_germ(f)
     result = standard_basis(f.jacobian(), max_steps=max_steps)
-    return MilnorResult(result.quotient_dim, METHOD_STANDARD_BASIS, result.staircase)
+    mu, gens = result.quotient_dim, result.leading_ideal_gens
+    return MilnorResult(mu, METHOD_STANDARD_BASIS, None if mu is None else gens)
 
 
 def is_isolated(f: Poly) -> bool:

@@ -89,11 +89,6 @@ def degree_limit_error() -> IterationLimitError:
                                "engines' limit on the degree of a packed monomial")
 
 
-def grlex_key(m: Monomial):
-    """Sort key for printing/iteration: degree up, then lex down."""
-    return (sum(m), tuple(-e for e in m))
-
-
 def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
     """All exponent vectors of the given total degree, lex-descending."""
     if nvars == 1:
@@ -727,12 +722,13 @@ def _format_coeff(c: tuple, with_monomial: bool) -> tuple[str, str]:
 
 
 def format_poly(f: Poly, names: Sequence[str]) -> str:
+    """f as text in the given names, terms by degree up, then lex down."""
     if len(names) != f.nvars:
         raise InputError(f"{len(names)} names for {f.nvars} variables")
     if not f:
         return "0"
     pieces = []
-    for mono, coeff in sorted(f._terms.items(), key=lambda kv: grlex_key(kv[0])):
+    for mono, coeff in sorted(f._terms.items(), key=lambda kv: (sum(kv[0]), [-e for e in kv[0]])):
         monomial = _format_monomial(mono, names)
         sign, mag = _format_coeff(coeff, bool(monomial))
         if monomial and mag:

@@ -63,6 +63,18 @@ def test_milnor_default_engine(capsys):
     assert data["staircase"] == ["1", "y", "x", "x*y"]
 
 
+def test_milnor_staircase_edge_cases(capsys):
+    # a regular point: the unit ideal's staircase is empty, not missing
+    data = run_json(capsys, "milnor", "x + y^2")
+    assert data["mu"] == 0 and data["staircase"] == []
+    # not isolated: an infinite staircase is left out of the report
+    assert "staircase" not in run_json(capsys, "milnor", "x^2*y^2")
+    # three variables: listed by degree, then by exponent tuple
+    data = run_json(capsys, "milnor", "x^3 + y^3 + z^3")
+    assert data["mu"] == 8
+    assert data["staircase"] == ["1", "z", "y", "x", "y*z", "x*z", "x*y", "x*y*z"]
+
+
 def test_milnor_oracle_method(capsys):
     data = run_json(capsys, "milnor", "x^3 + y^3", "--method", "truncated-oracle")
     assert data["mu"] == 4
@@ -667,7 +679,7 @@ def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, off
     def off(gens, **options):
         result = engine(gens, **options)
         return SimpleNamespace(quotient_dim=result.quotient_dim + offset,
-                               staircase=result.staircase)
+                               leading_ideal_gens=result.leading_ideal_gens)
 
     monkeypatch.setattr(milnor, "standard_basis", off)
     code, out, err = run(capsys, *argv)

@@ -2,10 +2,12 @@
 
 One slice covers the `family` subcommand in its three modes (rescaling,
 family file, joining search) with short scalar lists that hold 0,
-negatives, Gaussian values and repeats.  The other covers the germ
+negatives, Gaussian values and repeats.  Another covers the germ
 subcommands `mult`, `milnor` and `discriminate` on expressions, inline or
 as @file, some wrapped in up to 1200 levels of parentheses or unary signs
-and some with a stray character.  Hypothesis runs derandomised (see
+and some with a stray character.  The third covers `foliation` on one to
+three components in x and y, in two variables or, with `--vars x,y,z`,
+three, some with a stray character.  Hypothesis runs derandomised (see
 conftest.py), so every run sees the same examples.
 """
 
@@ -97,6 +99,20 @@ def germ_argv(draw):
     return command, texts, as_files
 
 
+@st.composite
+def foliation_argv(draw):
+    """argv for foliation: 1-3 components, perhaps in three variables, one
+    of them perhaps with a stray character."""
+    components = draw(st.lists(random_polys(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(components) - 1))
+        text = components[index]
+        at = draw(st.integers(0, len(text)))
+        components[index] = text[:at] + draw(STRAYS) + text[at:]
+    options = ["--vars", "x,y,z"] if draw(st.booleans()) else []
+    return ["foliation", *options, "--", *components]
+
+
 def run_main(argv):
     """main(argv) with its output captured; argparse's exit counts as a return."""
     out, err = io.StringIO(), io.StringIO()
@@ -142,6 +158,18 @@ def test_germ_argv_ends_with_a_documented_exit_code(case):
             args.append(text)
         code, out, err = run_main([command, "--", *args])
     assert code in (0, 2, 3), (command, texts, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert not out
+    else:
+        json.loads(out)
+
+
+@settings(max_examples=150)
+@given(foliation_argv())
+def test_foliation_argv_ends_with_a_documented_exit_code(argv):
+    code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err
     if code:
         assert not out

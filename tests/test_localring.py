@@ -3,6 +3,7 @@
 import heapq
 from fractions import Fraction
 from itertools import product as iter_product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,9 @@ from germinv.errors import InputError, IterationLimitError
 from germinv.gaussian import ONE, GaussianRational
 from germinv.localring import (
     DEFAULT_MAX_STEPS,
-    StandardBasisResult,
     _Budget,
+    _columns,
+    _corner_degree,
     _poly,
     _reducer,
     _spoly,
@@ -220,9 +222,10 @@ def test_leading_ideal_is_minimal():
 
 
 def test_staircase_of_direct():
-    assert staircase_of(((1, 0), (0, 1)), 2) == frozenset({(0, 0)})
-    assert staircase_of(((2, 0),), 2) is None
-    assert staircase_of(((0, 0),), 2) == frozenset()
+    assert staircase_of(((1, 0), (0, 1))) == frozenset({(0, 0)})
+    assert staircase_of(((2, 0),)) is None
+    assert staircase_of(((0, 0),)) == frozenset()
+    assert staircase_of(()) is None
 
 
 def test_ideal_quotient_dim_convenience():
@@ -351,7 +354,7 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
     budget = _Budget(max_steps)
     basis = [g.scale(ONE / ref_leading_term(g)[1]) for g in gens if g]
     if not basis:
-        return StandardBasisResult((), (), None)
+        return SimpleNamespace(basis=(), leading_ideal_gens=(), staircase=None)
     lm = [ref_leading_term(g)[0] for g in basis]
     leading = minimal_monomials(lm)
     stairs = ref_staircase(leading, nvars)
@@ -393,7 +396,7 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
                 g = Poly.monomial(nvars, m)
             kept.append(g)
             seen.add(m)
-    return StandardBasisResult(tuple(kept), leading, stairs)
+    return SimpleNamespace(basis=tuple(kept), leading_ideal_gens=leading, staircase=stairs)
 
 
 def outcome(compute):
@@ -474,6 +477,7 @@ def test_standard_basis_matches_the_specification(problem):
         assert got.basis == expected.basis
         assert got.leading_ideal_gens == expected.leading_ideal_gens
         assert got.staircase == expected.staircase
+        assert got.quotient_dim == (None if got.staircase is None else len(got.staircase))
 
 
 @settings(max_examples=100)
@@ -517,4 +521,10 @@ def monomial_ideals(draw):
 @example(([(2,)], 1))
 def test_staircase_by_columns_matches_the_box(ideal):
     gens, nvars = ideal
-    assert staircase_of(tuple(gens), nvars) == ref_staircase(tuple(gens), nvars)
+    stairs = staircase_of(tuple(gens))
+    assert stairs == ref_staircase(tuple(gens), nvars)
+    # completion reads the corner and the count off its last column walk
+    assert _corner_degree(_columns(tuple(gens))) == ref_corner(stairs)
+    if gens:
+        result = standard_basis([Poly.monomial(nvars, m) for m in gens])
+        assert result.quotient_dim == (None if stairs is None else len(stairs))

@@ -8,9 +8,10 @@ import pytest
 from conftest import UNIMODULAR_CHANGES, linear_change
 from hypothesis import example, given, settings, strategies as st
 
-from germinv import milnor
-from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS
+from germinv import localring, milnor
+from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS, run_corpus
 from germinv.errors import InputError
+from germinv.families import mu_profile, rescaling_family
 from germinv.gaussian import GaussianRational
 from germinv.milnor import (
     METHOD_FAST,
@@ -30,6 +31,7 @@ from germinv.milnor import (
     truncated_dim_oracle,
 )
 from germinv.poly import Poly, fermat, monomials_of_degree, parse_poly
+from germinv.vectorfields import gradient_field, vf_milnor
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -222,6 +224,22 @@ def test_germ_invariants_agree_with_the_separate_queries():
             f.order() >= 2 and is_semihomogeneous(f),
         ), germ.name
         assert inv.semihomogeneous == germ.semihomogeneous, germ.name
+
+
+def test_mu_only_paths_list_no_staircase_and_build_no_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mu-only path formed the staircase or the basis")
+
+    monkeypatch.setattr(localring, "staircase_of", refuse)
+    monkeypatch.setattr(milnor, "staircase_of", refuse)
+    monkeypatch.setattr(localring, "_poly", refuse)
+    assert all(row["agreement"] for row in run_corpus())
+    for germ in ISOLATED_GERMS:
+        f = germ.poly()
+        assert germ_invariants(f).mu == germ.known_mu
+        if f.nvars == 2:
+            assert vf_milnor(gradient_field(f)) == germ.known_mu
+        assert mu_profile(rescaling_family(f), [1]).samples[0].mu == germ.known_mu
 
 
 def test_germ_invariants_of_a_regular_germ():

@@ -17,7 +17,7 @@ from germinv.corpus import CorpusGerm
 from germinv.equising import CheckRecord, DiscriminationReport
 from germinv.families import FamilyPiece, GermFamily, MuProfile, MuSample
 from germinv.gaussian import GaussianRational
-from germinv.localring import StandardBasisResult
+from germinv.localring import StandardBasisResult, standard_basis
 from germinv.milnor import GermInvariants, MilnorResult
 from germinv.monodromy import CharPoly, ResolutionData, SSequence, ZetaFunction
 from germinv.poly import parse_poly
@@ -46,9 +46,8 @@ PAIRS = [
     (GermFamily((PIECE_A,)), GermFamily((PIECE_A, PIECE_B))),
     (SAMPLE_A, SAMPLE_B),
     (MuProfile((SAMPLE_A,), 4, None), MuProfile((SAMPLE_A, SAMPLE_B), 4, 0)),
-    (StandardBasisResult((), (), None),
-     StandardBasisResult((P("x"), P("y^2")), ((1, 0), (0, 2)), frozenset({(0, 0), (0, 1)}))),
-    (MilnorResult(4, "standard-basis", frozenset({(0, 0)})),
+    (StandardBasisResult((), None, ()), standard_basis([P("x"), P("y^2")])),
+    (MilnorResult(4, "standard-basis", ((2, 0), (0, 2))),
      MilnorResult(None, "truncated-oracle", None, "undecided")),
     (INV_A, INV_B),
     (ResolutionData(((2, 1), (3, 1), (6, -1))), ResolutionData(((1, 2),))),
@@ -112,7 +111,7 @@ def test_hash_and_repr_match_a_frozen_dataclass(a, b):
 
 def test_exact_repr_text():
     assert repr(MilnorResult(4, "standard-basis")) == (
-        "MilnorResult(mu=4, method='standard-basis', staircase=None, note=None)")
+        "MilnorResult(mu=4, method='standard-basis', leading_ideal_gens=None, note=None)")
     assert repr(CharPoly((1, -1, 1))) == "CharPoly(coeffs=(1, -1, 1))"
     assert repr(MuSample(GaussianRational(1, 2), 4, "ok")) == (
         "MuSample(t=GaussianRational(Fraction(1, 1), Fraction(2, 1)), mu=4, status='ok')")
@@ -144,7 +143,7 @@ def test_defaults_and_arity():
     assert MilnorResult(4, "standard-basis") == MilnorResult(4, "standard-basis", None, None)
     assert MilnorResult(4, "m", None).note is None
     assert CorpusGerm("a", "x^2", ("x",), True).known_mu is None
-    with pytest.raises(TypeError, match="takes the fields mu, method, staircase, note"):
+    with pytest.raises(TypeError, match="takes the fields mu, method, leading_ideal_gens, note"):
         MilnorResult(4)
     with pytest.raises(TypeError, match="the last 2 optional; got 5 values"):
         MilnorResult(4, "m", None, None, "one too many")

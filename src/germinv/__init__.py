@@ -64,13 +64,9 @@ from .monodromy import (
     char_poly,
     chi_projective_cone,
     chi_tangent_cone_complement,
-    euler_fiber,
     homogeneous_resolution,
     invert_lefschetz,
-    lefschetz,
     lefschetz_from_s,
-    lefschetz_sequence,
-    milnor_from_resolution,
     milnor_from_s,
     multiplicity_bound,
     s_sequence,
@@ -79,7 +75,6 @@ from .monodromy import (
 from .poly import Poly, fermat, format_poly, parse_poly, parse_scalar, variable_names
 from .vectorfields import (
     VectorField,
-    gradient_field,
     hamiltonian_field,
     vf_milnor,
     vf_multiplicity,

@@ -33,15 +33,14 @@ from .milnor import METHOD_FAST, METHOD_ORACLE, METHOD_STANDARD_BASIS, milnor_wi
 from .monodromy import (
     ResolutionData,
     char_poly,
-    euler_fiber,
     homogeneous_resolution,
-    lefschetz_sequence,
-    milnor_from_resolution,
+    lefschetz_from_s,
+    milnor_from_s,
     multiplicity_bound,
     s_sequence,
     zeta,
 )
-from .poly import Poly, format_poly, parse_poly, parse_scalar, variable_names
+from .poly import Poly, _format_monomial, format_poly, parse_poly, parse_scalar, variable_names
 from .vectorfields import VectorField, vf_milnor, vf_multiplicity
 
 
@@ -167,7 +166,7 @@ def _emit(report: dict, fmt: str):
 
 def _staircase_strings(staircase, names) -> list[str]:
     monos = sorted(staircase, key=lambda m: (sum(m), m))
-    return [format_poly(Poly.monomial(len(names), m), names) for m in monos]
+    return [_format_monomial(m, names) or "1" for m in monos]
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -209,16 +208,16 @@ def _cmd_milnor(args) -> dict:
 def _cmd_zeta(args) -> dict:
     res, n = _resolution_from_args(args)
     horizon = _integer(args.K) if args.K is not None else 2 * res.max_multiplicity()
-    lam = lefschetz_sequence(res, horizon)
     s = s_sequence(res)
+    lam = lefschetz_from_s(s, horizon)
     bound = multiplicity_bound(lam)
     return {
         "K": horizon,
         "Lambda": list(lam),
         "Z": str(zeta(s)),
         "command": "zeta",
-        "eulerFiber": euler_fiber(res),
-        "mu": milnor_from_resolution(res, n),
+        "eulerFiber": s.total(),
+        "mu": milnor_from_s(s, n),
         "multiplicityBound": {
             "firstNonzero": bound if bound <= horizon else None,
             "lowerBound": bound,
@@ -231,8 +230,9 @@ def _cmd_zeta(args) -> dict:
 
 def _cmd_charpoly(args) -> dict:
     res, n = _resolution_from_args(args)
-    mu = _integer(args.mu) if args.mu is not None else milnor_from_resolution(res, n)
-    z = zeta(s_sequence(res))
+    s = s_sequence(res)
+    mu = _integer(args.mu) if args.mu is not None else milnor_from_s(s, n)
+    z = zeta(s)
     delta = char_poly(z, mu, n)
     return {
         "Z": str(z),

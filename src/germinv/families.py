@@ -249,7 +249,7 @@ def find_alpha(
     """
     if not target:
         raise ZeroPolynomialError("the target form is zero")
-    if not target.is_homogeneous() or target.order() < 2:
+    if target.order() != target.degree() or target.order() < 2:
         raise InputError("the target must be homogeneous of degree >= 2")
     if not is_isolated(target):
         raise InputError("the target form must have an isolated critical point")

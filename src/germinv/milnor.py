@@ -71,11 +71,28 @@ def _check_germ(f: Poly):
         raise InputError("the germ must vanish at the origin")
 
 
+def _check_bounds(f: Poly, mu: int | None):
+    """Raise EngineError unless (order-1)^n <= mu <= (degree-1)^n.
+
+    Every isolated germ obeys both bounds: the lower is Fulton,
+    Intersection Theory, Cor. 12.4 (the n partials have order >= order-1),
+    the upper refined Bezout, Ex. 12.3.1 (they have degree <= degree-1).
+    A finite mu outside them can only come from a faulty engine.
+    """
+    if mu is None:
+        return
+    low, high = (f.order() - 1) ** f.nvars, (f.degree() - 1) ** f.nvars
+    if not low <= mu <= high:
+        raise EngineError(f"mu = {mu} is outside the a-priori bounds {low} <= mu <= {high}")
+
+
 def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
-    """mu(f) = dim of the local ring modulo the Jacobian ideal."""
+    """mu(f) = dim of the local ring modulo the Jacobian ideal; a mu outside
+    the a-priori bounds raises EngineError."""
     _check_germ(f)
     result = standard_basis(f.jacobian(), max_steps=max_steps)
     mu, gens = result.quotient_dim, result.leading_ideal_gens
+    _check_bounds(f, mu)
     return MilnorResult(mu, METHOD_STANDARD_BASIS, None if mu is None else gens)
 
 
@@ -309,21 +326,6 @@ class GermInvariants:
     semihomogeneous: bool
 
 
-def _check_bounds(f: Poly, mu: int | None):
-    """Raise EngineError unless (order-1)^n <= mu <= (degree-1)^n.
-
-    Every isolated germ obeys both bounds: the lower is Fulton,
-    Intersection Theory, Cor. 12.4 (the n partials have order >= order-1),
-    the upper refined Bezout, Ex. 12.3.1 (they have degree <= degree-1).
-    A finite mu outside them can only come from a faulty engine.
-    """
-    if mu is None:
-        return
-    low, high = (f.order() - 1) ** f.nvars, (f.degree() - 1) ** f.nvars
-    if not low <= mu <= high:
-        raise EngineError(f"mu = {mu} is outside the a-priori bounds {low} <= mu <= {high}")
-
-
 def germ_invariants(f: Poly) -> GermInvariants:
     """mu, order, degree and class of f, from one standard basis.
 
@@ -333,7 +335,6 @@ def germ_invariants(f: Poly) -> GermInvariants:
     EngineError.
     """
     mu = milnor_number(f).mu
-    _check_bounds(f, mu)
     order = f.order()
     semihomogeneous = order >= 2 and mu == (order - 1) ** f.nvars
     return GermInvariants(f.nvars, order, f.degree(), mu, semihomogeneous)
@@ -350,8 +351,8 @@ def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
     if dmax is not None and dmax > MAX_ORACLE_DMAX:
         raise InputError(f"dmax above the maximum of {MAX_ORACLE_DMAX}")
     if method == METHOD_STANDARD_BASIS:
-        result = milnor_number(f)
-    elif method == METHOD_ORACLE:
+        return milnor_number(f)
+    if method == METHOD_ORACLE:
         mu = milnor_oracle(f, DEFAULT_ORACLE_DMAX if dmax is None else dmax)
         note = None
         if mu is None:
@@ -367,10 +368,6 @@ def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
 
 # -- local data at points away from the origin -------------------------------
 
-def is_critical_point(f: Poly, point) -> bool:
-    return all(not df.evaluate(point) for df in f.jacobian())
-
-
 def local_milnor_at(f: Poly, point) -> MilnorResult:
     """Milnor number of f at a critical point p, via exact translation.
 
@@ -379,7 +376,7 @@ def local_milnor_at(f: Poly, point) -> MilnorResult:
     """
     if not f:
         raise ZeroPolynomialError("expected a nonzero germ")
-    if not is_critical_point(f, point):
+    if any(df.evaluate(point) for df in f.jacobian()):
         raise InputError(f"{tuple(str(GaussianRational.of(c)) for c in point)} "
                          "is not a critical point")
     shifted = f.translate(point)

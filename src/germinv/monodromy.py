@@ -1,12 +1,14 @@
 """Monodromy arithmetic from resolution data.
 
-Everything here is integer bookkeeping on plain values: the Lefschetz
-numbers of the monodromy iterates, a tuple with Lambda(h^k) at index k - 1,
-from the multiplicity strata of a resolution; the finitely supported
-s-sequence recovered by Moebius inversion; the zeta function as a product
-of (1-t^i)^e factors; the characteristic polynomial of the monodromy from
-the zeta function and the Milnor number; and the multiplicity bound, an
-int.  Every size built here is checked against MAX_SIZE first.
+Everything here is integer bookkeeping on plain values.  The multiplicity
+strata of a resolution give one finitely supported s-sequence, and every
+invariant is read off it: the Lefschetz numbers of the monodromy iterates
+(a tuple with Lambda(h^k) at index k - 1, which Moebius inversion turns
+back into s), the Euler number of the fiber, the Milnor number, and the
+zeta function as a product of (1-t^i)^e factors.  The characteristic
+polynomial of the monodromy comes from the zeta function and the Milnor
+number, the multiplicity bound (an int) from the Lefschetz numbers.
+Every size built here is checked against MAX_SIZE first.
 
 Sign convention for the characteristic polynomial: with E = Euler number
 of the fiber, Delta(t) = t^mu * [ (t-1)/t * Z(1/t) ]^epsilon where epsilon
@@ -132,35 +134,6 @@ class ResolutionData:
         return max((m for m, _ in self.strata), default=1)
 
 
-def lefschetz(res: ResolutionData, k: int) -> int:
-    """Lefschetz number of the k-th monodromy iterate, k >= 1."""
-    if k < 1:
-        raise InputError("iterate index must be >= 1")
-    return sum(m * chi for m, chi in res.strata if k % m == 0)
-
-
-def euler_fiber(res: ResolutionData) -> int:
-    """Euler number of the Milnor fiber: the full weighted stratum sum."""
-    return sum(m * chi for m, chi in res.strata)
-
-
-def _milnor_sign(n: int) -> int:
-    """(-1)^(n-1) for an ambient variable count n >= 1."""
-    if n < 1:
-        raise InputError(f"need n >= 1 variables, got {n}")
-    return 1 if n % 2 else -1
-
-
-def milnor_from_resolution(res: ResolutionData, n: int) -> int:
-    """mu = (-1)^(n-1) * (euler_fiber - 1); negative means corrupt data."""
-    mu = _milnor_sign(n) * (euler_fiber(res) - 1)
-    if mu < 0:
-        raise InputError(
-            f"inconsistent resolution data: it implies Milnor number {mu}"
-        )
-    return mu
-
-
 # -- Lefschetz sequences and their inversion ---------------------------------
 
 @record
@@ -177,11 +150,13 @@ class SSequence:
         ))
 
     def total(self) -> int:
+        """The Euler number of the Milnor fiber: Lambda(h^0) = sum of s_i."""
         return sum(s for _, s in self.entries)
 
 
 def s_sequence(res: ResolutionData) -> SSequence:
-    """s_m = m * chi(S_m) straight off the strata."""
+    """s_m = m * chi(S_m) straight off the strata (A'Campo, Comment. Math.
+    Helv. 50, 1975): every invariant of the strata is read off it."""
     return SSequence(tuple((m, m * chi) for m, chi in res.strata))
 
 
@@ -198,11 +173,6 @@ def lefschetz_from_s(s: SSequence, horizon: int) -> tuple[int, ...]:
     return tuple(lam)
 
 
-def lefschetz_sequence(res: ResolutionData, horizon: int) -> tuple[int, ...]:
-    """Lambda(h^k) for k = 1..horizon, from the strata's s-sequence."""
-    return lefschetz_from_s(s_sequence(res), horizon)
-
-
 def invert_lefschetz(lam: Sequence[int]) -> SSequence:
     """Recover s from Lambda(h^d) = lam[d - 1] by Moebius inversion over the
     divisor lattice."""
@@ -214,11 +184,18 @@ def invert_lefschetz(lam: Sequence[int]) -> SSequence:
     return SSequence(tuple(values.items()))
 
 
+def _milnor_sign(n: int) -> int:
+    """(-1)^(n-1) for an ambient variable count n >= 1."""
+    if n < 1:
+        raise InputError(f"need n >= 1 variables, got {n}")
+    return 1 if n % 2 else -1
+
+
 def milnor_from_s(s: SSequence, n: int) -> int:
     """mu = (-1)^(n-1) * (sum of s_i - 1); negative means corrupt data."""
     mu = _milnor_sign(n) * (s.total() - 1)
     if mu < 0:
-        raise InputError(f"inconsistent s-sequence: it implies Milnor number {mu}")
+        raise InputError(f"inconsistent monodromy data: it implies Milnor number {mu}")
     return mu
 
 

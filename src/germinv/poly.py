@@ -102,7 +102,7 @@ def monomials_of_degree(nvars: int, degree: int) -> Iterator[Monomial]:
 # -- the polynomial type -----------------------------------------------------
 
 class Poly:
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, object] | None = None):
         if nvars < 1:
@@ -123,7 +123,6 @@ class Poly:
                 clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @staticmethod
     def _clean(nvars: int, terms: dict[Monomial, tuple]) -> "Poly":
@@ -133,14 +132,13 @@ class Poly:
         poly = object.__new__(Poly)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "_terms", terms)
-        object.__setattr__(poly, "_hash", None)
         return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     def __reduce__(self):
-        # rebuilt through the checked constructor; the hash cache is not kept
+        # rebuilt through the checked constructor
         return Poly, (self.nvars, self.terms())
 
     # -- constructors ------------------------------------------------------
@@ -187,10 +185,7 @@ class Poly:
         return self.nvars == other.nvars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
+        return hash((self.nvars, frozenset(self._terms.items())))
 
     # -- degree structure --------------------------------------------------
 
@@ -215,12 +210,6 @@ class Poly:
     def initial_form(self) -> "Poly":
         """The lowest-degree homogeneous part; errors on 0."""
         return self.homogeneous_component(self.order())
-
-    def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        degrees = {mono_degree(m) for m in self._terms}
-        return len(degrees) == 1
 
     def truncate_jet(self, max_degree: int) -> "Poly":
         """Drop every term of total degree > max_degree."""

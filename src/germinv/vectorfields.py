@@ -49,11 +49,6 @@ def vf_milnor(field: VectorField) -> int | None:
     return ideal_quotient_dim(field.components)
 
 
-def gradient_field(f: Poly) -> VectorField:
-    """The gradient of a germ, as a vector field."""
-    return VectorField(f.jacobian())
-
-
 def hamiltonian_field(f: Poly) -> VectorField:
     """(df/dy, -df/dx) for a two-variable germ; same component ideal as
     the gradient, so its index equals mu(f)."""

@@ -34,9 +34,9 @@ from germinv.monodromy import (
     chi_tangent_cone_complement,
     homogeneous_resolution,
     invert_lefschetz,
-    lefschetz,
     lefschetz_from_s,
-    milnor_from_resolution,
+    milnor_from_s,
+    s_sequence,
     zeta,
 )
 from germinv.poly import fermat, parse_poly
@@ -100,11 +100,12 @@ def test_criterion_04_homogeneous_monodromy_grid():
     plus complement add up to chi of projective space."""
     for l in range(2, 6):
         for n in range(2, 5):
-            res = homogeneous_resolution(l, n)
+            s = s_sequence(homogeneous_resolution(l, n))
+            lam = lefschetz_from_s(s, l)
             for k in range(1, l):
-                assert lefschetz(res, k) == 0, (l, n, k)
-            assert lefschetz(res, l) == l * chi_tangent_cone_complement(l, n)
-            assert milnor_from_resolution(res, n) == (l - 1) ** n, (l, n)
+                assert lam[k - 1] == 0, (l, n, k)
+            assert lam[l - 1] == l * chi_tangent_cone_complement(l, n)
+            assert milnor_from_s(s, n) == (l - 1) ** n, (l, n)
             assert (
                 chi_projective_cone(l, n) + chi_tangent_cone_complement(l, n) == n
             ), (l, n)

@@ -341,6 +341,11 @@ def test_zeta_from_resolution_file(capsys, tmp_path):
     assert data["mu"] == 2
     assert data["Z"] == "(1-t^2)^-1*(1-t^3)^-1*(1-t^6)^1"
     assert data["eulerFiber"] == -1
+    assert data["K"] == 12
+    assert data["Lambda"] == [0, 2, 3, 2, 0, -1, 0, 2, 3, 2, 0, -1]
+    assert data["s"] == {"2": 2, "3": 3, "6": -6}
+    assert data["multiplicityBound"] == {"firstNonzero": 2, "lowerBound": 2}
+    assert data["strata"] == [{"chi": 1, "m": 2}, {"chi": 1, "m": 3}, {"chi": -1, "m": 6}]
 
 
 def test_zeta_horizon_zero_exits_2(capsys):
@@ -371,6 +376,17 @@ def test_nonpositive_variable_count_exits_2(capsys, tmp_path, command, strata):
     assert not out
 
 
+@pytest.mark.parametrize("command", ["zeta", "charpoly"])
+def test_strata_implying_a_negative_mu_exit_2(capsys, tmp_path, command):
+    # 3 * 1 = 3 is the fibre's Euler number, so mu = -(3 - 1) in two variables
+    path = tmp_path / "res.json"
+    path.write_text(json.dumps([{"m": 3, "chi": 1}]))
+    code, out, err = run(capsys, command, "--res", str(path), "--n", "2")
+    assert code == 2
+    assert "inconsistent monodromy data: it implies Milnor number -2" in err
+    assert not out
+
+
 # -- charpoly ------------------------------------------------------------------
 
 def test_charpoly_fermat(capsys):
@@ -386,6 +402,9 @@ def test_charpoly_from_resolution_file(capsys, tmp_path):
     path.write_text(json.dumps(res))
     data = run_json(capsys, "charpoly", "--res", str(path), "--n", "2")
     assert data["charpoly"] == "t^2 - t + 1"
+    assert data["mu"] == 2
+    assert data["coeffs"] == [1, -1, 1]
+    assert data["degree"] == 2
 
 
 @pytest.mark.parametrize("strata, digest, seconds", [
@@ -670,10 +689,13 @@ def test_empty_option_value_exits_2(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ("milnor", "x^3 + y^4"),
     ("discriminate", "x^3 + y^4", "x^3 + y^3"),
-], ids=["milnor", "discriminate"])
+    ("family", "--rescale", "x^3 + y^3 + x^4"),
+], ids=["milnor", "discriminate", "family"])
 def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, offset):
     # 4 <= mu <= 9 for x^3 + y^4 (true mu 6), mu = 4 for x^3 + y^3: an
-    # engine off by -3 or +4 breaks (order-1)^n <= mu <= (degree-1)^n
+    # engine off by -3 or +4 breaks (order-1)^n <= mu <= (degree-1)^n.
+    # Every sample of the rescaling family is isolated with mu 4, and its
+    # sample at t = 0, x^3 + y^3, has 4 <= mu <= 4.
     engine = milnor.standard_basis
 
     def off(gens, **options):

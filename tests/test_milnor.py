@@ -19,7 +19,6 @@ from germinv.milnor import (
     METHOD_STANDARD_BASIS,
     GermInvariants,
     germ_invariants,
-    is_critical_point,
     is_isolated,
     is_semihomogeneous,
     local_milnor_at,
@@ -31,7 +30,7 @@ from germinv.milnor import (
     truncated_dim_oracle,
 )
 from germinv.poly import Poly, fermat, monomials_of_degree, parse_poly
-from germinv.vectorfields import gradient_field, vf_milnor
+from germinv.vectorfields import VectorField, vf_milnor
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -238,7 +237,7 @@ def test_mu_only_paths_list_no_staircase_and_build_no_basis(monkeypatch):
         f = germ.poly()
         assert germ_invariants(f).mu == germ.known_mu
         if f.nvars == 2:
-            assert vf_milnor(gradient_field(f)) == germ.known_mu
+            assert vf_milnor(VectorField(f.jacobian())) == germ.known_mu
         assert mu_profile(rescaling_family(f), [1]).samples[0].mu == germ.known_mu
 
 
@@ -483,9 +482,10 @@ def test_fermat_grid_small():
 
 def test_is_critical_point():
     f = P("x^3 + y^3 - 3*x - 3*y")
-    assert is_critical_point(f, (1, 1))
-    assert is_critical_point(f, (-1, 1))
-    assert not is_critical_point(f, (0, 0))
+    assert local_milnor_at(f, (1, 1)).mu == 1
+    assert local_milnor_at(f, (-1, 1)).mu == 1
+    with pytest.raises(InputError, match="is not a critical point"):
+        local_milnor_at(f, (0, 0))
 
 
 def test_local_milnor_at_nondegenerate_points():

@@ -20,13 +20,9 @@ from germinv.monodromy import (
     chi_tangent_cone_complement,
     char_poly,
     divisors,
-    euler_fiber,
     homogeneous_resolution,
     invert_lefschetz,
-    lefschetz,
     lefschetz_from_s,
-    lefschetz_sequence,
-    milnor_from_resolution,
     milnor_from_s,
     mobius,
     multiplicity_bound,
@@ -104,7 +100,7 @@ def test_max_multiplicity():
 
 def test_fermat_cubic_lefschetz_list():
     res = homogeneous_resolution(3, 2)
-    seq = lefschetz_sequence(res, 9)
+    seq = lefschetz_from_s(s_sequence(res), 9)
     assert seq == (0, 0, -3, 0, 0, -3, 0, 0, -3)
     assert len(seq) == 9
     assert seq[3 - 1] == -3
@@ -113,34 +109,33 @@ def test_fermat_cubic_lefschetz_list():
 
 def test_cusp_lefschetz_numbers():
     # only iterates divisible by a stratum multiplicity see that stratum
-    assert lefschetz(CUSP, 1) == 0
-    assert lefschetz(CUSP, 2) == 2
-    assert lefschetz(CUSP, 3) == 3
-    assert lefschetz(CUSP, 6) == -1
-    assert lefschetz(CUSP, 12) == -1
+    lam = lefschetz_from_s(s_sequence(CUSP), 12)
+    assert lam[1 - 1] == 0
+    assert lam[2 - 1] == 2
+    assert lam[3 - 1] == 3
+    assert lam[6 - 1] == -1
+    assert lam[12 - 1] == -1
     with pytest.raises(InputError):
-        lefschetz(CUSP, 0)
+        lefschetz_from_s(s_sequence(CUSP), 0)
 
 
 def test_euler_fiber_and_milnor():
-    assert euler_fiber(CUSP) == -1
-    assert milnor_from_resolution(CUSP, 2) == 2
+    assert s_sequence(CUSP).total() == -1
+    assert milnor_from_s(s_sequence(CUSP), 2) == 2
     quadric3 = homogeneous_resolution(2, 3)
-    assert milnor_from_resolution(quadric3, 3) == 1
+    assert milnor_from_s(s_sequence(quadric3), 3) == 1
 
 
 def test_negative_milnor_is_rejected():
     bad = ResolutionData(((3, 1),))  # would give mu = -2 in two variables
-    with pytest.raises(InputError):
-        milnor_from_resolution(bad, 2)
+    with pytest.raises(InputError, match="inconsistent monodromy data: .* -2$"):
+        milnor_from_s(s_sequence(bad), 2)
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_nonpositive_variable_count_is_rejected(n):
     # (-1)^(n-1) is a float for n <= 0: no Milnor number may come out of it
     res = ResolutionData(((1, 0),))
-    with pytest.raises(InputError, match="n >= 1"):
-        milnor_from_resolution(res, n)
     with pytest.raises(InputError, match="n >= 1"):
         milnor_from_s(s_sequence(res), n)
     with pytest.raises(InputError, match="n >= 1"):
@@ -161,7 +156,7 @@ def test_lefschetz_from_s_matches_direct_computation():
     s = s_sequence(CUSP)
     seq = lefschetz_from_s(s, 12)
     for k in range(1, 13):
-        assert seq[k - 1] == lefschetz(CUSP, k)
+        assert seq[k - 1] == sum(m * chi for m, chi in CUSP.strata if k % m == 0)
 
 
 def test_inversion_round_trip_on_the_cusp():
@@ -186,8 +181,9 @@ def test_inversion_round_trip_random(values):
 
 
 def test_milnor_from_s_agrees():
+    # mu is the same off the strata's s and off its inverted Lefschetz numbers
     s = s_sequence(CUSP)
-    assert milnor_from_s(s, 2) == milnor_from_resolution(CUSP, 2)
+    assert milnor_from_s(s, 2) == milnor_from_s(invert_lefschetz(lefschetz_from_s(s, 6)), 2) == 2
 
 
 # -- zeta factors --------------------------------------------------------------
@@ -236,20 +232,20 @@ def test_projective_cone_chi_known_cases():
 def test_homogeneous_resolution_single_stratum():
     res = homogeneous_resolution(3, 2)
     assert res.strata == ((3, -1),)
-    assert milnor_from_resolution(res, 2) == 4
+    assert milnor_from_s(s_sequence(res), 2) == 4
     for l in range(2, 6):
         for n in range(2, 5):
             res = homogeneous_resolution(l, n)
             assert len(res.strata) == 1 and res.strata[0][0] == l
-            assert milnor_from_resolution(res, n) == (l - 1) ** n
+            assert milnor_from_s(s_sequence(res), n) == (l - 1) ** n
 
 
 def test_homogeneous_lefschetz_vanishes_off_multiples():
     for l in range(2, 6):
-        res = homogeneous_resolution(l, 2)
+        lam = lefschetz_from_s(s_sequence(homogeneous_resolution(l, 2)), 3 * l)
         for k in range(1, 3 * l + 1):
             expected = l * chi_tangent_cone_complement(l, 2) if k % l == 0 else 0
-            assert lefschetz(res, k) == expected
+            assert lam[k - 1] == expected
 
 
 # -- characteristic polynomial -------------------------------------------------
@@ -381,8 +377,9 @@ def charpoly_inputs(draw):
     if kind == "strata":
         strata = draw(st.dictionaries(st.integers(1, 12), st.integers(-12, 12), max_size=4))
         res = ResolutionData(tuple(strata.items()))
-        z = zeta(s_sequence(res))
-        mu = -sign * (euler_fiber(res) - 1)
+        s = s_sequence(res)
+        z = zeta(s)
+        mu = -sign * (s.total() - 1)
     elif kind == "raw":
         z = ZetaFunction(tuple(draw(st.dictionaries(
             st.integers(1, 12), st.integers(-6, 6), max_size=4)).items()))
@@ -422,14 +419,14 @@ def test_char_poly_matches_the_reference(case):
 # -- multiplicity bound --------------------------------------------------------
 
 def test_multiplicity_bound_from_first_nonzero():
-    seq = lefschetz_sequence(homogeneous_resolution(3, 2), 9)
+    seq = lefschetz_from_s(s_sequence(homogeneous_resolution(3, 2)), 9)
     bound = multiplicity_bound(seq)
     assert bound <= len(seq)  # found within the horizon
     assert bound == 3
 
 
 def test_multiplicity_bound_unknown_when_all_zero():
-    seq = lefschetz_sequence(homogeneous_resolution(2, 2), 5)
+    seq = lefschetz_from_s(s_sequence(homogeneous_resolution(2, 2)), 5)
     bound = multiplicity_bound(seq)
     assert bound > len(seq)
     assert bound == len(seq) + 1 == 6
@@ -441,13 +438,13 @@ def test_multiplicity_bound_unknown_when_all_zero():
 def test_largest_sizes_are_accepted():
     res = ResolutionData(((MAX_SIZE // 2, -MAX_SIZE), (1, MAX_SIZE)))
     # the default horizon, twice the largest multiplicity, always fits
-    assert len(lefschetz_sequence(res, 2 * res.max_multiplicity())) == MAX_SIZE
+    assert 2 * res.max_multiplicity() == MAX_SIZE
     assert len(lefschetz_from_s(s_sequence(res), MAX_SIZE)) == MAX_SIZE
     # the largest reference germs: (l-1)^n is at most MAX_SIZE
     n = MAX_SIZE.bit_length() - 1
-    assert milnor_from_resolution(homogeneous_resolution(3, n), n) == 2**n
+    assert milnor_from_s(s_sequence(homogeneous_resolution(3, n)), n) == 2**n
     l = isqrt(MAX_SIZE) + 1
-    assert milnor_from_resolution(homogeneous_resolution(l, 2), 2) == (l - 1) ** 2
+    assert milnor_from_s(s_sequence(homogeneous_resolution(l, 2)), 2) == (l - 1) ** 2
     assert homogeneous_resolution(MAX_SIZE // 2, 1).strata == ((MAX_SIZE // 2, 1),)
     # x^MAX_SIZE in one variable: numerator t^MAX_SIZE - 1, denominator t - 1
     cp = char_poly(ZetaFunction(((MAX_SIZE, -1),)), MAX_SIZE - 1, 1)
@@ -455,7 +452,7 @@ def test_largest_sizes_are_accepted():
 
 
 @pytest.mark.parametrize("build, what", [
-    (lambda: lefschetz_sequence(CUSP, MAX_SIZE + 1), "horizon"),
+    (lambda: lefschetz_from_s(s_sequence(CUSP), MAX_SIZE + 1), "horizon"),
     (lambda: lefschetz_from_s(s_sequence(CUSP), 10**100), "horizon"),
     (lambda: ResolutionData(((MAX_SIZE // 2 + 1, 1),)), "twice a stratum multiplicity"),
     (lambda: ResolutionData(((1, 10**5000),)), "stratum Euler number"),
@@ -476,8 +473,8 @@ def test_sizes_above_the_cap_are_refused(build, what):
 
 def test_small_reference_germs_ignore_the_variable_count():
     # (l-1)^n is 0 or 1 for l <= 2, however many variables
-    assert milnor_from_resolution(homogeneous_resolution(2, 10**6), 10**6) == 1
-    assert milnor_from_resolution(homogeneous_resolution(1, 10**6), 10**6) == 0
+    assert milnor_from_s(s_sequence(homogeneous_resolution(2, 10**6)), 10**6) == 1
+    assert milnor_from_s(s_sequence(homogeneous_resolution(1, 10**6)), 10**6) == 0
 
 
 # -- a seeded eigenvalue cross-check ------------------------------------------

@@ -1,8 +1,11 @@
-"""perfbench's tracer wraps germinv functions and methods by name.  Loading
-and installing it here makes a deletion or rename of any of them fail these
-tests, not only the benchmark."""
+"""perfbench's tracer wraps germinv functions and methods by name, and its
+workloads import germinv names.  Loading and installing the tracer here, and
+resolving every name the workloads read, makes a deletion or rename of any
+of them fail these tests, not only the benchmark."""
 
+import ast
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -10,7 +13,8 @@ import germinv.cli  # noqa: F401  loads corpus and cli, which germinv/__init__ d
 from germinv.gaussian import GaussianRational
 from germinv.poly import Poly
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -41,3 +45,39 @@ def test_the_tracer_wraps_every_name_it_needs_and_restores_them():
         tracer.remove()
     assert Poly.__mul__ is before[Poly]["__mul__"]
     assert namespaces() == before
+
+
+def germinv_names(path):
+    """The dotted germinv names a perfbench file reads: each name of a
+    `from germinv... import`, and each attribute read off a germinv module
+    it imported whole.  The file is parsed, not imported."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "germinv":
+            for alias in node.names:
+                dotted = f"{node.module}.{alias.name}"
+                names.add(dotted)
+                modules[alias.asname or alias.name] = dotted
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                if top == "germinv":  # `import a.b` binds a, `import a.b as c` binds c
+                    modules[alias.asname or top] = alias.name if alias.asname else top
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in modules:
+            names.add(".".join([modules[node.id]] + chain[::-1]))
+    return names
+
+
+def test_every_germinv_name_perfbench_imports_resolves():
+    names = set()
+    for script in ("workloads.py", "tracer.py"):
+        names |= germinv_names(PERFBENCH / script)
+    assert "germinv.milnor.oracle_dmax_for" in names  # attribute reads are seen
+    for name in sorted(names):
+        pkgutil.resolve_name(name)  # raises if the module or attribute is gone

@@ -41,19 +41,16 @@ from .families import (
 from .gaussian import GaussianRational
 from .localring import (
     StandardBasisResult,
-    ideal_quotient_dim,
     standard_basis,
 )
 from .milnor import (
     GermInvariants,
     MilnorResult,
     germ_invariants,
-    is_isolated,
     is_semihomogeneous,
     local_milnor_at,
     milnor_number,
     milnor_oracle,
-    milnor_semihomogeneous,
     truncated_dim_oracle,
 )
 from .monodromy import (
@@ -62,7 +59,6 @@ from .monodromy import (
     SSequence,
     ZetaFunction,
     char_poly,
-    chi_projective_cone,
     chi_tangent_cone_complement,
     homogeneous_resolution,
     invert_lefschetz,

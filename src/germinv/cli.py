@@ -132,6 +132,8 @@ def _load_json(path: str):
 
 def _resolution_from_args(args) -> tuple[ResolutionData, int]:
     if args.fermat:
+        if args.n is not None:
+            raise InputError("--n is for --res; --fermat l=..,n=.. gives its own n")
         l, n = _parse_fermat(args.fermat)
         return homogeneous_resolution(l, n), n
     if not args.res:
@@ -164,11 +166,6 @@ def _emit(report: dict, fmt: str):
         print("\n".join(_text_render(report)))
 
 
-def _staircase_strings(staircase, names) -> list[str]:
-    monos = sorted(staircase, key=lambda m: (sum(m), m))
-    return [_format_monomial(m, names) or "1" for m in monos]
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_mult(args) -> dict:
@@ -199,7 +196,8 @@ def _cmd_milnor(args) -> dict:
     }
     staircase = result.staircase
     if staircase is not None:
-        report["staircase"] = _staircase_strings(staircase, names)
+        monos = sorted(staircase, key=lambda m: (sum(m), m))
+        report["staircase"] = [_format_monomial(m, names) or "1" for m in monos]
     if result.note:
         report["note"] = result.note
     return report
@@ -260,12 +258,18 @@ def _cmd_discriminate(args) -> dict:
 
 def _family_from_args(args) -> tuple[GermFamily, tuple[str, ...]]:
     if args.file is not None:
+        if args.vars is not None:
+            raise InputError("a family file names its own vars; --vars does not apply")
         return family_from_json(_load_json(args.file))
     (f,), names = _read_polys(args, [args.rescale])
     return rescaling_family(f), names
 
 
 def _cmd_family(args) -> dict:
+    if args.candidates is not None and args.find_alpha is None:
+        raise InputError("--candidates applies only to --find-alpha")
+    if args.find_alpha is not None and (args.line is not None or args.find_line):
+        raise InputError("--find-alpha takes no probe line (--line, --find-line)")
     ts = _parse_scalars(args.ts) or DEFAULT_SAMPLES
 
     if args.find_alpha is not None:
@@ -304,17 +308,13 @@ def _cmd_family(args) -> dict:
     }
 
     direction = _parse_scalars(args.line)
-    if direction is None and args.find_line:
-        forms = []
-        seen = set()
+    if args.find_line:
+        forms = {}  # the distinct initial forms, in sample order
         for t in ts:
             germ = family.at(t)
             if not germ:
                 raise InputError(f"the family vanishes identically at t = {t}")
-            form = germ.initial_form()
-            if form not in seen:
-                seen.add(form)
-                forms.append(form)
+            forms[germ.initial_form()] = None
         direction = find_transverse_line(forms)
     if direction is not None:
         line_profile = line_order_profile(family, direction, ts)
@@ -395,8 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_milnor)
 
     def add_resolution(p, with_mu=False):
-        p.add_argument("--fermat", help="l=<degree>,n=<variables> reference germ")
-        p.add_argument("--res", help="JSON file: array of {m, chi} strata")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--fermat", help="l=<degree>,n=<variables> reference germ")
+        source.add_argument("--res", help="JSON file: array of {m, chi} strata")
         p.add_argument("--n", help="ambient variable count for --res")
         if with_mu:
             p.add_argument("--mu", help="override the Milnor number")
@@ -428,9 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_vars(p)
     p.add_argument("--ts", help="comma-separated scalars, default 0,1/4,1/2,3/4,1")
-    p.add_argument("--line", help="probe direction, comma-separated scalars")
-    p.add_argument("--find-line", action="store_true",
-                   help="search for a direction transverse to all sampled cones")
+    probe = p.add_mutually_exclusive_group()
+    probe.add_argument("--line", help="probe direction, comma-separated scalars")
+    probe.add_argument("--find-line", action="store_true",
+                       help="search for a direction transverse to all sampled cones")
     p.add_argument("--candidates", help="explicit alpha candidates for --find-alpha")
     add_format(p)
     p.set_defaults(handler=_cmd_family)

@@ -18,7 +18,7 @@ from itertools import count, product as iter_product
 from ._record import record
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, ONE
-from .milnor import is_isolated, milnor_number
+from .milnor import milnor_number
 from .monodromy import _is_int
 from .poly import MAX_DIGITS, MAX_EXPONENT, Poly, exceeds_digits, fermat, parse_poly
 
@@ -180,21 +180,31 @@ def mu_profile(family: GermFamily, ts=DEFAULT_SAMPLES) -> MuProfile:
 def line_order_profile(family: GermFamily, direction, ts=DEFAULT_SAMPLES):
     """Order of the germ restricted to a fixed line, per sample.
 
-    A vanishing restriction means the line sits inside the germ's zero
-    set at that sample, which defeats the point of the probe: hard error.
+    On the line s*v the germ is f(s*v) = sum of s^d * f_d(v) over its
+    homogeneous parts f_d, so the order is the least d with f_d(v) nonzero;
+    each f_d(v) is summed term by term, in one pass over the germ.
+    A vanishing restriction means the line sits inside the germ's zero set
+    at that sample, which defeats the point of the probe: hard error.
     """
+    if len(direction) != family.nvars:
+        raise InputError(f"direction has {len(direction)} entries, expected {family.nvars}")
+    if not any(direction):
+        raise InputError("direction vector must have a nonzero entry")
     profile = []
     for t in ts:
         t = GaussianRational.of(t)
         germ = family.at(t)
         if not germ:
             raise InputError(f"the family vanishes identically at t = {t}")
-        restricted = germ.restrict_to_line(direction)
-        if not restricted:
-            raise InputError(
-                f"the probe line lies inside the germ's zero set at t = {t}"
-            )
-        profile.append((t, restricted.order()))
+        parts = {}
+        for m, c in germ.terms().items():
+            for v, e in zip(direction, m):
+                c = c * v ** e
+            parts[sum(m)] = parts.get(sum(m), 0) + c
+        order = min((d for d, value in parts.items() if value), default=None)
+        if order is None:
+            raise InputError(f"the probe line lies inside the germ's zero set at t = {t}")
+        profile.append((t, order))
     return tuple(profile)
 
 
@@ -251,7 +261,7 @@ def find_alpha(
         raise ZeroPolynomialError("the target form is zero")
     if target.order() != target.degree() or target.order() < 2:
         raise InputError("the target must be homogeneous of degree >= 2")
-    if not is_isolated(target):
+    if milnor_number(target).mu is None:
         raise InputError("the target form must have an isolated critical point")
     reference = fermat(target.order(), target.nvars)
     ts = [GaussianRational.of(t) for t in ts]
@@ -262,7 +272,7 @@ def find_alpha(
     def acceptable(alpha: GaussianRational) -> bool:
         for t in interior:
             germ = reference.scale(ONE - t) + target.scale(t * alpha)
-            if not germ or not is_isolated(germ):
+            if not germ or milnor_number(germ).mu is None:
                 return False
         return True
 

@@ -38,7 +38,7 @@ keyed terms alone: a reducer is its sorted keys and coefficient triples
 dict reduced in place; a reducer keeps its own lead coefficient, as every
 step divides by it.  The quotient dimension sums the columns of the last
 corner walk, which saw the final leading monomials; the monic basis Polys
-and the staircase are formed only when read, and mu reads neither.
+are formed only when read, and mu does not read them.
 :func:`mora_normal_form` is its normal form wrapped for Polys.
 Each reduction step takes its factor from :func:`germinv.gaussian.quotient`
 and hands the reducer's shifted keys, cut where the shifted degree reaches
@@ -163,10 +163,10 @@ def mora_normal_form(
 class StandardBasisResult:
     """The minimal leading monomials, the quotient's dimension (None when
     infinite) and the kept elements as keys and coefficient triples, not
-    normalised: ``basis`` (monic Polys) and ``staircase`` are formed anew
-    at each read.  Past a highest corner k (m^k lies in the ideal) the
-    elements are truncated below degree k, one with a lead of degree k
-    being that monomial.  Results with the same kept elements are equal.
+    normalised: ``basis`` (monic Polys) is formed anew at each read.  Past
+    a highest corner k (m^k lies in the ideal) the elements are truncated
+    below degree k, one with a lead of degree k being that monomial.
+    Results with the same kept elements are equal.
     """
 
     leading_ideal_gens: tuple[Monomial, ...]
@@ -177,10 +177,6 @@ class StandardBasisResult:
     def basis(self) -> tuple[Poly, ...]:
         monic = [add_multiple({}, quotient((1, 0, 1), c[0]), zip(k, c)) for k, c in self.elements]
         return tuple(_poly(len(self.leading_ideal_gens[0]), h.items()) for h in monic)
-
-    @property
-    def staircase(self) -> frozenset[Monomial] | None:
-        return staircase_of(self.leading_ideal_gens)
 
 
 def _add_lead(leading: list[Monomial], m: Monomial) -> bool:
@@ -310,8 +306,3 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
             kept[m] = tuple(g[3]), tuple(g[4])
     dim = None if columns is None else sum(height for _, height in columns)
     return StandardBasisResult(tuple(leading), dim, tuple(kept.values()))
-
-
-def ideal_quotient_dim(gens) -> int | None:
-    """dim of local ring modulo the ideal, or None when infinite."""
-    return standard_basis(gens).quotient_dim

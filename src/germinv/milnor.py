@@ -96,11 +96,6 @@ def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
     return MilnorResult(mu, METHOD_STANDARD_BASIS, None if mu is None else gens)
 
 
-def is_isolated(f: Poly) -> bool:
-    """True iff mu(f) is finite (mu = 0, a regular point, counts)."""
-    return milnor_number(f).isolated
-
-
 # -- the independent oracle --------------------------------------------------
 
 # The pivot of each row of a one-term generator, which has no term above its
@@ -294,17 +289,7 @@ def is_semihomogeneous(f: Poly) -> bool:
     _check_germ(f)
     if f.order() < 2:
         raise InputError("semihomogeneity is only defined for germs of order >= 2")
-    return is_isolated(f.initial_form())
-
-
-def milnor_semihomogeneous(f: Poly) -> int:
-    """(order-1)^nvars, valid only on semihomogeneous germs."""
-    if not is_semihomogeneous(f):
-        raise InputError(
-            "the initial form has a non-isolated critical point; "
-            "the closed-form Milnor number does not apply"
-        )
-    return (f.order() - 1) ** f.nvars
+    return milnor_number(f.initial_form()).mu is not None
 
 
 @record
@@ -359,7 +344,10 @@ def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
             note = "no stabilization within dmax: not isolated, or dmax too small"
         result = MilnorResult(mu, METHOD_ORACLE, None, note)
     elif method == METHOD_FAST:
-        result = MilnorResult(milnor_semihomogeneous(f), METHOD_FAST, None)
+        if not is_semihomogeneous(f):
+            raise InputError("the initial form has a non-isolated critical point; "
+                             "the closed-form Milnor number does not apply")
+        result = MilnorResult((f.order() - 1) ** f.nvars, METHOD_FAST, None)
     else:
         raise InputError(f"unknown milnor method {method!r}")
     _check_bounds(f, result.mu)

@@ -246,11 +246,6 @@ def chi_tangent_cone_complement(l: int, n: int) -> int:
     return numerator // l
 
 
-def chi_projective_cone(l: int, n: int) -> int:
-    """Euler number of the projectivized cone itself; complement's partner."""
-    return n - chi_tangent_cone_complement(l, n)
-
-
 def homogeneous_resolution(l: int, n: int) -> ResolutionData:
     """Resolution strata of the degree-l sum-of-powers germ in n variables.
 

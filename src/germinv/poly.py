@@ -44,10 +44,6 @@ Monomial = tuple[int, ...]
 
 # -- monomial helpers --------------------------------------------------------
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
@@ -193,30 +189,23 @@ class Poly:
         """Largest total degree of a term; undefined for 0."""
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no degree")
-        return max(mono_degree(m) for m in self._terms)
+        return max(sum(m) for m in self._terms)
 
     def order(self) -> int:
         """Smallest total degree of a term (the multiplicity at 0)."""
         if not self._terms:
             raise ZeroPolynomialError("the zero polynomial has no order")
-        return min(mono_degree(m) for m in self._terms)
+        return min(sum(m) for m in self._terms)
 
     def homogeneous_component(self, degree: int) -> "Poly":
         return Poly._clean(
             self.nvars,
-            {m: c for m, c in self._terms.items() if mono_degree(m) == degree},
+            {m: c for m, c in self._terms.items() if sum(m) == degree},
         )
 
     def initial_form(self) -> "Poly":
         """The lowest-degree homogeneous part; errors on 0."""
         return self.homogeneous_component(self.order())
-
-    def truncate_jet(self, max_degree: int) -> "Poly":
-        """Drop every term of total degree > max_degree."""
-        return Poly._clean(
-            self.nvars,
-            {m: c for m, c in self._terms.items() if mono_degree(m) <= max_degree},
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -369,15 +358,6 @@ class Poly:
             for i in range(self.nvars)
         ]
         return self.substitute(images)
-
-    def restrict_to_line(self, direction: Sequence) -> "Poly":
-        """One-variable germ t |-> f(t * v); v needs a nonzero entry."""
-        if len(direction) != self.nvars:
-            raise InputError(f"direction has {len(direction)} entries, expected {self.nvars}")
-        if not any(direction):
-            raise InputError("direction vector must have a nonzero entry")
-        t = Poly.variable(1, 0)
-        return self.substitute([t.scale(v) for v in direction])
 
     # -- printing ----------------------------------------------------------
 

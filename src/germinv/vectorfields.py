@@ -10,8 +10,8 @@ hypersurface side uses.
 from __future__ import annotations
 
 from ._record import record
-from .errors import InputError
-from .localring import ideal_quotient_dim
+from .errors import EngineError, InputError
+from .localring import standard_basis
 from .poly import Poly
 
 
@@ -45,8 +45,21 @@ def vf_multiplicity(field: VectorField) -> int:
 
 
 def vf_milnor(field: VectorField) -> int | None:
-    """dim of the local ring modulo the component ideal; None if infinite."""
-    return ideal_quotient_dim(field.components)
+    """dim of the local ring modulo the component ideal; None if infinite.
+
+    A finite index lies in prod(order)..prod(degree) over the components
+    (Fulton, Intersection Theory, Cor. 12.4; refined Bezout, Ex. 12.3.1);
+    one outside can only come from a faulty engine: EngineError.  With a
+    zero component the quotient is infinite (n - 1 generators): no bound."""
+    index = standard_basis(field.components).quotient_dim
+    if index is not None:
+        low = high = 1
+        for c in field.components:
+            low, high = low * c.order(), high * c.degree()
+        if not low <= index <= high:
+            raise EngineError(f"index = {index} is outside the a-priori bounds "
+                              f"{low} <= index <= {high}")
+    return index
 
 
 def hamiltonian_field(f: Poly) -> VectorField:

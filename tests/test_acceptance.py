@@ -22,15 +22,15 @@ from germinv.equising import (
 )
 from germinv.families import FamilyPiece, GermFamily, mu_profile, rescaling_family
 from germinv.milnor import (
+    METHOD_FAST,
     is_semihomogeneous,
     local_milnor_at,
     milnor_number,
-    milnor_semihomogeneous,
+    milnor_with_method,
 )
 from germinv.monodromy import (
     SSequence,
     char_poly,
-    chi_projective_cone,
     chi_tangent_cone_complement,
     homogeneous_resolution,
     invert_lefschetz,
@@ -86,7 +86,7 @@ def test_criterion_03_class_dichotomy():
         mu = milnor_number(f).mu
         if is_semihomogeneous(f):
             assert germ.semihomogeneous, germ.name
-            assert mu == bound == milnor_semihomogeneous(f), germ.name
+            assert mu == bound == milnor_with_method(f, METHOD_FAST).mu, germ.name
         else:
             assert not germ.semihomogeneous, germ.name
             assert mu > bound, germ.name
@@ -106,9 +106,10 @@ def test_criterion_04_homogeneous_monodromy_grid():
                 assert lam[k - 1] == 0, (l, n, k)
             assert lam[l - 1] == l * chi_tangent_cone_complement(l, n)
             assert milnor_from_s(s, n) == (l - 1) ** n, (l, n)
-            assert (
-                chi_projective_cone(l, n) + chi_tangent_cone_complement(l, n) == n
-            ), (l, n)
+            # a smooth degree-l divisor of P^(n-1): l points, a curve of
+            # genus (l-1)(l-2)/2, or a surface with chi = l^3 - 4l^2 + 6l
+            divisor = {2: l, 3: l * (3 - l), 4: l * (l * l - 4 * l + 6)}[n]
+            assert divisor + chi_tangent_cone_complement(l, n) == n, (l, n)
 
 
 # -- 5 -------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import germinv
-from germinv import milnor, poly
+from germinv import milnor, poly, vectorfields
 from germinv.cli import main
 from germinv.milnor import MAX_ORACLE_DMAX
 from germinv.poly import MAX_EXPONENT, MAX_TERMS
@@ -565,6 +565,35 @@ def test_family_has_no_seed_option(capsys, option):
     assert not out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("family", "--rescale", "x^3 + y^3", "--line", "1,1", "--find-line"), "not allowed with"),
+    (("family", "--rescale", "x^3 + y^3", "--candidates", "2"), "only to --find-alpha"),
+    (("family", "--file", "{family}", "--candidates", "2"), "only to --find-alpha"),
+    (("family", "--find-alpha", "x^3 + y^3", "--line", "1,1"), "no probe line"),
+    (("family", "--find-alpha", "x^3 + y^3", "--find-line"), "no probe line"),
+    (("family", "--file", "{family}", "--vars", "x,y"), "names its own vars"),
+    (("zeta", "--fermat", "l=3,n=2", "--res", "{res}", "--n", "2"), "not allowed with"),
+    (("zeta", "--fermat", "l=3,n=2", "--n", "2"), "gives its own n"),
+    (("charpoly", "--fermat", "l=3,n=2", "--res", "{res}", "--n", "2"), "not allowed with"),
+    (("charpoly", "--fermat", "l=3,n=2", "--n", "2"), "gives its own n"),
+], ids=["line-and-find-line", "candidates-rescale", "candidates-file", "find-alpha-line",
+        "find-alpha-find-line", "file-vars", "zeta-fermat-res", "zeta-fermat-n",
+        "charpoly-fermat-res", "charpoly-fermat-n"])
+def test_an_option_the_mode_ignores_exits_2(capsys, tmp_path, argv, message):
+    family = tmp_path / "family.json"
+    family.write_text('{"vars": ["x", "y"], "pieces": [{"poly": "x^3 + y^3", "tpower": 0}]}')
+    res = tmp_path / "res.json"
+    res.write_text('[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]')
+    try:
+        code = main([a.format(family=family, res=res) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert message in err
+    assert not out
+
+
 def test_family_custom_samples(capsys):
     data = run_json(capsys, "family", "--rescale", "x^3 + y^3 + x^4",
                     "--ts", "0,1/3,2")
@@ -707,6 +736,21 @@ def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, off
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert "outside the a-priori bounds" in err
+    assert not out
+
+
+@pytest.mark.parametrize("offset", [-1, 1], ids=["below", "above"])
+def test_an_index_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, offset):
+    # (x^2, y^3) has 2*3 <= index <= 2*3: an engine off by one breaks it
+    engine = vectorfields.standard_basis
+
+    def off(gens):
+        return SimpleNamespace(quotient_dim=engine(gens).quotient_dim + offset)
+
+    monkeypatch.setattr(vectorfields, "standard_basis", off)
+    code, out, err = run(capsys, "foliation", "x^2", "y^3")
+    assert code == 3
+    assert "outside the a-priori bounds 6 <= index <= 6" in err
     assert not out
 
 

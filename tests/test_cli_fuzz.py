@@ -7,8 +7,12 @@ subcommands `mult`, `milnor` and `discriminate` on expressions, inline or
 as @file, some wrapped in up to 1200 levels of parentheses or unary signs
 and some with a stray character.  The third covers `foliation` on one to
 three components in x and y, in two variables or, with `--vars x,y,z`,
-three, some with a stray character.  Hypothesis runs derandomised (see
-conftest.py), so every run sees the same examples.
+three, some with a stray character.  The fourth covers `zeta` and
+`charpoly`: `--fermat` with small, zero, negative and non-integer l and n,
+hostile `--res` files (non-lists, wrong keys, bools, floats, duplicate m,
+chi = 0, over-long integers, deep nesting) and the `--n`, `--K` and `--mu`
+values.  Hypothesis runs derandomised (see conftest.py), so every run sees
+the same examples.
 """
 
 import io
@@ -113,6 +117,64 @@ def foliation_argv(draw):
     return ["foliation", *options, "--", *components]
 
 
+# two draws in three are small plain integers, so some argv get past the checks
+INTEGERS = st.one_of(st.integers(-1, 5).map(str), st.integers(1, 4).map(str), st.sampled_from(
+    ["-4", "1/2", "2.5", "i", "2^2", "", "x", "10^40", "5000", "5001"]))
+CUSP = '[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]'
+JSON_NUMBERS = st.one_of(st.integers(-30, 30), st.sampled_from(
+    ["true", "false", "2.0", "-1.5", "1e3", "null", '"3"', "1" + "0" * 5000]))
+
+
+@st.composite
+def strata_files(draw):
+    """The text of a --res file: mostly a list of {m, chi} strata, small m
+    and |chi| (so duplicate m and chi = 0 come up), some of it hostile."""
+    kind = draw(st.sampled_from(["known", "strata", "strata", "scalar", "nested"]))
+    if kind == "known":  # the cusp's, or a homogeneous germ's in n = 2 or 3
+        l = draw(st.integers(2, 6))
+        return draw(st.sampled_from([CUSP, f'[{{"m": {l}, "chi": {2 - l}}}]',
+                                     f'[{{"m": {l}, "chi": {3 - 3 * l + l * l}}}]']))
+    if kind == "scalar":
+        return draw(st.sampled_from(['{"m": 2, "chi": 1}', "3", '"strata"', "null", "{}", ""]))
+    if kind == "nested":
+        depth = draw(st.sampled_from([50, 100_000]))
+        return "[" * depth + "]" * depth
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        m, chi = draw(st.integers(1, 24)), draw(st.integers(-24, 24))
+        shape = draw(st.sampled_from(["ok", "ok", "ok", "values", "keys", "other"]))
+        if shape == "values":
+            m, chi = draw(JSON_NUMBERS), draw(JSON_NUMBERS)
+        if shape == "keys":
+            entries.append(draw(st.sampled_from([f'{{"m": {m}}}', f'{{"M": {m}, "chi": {chi}}}',
+                                                 f'{{"m": {m}, "chi": {chi}, "x": 1}}'])))
+        elif shape == "other":
+            entries.append(draw(st.sampled_from(["1", "[]", '"m"', "null", f"[{m}, {chi}]"])))
+        else:
+            entries.append(f'{{"m": {m}, "chi": {chi}}}')
+    return "[" + ", ".join(entries) + "]"
+
+
+@st.composite
+def monodromy_argv(draw):
+    """argv for zeta or charpoly, and the --res file's text if there is one."""
+    command = draw(st.sampled_from(["zeta", "charpoly"]))
+    argv = [command]
+    source = draw(st.sampled_from(["fermat", "fermat", "res", "res", "both", "none"]))
+    if source in ("fermat", "both"):
+        parts = [f"l={draw(INTEGERS)}", f"n={draw(INTEGERS)}"]
+        if draw(st.booleans()):
+            parts = draw(st.permutations(parts + draw(st.sampled_from([[], ["n=2"], ["k=1"]]))))
+        argv.append("--fermat=" + ",".join(parts))
+    text = draw(strata_files()) if source in ("res", "both") else None
+    # --n is for --res and refused with --fermat, so there it comes up less
+    if draw(st.integers(0, 3)) >= (3 if source == "fermat" else 1):
+        argv.append(f"--n={draw(INTEGERS)}")
+    if draw(st.booleans()):
+        argv.append(f"{'--K' if command == 'zeta' else '--mu'}={draw(INTEGERS)}")
+    return argv, text
+
+
 def run_main(argv):
     """main(argv) with its output captured; argparse's exit counts as a return."""
     out, err = io.StringIO(), io.StringIO()
@@ -170,6 +232,25 @@ def test_germ_argv_ends_with_a_documented_exit_code(case):
 def test_foliation_argv_ends_with_a_documented_exit_code(argv):
     code, out, err = run_main(argv)
     assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code:
+        assert not out
+    else:
+        json.loads(out)
+
+
+@settings(max_examples=200)
+@given(monodromy_argv())
+def test_monodromy_argv_ends_with_a_documented_exit_code(case):
+    argv, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if text is not None:
+            path = os.path.join(tmp, "strata.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            argv = [*argv, f"--res={path}"]
+        code, out, err = run_main(argv)
+    assert code in (0, 2, 3), (argv, text, code, err)
     assert "Traceback" not in err
     if code:
         assert not out

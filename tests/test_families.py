@@ -6,7 +6,7 @@ from itertools import product as iter_product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from germinv.corpus import ISOLATED_GERMS
 from germinv.errors import InputError
@@ -261,6 +261,61 @@ def test_line_order_profile_rejects_lines_in_the_zero_set():
     fam = GermFamily((FamilyPiece(P("x*y"), 0),))
     with pytest.raises(InputError):
         line_order_profile(fam, (1, 0))
+
+
+def substituted_order(germ, direction):
+    """The reference: the order of f(s*v), formed by substituting s*v for
+    the variables; None when it vanishes."""
+    s = Poly.variable(1, 0)
+    restricted = germ.substitute([s.scale(v) for v in direction])
+    return restricted.order() if restricted else None
+
+
+def one_sample_order(germ, direction):
+    [(_, order)] = line_order_profile(GermFamily((FamilyPiece(germ, 0),)), direction, (0,))
+    return order
+
+
+def test_restrict_to_line():
+    # x^3 + y^3 is 2*s^3 on the diagonal
+    f = P("x^3 + y^3")
+    assert substituted_order(f, (1, 1)) == one_sample_order(f, (1, 1)) == 3
+    # the line lies inside the zero set: the restriction vanishes
+    assert substituted_order(P("x*y"), (1, 0)) is None
+    with pytest.raises(InputError, match="lies inside the germ's zero set at t = 0"):
+        one_sample_order(P("x*y"), (1, 0))
+
+
+def test_line_direction_rejects_zero():
+    fam = GermFamily((FamilyPiece(P("x*y"), 0),))
+    with pytest.raises(InputError, match="direction vector must have a nonzero entry"):
+        line_order_profile(fam, (0, 0))
+    with pytest.raises(InputError, match="direction has 1 entries, expected 2"):
+        line_order_profile(fam, (1,))
+
+
+LINE_SCALARS = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2), GaussianRational(0, 1),
+                                GaussianRational(1, -1), GaussianRational(Fraction(1, 2), 2)])
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+                       LINE_SCALARS.filter(bool), min_size=1, max_size=5),
+       st.tuples(LINE_SCALARS, LINE_SCALARS).filter(any))
+# the parts of degree 2 vanish on the line and degree 3 answers, over Q and Q(i)
+@example({(2, 0): 1, (0, 2): -1, (3, 0): 1}, (1, 1))
+@example({(2, 0): 1, (1, 1): GaussianRational(0, 2), (0, 2): -1, (0, 3): 1},
+         (1, GaussianRational(0, 1)))
+# every part vanishes on the line
+@example({(1, 1): 1, (2, 1): GaussianRational(0, 1)}, (0, 3))
+def test_line_order_matches_the_substituted_restriction(terms, direction):
+    germ = Poly(2, terms)
+    expected = substituted_order(germ, direction)
+    if expected is None:
+        with pytest.raises(InputError, match="lies inside the germ's zero set"):
+            one_sample_order(germ, direction)
+    else:
+        assert one_sample_order(germ, direction) == expected
 
 
 # -- joining coefficient search ------------------------------------------------

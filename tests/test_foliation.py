@@ -81,3 +81,7 @@ def test_gradient_index_equals_milnor_number_in_any_dimension():
     ):
         f = parse_poly(text, names)
         assert vf_milnor(VectorField(f.jacobian())) == milnor_number(f).mu
+    # every corpus gradient field passes the index's a-priori bounds
+    for germ in ISOLATED_GERMS:
+        f = germ.poly()
+        assert vf_milnor(VectorField(f.jacobian())) == germ.known_mu, germ.name

@@ -16,7 +16,6 @@ from germinv.monodromy import (
     ResolutionData,
     SSequence,
     ZetaFunction,
-    chi_projective_cone,
     chi_tangent_cone_complement,
     char_poly,
     divisors,
@@ -217,16 +216,20 @@ def test_cone_euler_characteristics():
     assert chi_tangent_cone_complement(3, 2) == -1
     assert chi_tangent_cone_complement(2, 3) == 1
     assert chi_tangent_cone_complement(3, 3) == 3
-    # divisor and complement partition projective space, chi(P^{n-1}) = n
+    # divisor and complement partition projective space, chi(P^{n-1}) = n;
+    # a smooth degree-l divisor is l points, a curve of genus (l-1)(l-2)/2
+    # or a surface with chi = l^3 - 4l^2 + 6l
     for l in range(2, 6):
         for n in range(2, 5):
-            assert chi_projective_cone(l, n) + chi_tangent_cone_complement(l, n) == n
+            divisor = {2: l, 3: l * (3 - l), 4: l * (l * l - 4 * l + 6)}[n]
+            assert divisor + chi_tangent_cone_complement(l, n) == n
 
 
 def test_projective_cone_chi_known_cases():
-    assert chi_projective_cone(3, 2) == 3   # three points on a line
-    assert chi_projective_cone(2, 3) == 2   # smooth conic, a sphere
-    assert chi_projective_cone(3, 3) == 0   # elliptic curve
+    # the cone's chi is n minus its complement's
+    assert chi_tangent_cone_complement(3, 2) == -1  # three points on a line
+    assert chi_tangent_cone_complement(2, 3) == 1   # smooth conic, a sphere
+    assert chi_tangent_cone_complement(3, 3) == 3   # elliptic curve
 
 
 def test_homogeneous_resolution_single_stratum():

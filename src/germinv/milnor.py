@@ -7,15 +7,17 @@ truncations and certifies its answer with the local Nakayama argument
 (m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
 quotient dimension are read off the pivot degrees of one row echelon on
 packed monomials that grows a degree layer at a time, each row entering
-once, no pivot ever normalised and none kept past its own degree; every
-row of a one-term generator is a shared mark, not a kept row, and a row
-that a Koszul syzygy g_i*g_j = g_j*g_i makes redundant is never built.
+once, no pivot ever normalised and none kept past its own degree; the
+rows of one-term generators are counted from the Hilbert numerator of
+their monomials, not built, and a row that a Koszul syzygy
+g_i*g_j = g_j*g_i makes redundant is never built.
 The two are kept apart on purpose so each can catch the other lying.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import le
 
 from ._record import record
 from .errors import EngineError, InputError, ZeroPolynomialError
@@ -25,11 +27,13 @@ from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
 DEFAULT_ORACLE_DMAX = 32
 # The largest oracle horizon milnor_with_method (the CLI's --dmax) accepts.
-# The oracle's cost on a germ that never stabilises grows 3-12x per
-# doubling of the horizon; at 128 the slowest 2- and 3-variable germs found
-# take 0.03 s (x^2*y^2 + x^5) and 0.16 s (x^2*y^2 + z^2) in-process on a
-# 2-vCPU Xeon (Python 3.11.7, best of three).  milnor_oracle itself is not capped: the
-# corpus cross-check passes it oracle_dmax_for(mu), which can be larger.
+# A germ whose partials are all one-term builds no rows and costs well
+# under a millisecond at 128 (x^2*y^2 + z^2).  It does not bound germs that
+# build rows: in-process on a 2-vCPU Xeon (Python 3.11.7, best of three)
+# x^2*y^2 + x^5 + x^3*y^3 takes 0.34 s at 128 and x^2*y^2 + x^5 + x^3*y^3
+# + z^2 2.4 s, and (x + y + z)^2*z^2 + x^5 took 150 s already at 64 (one
+# run).  milnor_oracle itself is not capped: the corpus cross-check passes
+# it oracle_dmax_for(mu), which can be larger.
 MAX_ORACLE_DMAX = 128
 
 METHOD_STANDARD_BASIS = "standard-basis"
@@ -98,11 +102,6 @@ def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
 
 # -- the independent oracle --------------------------------------------------
 
-# The pivot of each row of a one-term generator, which has no term above its
-# degree: a lead that meets it is just deleted, and no step is recorded.
-ONE_TERM = object()
-
-
 def _next_degree(level: list[int], units: list[int], degree: int) -> list[int]:
     """The packed monomials of degree + 1 from level, those of degree, both
     lex-descending: x_i times the tail of level free of x_1 .. x_(i-1)."""
@@ -137,6 +136,45 @@ def _carry(rows: list, sources: list, steps: list, news: int, d: int) -> list[di
     return [above for above, layer in zip(aboves, rows) if above and not layer]
 
 
+def _numerator(monomials: list[Monomial]) -> dict[int, int]:
+    """N(t), degree -> coefficient, with N(t)/(1-t)^n the Hilbert series of
+    C[x]/I for the ideal I the monomials generate.
+
+    The monomials fall into groups of disjoint support, and N is the
+    product of the groups' numerators.  In a group, minimalised, the last
+    monomial m and the rest J give N(J + (m)) = N(J) - t^|m|*N(J : m), where
+    J : m is generated by each x^b/gcd(x^b, m)."""
+    groups: dict[int, list] = {}  # the support bits -> the monomials of each group
+    for a in monomials:
+        support = 0
+        for i, e in enumerate(a):
+            if e:
+                support |= 1 << i
+        members = [a]
+        for bits in [bits for bits in groups if bits & support]:
+            support |= bits
+            members += groups.pop(bits)
+        groups[support] = members
+    result = {0: 1}
+    for members in groups.values():
+        if len(members) > 1:
+            members = list(dict.fromkeys(members))
+            members = [a for a in members if not any(b != a and all(map(le, b, a)) for b in members)]
+        *rest, m = members
+        factor, colon = {0: 1}, {0: 1}
+        if rest:
+            factor = _numerator(rest)
+            colon = _numerator([tuple(max(x - y, 0) for x, y in zip(b, m)) for b in rest])
+        for e, c in colon.items():
+            factor[e + sum(m)] = factor.get(e + sum(m), 0) - c
+        product: dict[int, int] = {}
+        for e, c in result.items():
+            for f, b in factor.items():
+                product[e + f] = product.get(e + f, 0) + c * b
+        result = product
+    return result
+
+
 def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     """Quotient dimension by truncated linear algebra; None if unstable.
 
@@ -152,21 +190,32 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     monomials' DEGREE_LIMIT raises IterationLimitError before it is built.
 
     Each row enters once, at its lowest degree, and holds only its layer,
-    its terms of the current degree d.  Degree d first places the marks:
-    the :data:`ONE_TERM` pivot at each row's monomial of a one-term
-    generator (a repeated monomial is the same row), so a lead that meets
-    one is simply deleted.  Then the new rows reduce, then the pending ones,
-    which cancelled in every degree so far; each step against a kept pivot
-    is recorded, as (factor, pivot), for degree d only.  (i) A row reduced
-    at degree d has its lead there, so a pivot of degree d is met only at
-    degree d.  (ii) The terms above d of a row are its own plus its steps'
-    multiples of their pivots' terms above d (a mark's row has none);
-    formed in reduction order for every row that a pending row reaches
-    through steps, they give each pending row what the untruncated echelon
-    holds.  (iii) So layer d of every row is the untruncated echelon's, and
-    as the lowest monomials of a span do not depend on the row order, every
-    degree's pivot count is that of a fresh echelon of the built rows
-    truncated above d, and so is every result, None included.
+    its terms of the current degree d.  A one-term generator c*x^a builds no
+    rows: its rows of degree d are c times the degree-d monomials x^a
+    divides.  Once per call :func:`_numerator` gives the Hilbert numerator
+    N(t) of the quotient by these monomials, and with c_e the t^e
+    coefficient of 1 - N(t), marked(d) = sum c_e*C(d-e+n-1, n-1) degree-d
+    monomials are divisible by one of them: the n-th running sum of the
+    c_e, as C(j+n-1, n-1) is the t^j coefficient of (1-t)^-n.  Each call of
+    its colon recursion makes two on fewer monomials per group, so k
+    monomials cost at most 2^k - 1 calls; monomials of disjoint support, as
+    the partials of a Brieskorn-Pham or Morse germ, cost one, and the k
+    partials of one monomial, whose colons are all principal, 2k - 1.  At
+    degree d the new rows reduce, then the pending ones, which cancelled in
+    every degree so far: a lead that one of the monomials divides is
+    deleted, and each step against a pivot is recorded, as (factor, pivot),
+    for degree d only.  (i) A row reduced at degree d has its lead there, so
+    a pivot of degree d is met only at degree d.  (ii) The terms above d of
+    a row are its own plus its steps' multiples of their pivots' terms above
+    d (a one-term row, which a deletion subtracts, has none); formed in
+    reduction order for every row that a pending row reaches through steps,
+    they give each pending row what the untruncated echelon holds.  (iii) So
+    layer d of every row is the untruncated echelon's.  The one-term rows of
+    degree d span exactly the marked monomials, and no pivot lands on one
+    (its lead would have been deleted), so the lowest monomials of the
+    degree-d span number marked(d) plus the pivots; as they do not depend on
+    the row order, every degree's count is that of a fresh echelon of the
+    rows truncated above d, and so is every result, None included.
 
     The row m*g_j of a generator of two or more terms is never built when
     the lead x^a of an earlier generator g_i (i < j; a lead c*x^a is the
@@ -188,9 +237,9 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         raise InputError("generators disagree on variable count")
     shift, guards, limit = packing(nvars)
     split = []  # (degree, its terms, the (offset, terms) above, earlier leads) of each 2+-term g
-    marks = []  # (degree, packed monomial) of each one-term generator
+    ones: dict[int, Monomial] = {}  # packed -> exponents, the monomial of each one-term g
     leads = []
-    top_degree = reach = 0  # degree d needs no shift of degree < d - reach
+    top_degree = 0
     for g in gens:
         parts: dict[int, list] = {}
         for m, c in g._terms.items():
@@ -198,28 +247,29 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         low, high = min(parts), max(parts)
         lead = min(parts[low])[0]
         if len(g) == 1:
-            marks.append((low, lead))
+            ones[lead] = next(iter(g._terms))
         else:
             tail = [(e - low, terms) for e, terms in parts.items() if e > low]
             split.append((low, parts[low], tail, tuple(leads)))
         leads.append(lead)
-        top_degree, reach = max(top_degree, high), max(reach, low)
-    units = [pack(tuple(int(i == j) for j in range(nvars))) for i in range(nvars)]
+        top_degree = max(top_degree, high)
+    by_degree = {e: -c for e, c in _numerator(list(ones.values())).items()}  # e -> c_e
+    by_degree[0] += 1
+    lows = [low for low, *_ in split]
+    lowest, reach = min(lows, default=dmax), max(lows, default=dmax)
+    units = [pack((0,) * i + (1,) + (0,) * (nvars - 1 - i)) for i in range(nvars)]
     levels = [[0]]  # levels[s]: the packed shifts of degree s, lex-descending
-    below = 0  # the pivots of degree < d
+    sums = [0] * nvars  # the running sums of the c_e that end in marked(d)
+    below = 0  # the marked monomials and pivots of degree < d
     pending: list[dict] = []  # the terms above d - 1, by degree, of each row cancelled so far
     for d in range(dmax):
         if (d + top_degree) << shift >= limit:
             raise degree_limit_error()
-        if d:
-            levels.append(_next_degree(levels[-1], units, d - 1))
+        if d > lowest:  # degree d needs shifts of degree d - reach .. d - lowest
+            levels.append(_next_degree(levels[-1], units, d - lowest - 1))
             if d > reach:
                 levels[d - reach - 1] = None
-        pivots: dict[int, int | object] = {}  # lead -> its row's place in rows, or ONE_TERM
-        for low, m in marks:
-            if d >= low:
-                for k in levels[d - low]:
-                    pivots[m + k] = ONE_TERM
+        pivots: dict[int, int] = {}  # lead -> its row's place in rows
         # new rows reduce before the pending ones: the other way round is
         # slower on dense ideals
         rows = []  # the degree-d layer of each row, in reduction order
@@ -247,19 +297,26 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
                 lead = min(layer)
                 pivot = pivots.get(lead)
                 if pivot is None:
-                    pivots[lead] = i
-                    break
-                if pivot is ONE_TERM:
-                    del layer[lead]
+                    for one in ones:  # a marked lead goes, an unmarked one is a pivot
+                        if (lead + guards - one) & guards == guards:
+                            del layer[lead]
+                            break
+                    else:
+                        pivots[lead] = i
+                        break
                     continue
                 a, b, e = layer[lead]
                 factor = quotient((-a, -b, e), rows[pivot][lead])
                 taken.append((factor, pivot))
                 add_multiple(layer, factor, rows[pivot].items())
             steps.append(taken)
-        if len(pivots) == len(levels[d]):
+        marked = by_degree.get(d, 0)
+        for k in range(nvars):
+            marked = sums[k] = sums[k] + marked
+        found = marked + len(pivots)
+        if found == comb(d + nvars - 1, nvars - 1):
             return comb(d - 1 + nvars, nvars) - below
-        below += len(pivots)
+        below += found
         if rows:
             waiting += _carry(rows, sources, steps, news, d)
         pending = waiting

@@ -14,6 +14,7 @@ from germinv.errors import InputError
 from germinv.families import mu_profile, rescaling_family
 from germinv.gaussian import GaussianRational
 from germinv.milnor import (
+    MAX_ORACLE_DMAX,
     METHOD_FAST,
     METHOD_ORACLE,
     METHOD_STANDARD_BASIS,
@@ -418,6 +419,15 @@ def small_ideals(draw):
 # (or not, by dmax) only there
 @example(list(P("z^5 + y^7*x + x^15", XYZ).jacobian()), 9)
 @example([P("x^2 + y^5"), P("x*y")], 9)
+# the numerator of the one-term generators' count: a monomial another
+# divides, a repeated monomial, a group of monomials sharing variables
+# (x^2, y^2, x*y, whose colon by x*y is (x, y)) beside one of its own (z),
+# and a finite quotient of one-term generators only in four variables
+@example([P("x"), P("x^2*y"), P("y^3")], 9)
+@example([P("y^2"), P("y^2"), P("x^3")], 9)
+@example([P("x^2", XYZ), P("y^2", XYZ), P("x*y", XYZ), P("z", XYZ)], 9)
+@example([P("x^2", XYZW), P("y^3", XYZW), P("z^2", XYZW), P("w^4", XYZW),
+          P("x*y*z*w", XYZW)], 9)
 # a cancelled row needs the terms above d of a pivot it reaches only through
 # another pivot: forming only those it steps on directly reads 6, not 4
 @example(list(P("y^2 + z^2 + 1/3*i*x^2*y^2 + 1/3*i*x^2*y*z + x^5", XYZ).jacobian()), 9)
@@ -426,17 +436,45 @@ def test_oracle_matches_the_per_horizon_specification(gens, dmax):
 
 
 def test_the_oracle_keeps_no_pivot_of_a_degree_it_has_left():
-    # [2x, 2y] in four variables: every pivot is a mark and the quotient
-    # C{z, w} is infinite.  Pivots kept past their degree would be the
-    # 52,360 monomials of degree < 32, over 6 MB; one degree's are 5,984.
+    # [2x, 2y] in four variables: both generators are one-term and the
+    # quotient C{z, w} is infinite.  Their multiples are counted, never
+    # listed or kept: at the CLI's largest horizon one listed level alone
+    # would be the 357,760 monomials of degree 127.
     gens = list(P("x^2 + y^2", XYZW).jacobian())
+    tracemalloc.start()
+    try:
+        assert truncated_dim_oracle(gens, MAX_ORACLE_DMAX) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the Jacobian of x^2 + y^2 + x*y, two-term generators with the same
+    # infinite quotient, builds rows: kept past their degree, the pivots
+    # took the peak from 3.5 MB to 8.1 MB at dmax 32, and never pruning the
+    # listed shifts to 5.5 MB
+    gens = list(P("x^2 + y^2 + x*y", XYZW).jacobian())
     tracemalloc.start()
     try:
         assert truncated_dim_oracle(gens, 32) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_000_000
+    assert peak < 4_500_000
+
+
+def test_the_oracle_counts_the_morse_germ_in_24_variables_at_once():
+    # 2*x_1, ..., 2*x_24 are pairwise coprime, so their count is the
+    # product of the 24 factors 1 - t: a table over their subsets would
+    # hold 2^24 - 1 lcms
+    names = [f"x{i}" for i in range(1, 25)]
+    f = parse_poly(" + ".join(f"{v}^2" for v in names), names)
+    tracemalloc.start()
+    try:
+        assert milnor_oracle(f, MAX_ORACLE_DMAX) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def counted_rows(monkeypatch) -> list:

@@ -64,6 +64,15 @@ def test_the_panel_holds_585_germs_and_327_pairs():
     assert (sum(len(a) == 2 for a, _ in pairs), sum(len(a) == 3 for a, _ in pairs)) == (186, 141)
 
 
+def test_the_oracle_reads_every_panel_mu_off_its_count():
+    # every partial a_i*x_i^(a_i-1) is one term, so the oracle builds no row
+    # and its whole answer is the count of the monomials they divide, here
+    # at horizons up to oracle_dmax_for(400) = 804
+    for e in exponent_vectors():
+        mu = prod(a - 1 for a in e)
+        assert milnor_oracle(brieskorn_pham(e), oracle_dmax_for(mu)) == mu, e
+
+
 def test_the_refuted_count_is_pinned():
     refuted = 0
     for a, b in must_refute_pairs():

@@ -184,8 +184,7 @@ def _cmd_mult(args) -> dict:
 
 def _cmd_milnor(args) -> dict:
     (f,), names = _read_polys(args, [args.expr])
-    dmax = None if args.dmax is None else _integer(args.dmax)
-    result = milnor_with_method(f, args.method, dmax)
+    result = milnor_with_method(f, args.method)
     report = {
         "command": "milnor",
         "isolated": result.isolated,
@@ -198,8 +197,6 @@ def _cmd_milnor(args) -> dict:
     if staircase is not None:
         monos = sorted(staircase, key=lambda m: (sum(m), m))
         report["staircase"] = [_format_monomial(m, names) or "1" for m in monos]
-    if result.note:
-        report["note"] = result.note
     return report
 
 
@@ -390,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(METHOD_STANDARD_BASIS, METHOD_ORACLE, METHOD_FAST),
         default=METHOD_STANDARD_BASIS,
     )
-    p.add_argument("--dmax", help="truncation horizon for the oracle")
     add_format(p)
     p.set_defaults(handler=_cmd_milnor)
 

@@ -11,7 +11,7 @@ reports disagreements instead of hiding them.
 from __future__ import annotations
 
 from ._record import record
-from .milnor import METHOD_STANDARD_BASIS, germ_invariants, milnor_oracle, oracle_dmax_for
+from .milnor import METHOD_STANDARD_BASIS, germ_invariants, milnor_oracle
 from .poly import Poly, parse_poly
 
 
@@ -80,18 +80,13 @@ NON_SEMIHOMOGENEOUS_FAMILY: tuple[CorpusGerm, ...] = tuple(
 
 def run_corpus(entries=ISOLATED_GERMS) -> list[dict]:
     """Recompute every entry with both engines; one result dict per germ.
-
-    The oracle horizon is derived from the engine's candidate so a lying
-    engine cannot quietly shrink the cross-check window.
-    """
+    The oracle takes no horizon from the engine's mu, so a lying engine
+    cannot shrink the cross-check."""
     results = []
     for germ in entries:
         f = germ.poly()
         engine = germ_invariants(f)
-        if engine.mu is None:
-            oracle = milnor_oracle(f)
-        else:
-            oracle = milnor_oracle(f, oracle_dmax_for(engine.mu))
+        oracle = milnor_oracle(f)
         results.append(
             {
                 "agreement": engine.mu == oracle,

@@ -35,7 +35,7 @@ class EngineError(RuntimeError):
 
 
 class IterationLimitError(EngineError):
-    """A reduction/completion loop exceeded its configured step budget."""
+    """An engine exceeded its step, term or degree budget."""
 
 
 class ConventionViolationError(EngineError):

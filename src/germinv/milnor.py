@@ -2,15 +2,10 @@
 
 The primary route is the local standard-basis engine: mu(f) is the staircase
 size of the Jacobian ideal.  The second route, :func:`truncated_dim_oracle`,
-never touches that engine; it does degree-by-degree exact linear algebra on
-truncations and certifies its answer with the local Nakayama argument
-(m^D inside I + m^(D+1) forces m^D inside I).  Both the certificate and the
-quotient dimension are read off the pivot degrees of one row echelon on
-packed monomials that grows a degree layer at a time, each row entering
-once, no pivot ever normalised and none kept past its own degree; the
-rows of one-term generators are counted from the Hilbert numerator of
-their monomials, not built, and a row that a Koszul syzygy
-g_i*g_j = g_j*g_i makes redundant is never built.
+never touches that engine: one row echelon on packed monomials, grown a
+degree at a time, certifies a finite quotient by the local Nakayama
+argument (m^D inside I + m^(D+1) forces m^D inside I) and an infinite one
+by outgrowing the Bezout bound of its own generators.
 The two are kept apart on purpose so each can catch the other lying.
 """
 
@@ -20,21 +15,12 @@ from math import comb
 from operator import le
 
 from ._record import record
-from .errors import EngineError, InputError, ZeroPolynomialError
+from .errors import EngineError, InputError, IterationLimitError, ZeroPolynomialError
 from .gaussian import GaussianRational, add_multiple, quotient
 from .localring import DEFAULT_MAX_STEPS, standard_basis, staircase_of
 from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
-DEFAULT_ORACLE_DMAX = 32
-# The largest oracle horizon milnor_with_method (the CLI's --dmax) accepts.
-# A germ whose partials are all one-term builds no rows and costs well
-# under a millisecond at 128 (x^2*y^2 + z^2).  It does not bound germs that
-# build rows: in-process on a 2-vCPU Xeon (Python 3.11.7, best of three)
-# x^2*y^2 + x^5 + x^3*y^3 takes 0.34 s at 128 and x^2*y^2 + x^5 + x^3*y^3
-# + z^2 2.4 s, and (x + y + z)^2*z^2 + x^5 took 150 s already at 64 (one
-# run).  milnor_oracle itself is not capped: the corpus cross-check passes
-# it oracle_dmax_for(mu), which can be larger.
-MAX_ORACLE_DMAX = 128
+ORACLE_MAX_TERMS = 1_000_000  # the oracle's work budget, in terms formed
 
 METHOD_STANDARD_BASIS = "standard-basis"
 METHOD_ORACLE = "truncated-oracle"
@@ -43,8 +29,7 @@ METHOD_FAST = "class-A-fast-path"
 
 @record
 class MilnorResult:
-    """mu plus how it was obtained; mu None means not isolated, except
-    from the oracle, where it means undecided.
+    """mu plus how it was obtained; mu None means not isolated.
 
     mu == 0 happens exactly when the germ is regular at 0 (some partial has
     a nonzero constant term).  leading_ideal_gens are the engine's minimal
@@ -54,17 +39,13 @@ class MilnorResult:
     mu: int | None
     method: str
     leading_ideal_gens: tuple[Monomial, ...] | None = None
-    note: str | None = None
 
     @property
     def staircase(self) -> frozenset[Monomial] | None:
         return staircase_of(self.leading_ideal_gens or ())
 
     @property
-    def isolated(self) -> bool | None:
-        """None when undecided: the oracle's missing mu proves nothing."""
-        if self.mu is None and self.method == METHOD_ORACLE:
-            return None
+    def isolated(self) -> bool:
         return self.mu is not None
 
 
@@ -75,18 +56,24 @@ def _check_germ(f: Poly):
         raise InputError("the germ must vanish at the origin")
 
 
-def _check_bounds(f: Poly, mu: int | None):
-    """Raise EngineError unless (order-1)^n <= mu <= (degree-1)^n.
+def bezout_bound(degrees, nvars: int) -> int:
+    """The product of the nvars largest degrees of nonzero generators, 0 if
+    there are fewer: it bounds every finite quotient by their ideal (the
+    proof is in :func:`truncated_dim_oracle`)."""
+    bound = int(len(degrees) >= nvars)
+    for e in sorted(degrees, reverse=True)[:nvars]:
+        bound *= e
+    return bound
 
-    Every isolated germ obeys both bounds: the lower is Fulton,
-    Intersection Theory, Cor. 12.4 (the n partials have order >= order-1),
-    the upper refined Bezout, Ex. 12.3.1 (they have degree <= degree-1).
-    A finite mu outside them can only come from a faulty engine.
-    """
-    if mu is None:
-        return
-    low, high = (f.order() - 1) ** f.nvars, (f.degree() - 1) ** f.nvars
-    if not low <= mu <= high:
+
+def _check_bounds(f: Poly, jacobian, mu: int | None):
+    """Raise EngineError unless (order-1)^n <= mu <= the bezout_bound of the
+    partials, which every isolated germ obeys (Fulton, Intersection Theory,
+    Cor. 12.4, as the partials have order >= order-1, and Ex. 12.3.1): a
+    finite mu outside can only come from a faulty engine."""
+    low = (f.order() - 1) ** f.nvars
+    high = bezout_bound([g.degree() for g in jacobian if g], f.nvars)
+    if mu is not None and not low <= mu <= high:
         raise EngineError(f"mu = {mu} is outside the a-priori bounds {low} <= mu <= {high}")
 
 
@@ -94,9 +81,10 @@ def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
     """mu(f) = dim of the local ring modulo the Jacobian ideal; a mu outside
     the a-priori bounds raises EngineError."""
     _check_germ(f)
-    result = standard_basis(f.jacobian(), max_steps=max_steps)
+    jacobian = f.jacobian()
+    result = standard_basis(jacobian, max_steps=max_steps)
     mu, gens = result.quotient_dim, result.leading_ideal_gens
-    _check_bounds(f, mu)
+    _check_bounds(f, jacobian, mu)
     return MilnorResult(mu, METHOD_STANDARD_BASIS, None if mu is None else gens)
 
 
@@ -115,9 +103,17 @@ def _new_row(shift: int, terms: list) -> dict[int, tuple]:
     return {shift + k: c for k, c in terms}
 
 
-def _carry(rows: list, sources: list, steps: list, news: int, d: int) -> list[dict]:
-    """The terms above d, by degree, of the rows that cancelled at degree d
-    and have some, formed for them and every pivot they reach through steps."""
+def _spend(formed: int) -> int:  # formed, if within the oracle's work budget
+    if formed > ORACLE_MAX_TERMS:
+        raise IterationLimitError(f"the truncated oracle would form more than "
+                                  f"{ORACLE_MAX_TERMS} terms, its work budget")
+    return formed
+
+
+def _carry(rows: list, sources: list, steps: list, news: int, d: int, formed: int) -> tuple:
+    """formed plus the terms this forms, and the terms above d, by degree,
+    of the rows that cancelled at degree d and have some, formed for them
+    and every pivot they reach through steps."""
     needed = [not layer for layer in rows]
     for i in range(len(rows) - 1, -1, -1):
         if needed[i]:
@@ -129,11 +125,14 @@ def _carry(rows: list, sources: list, steps: list, news: int, d: int) -> list[di
             if i < news:
                 k, tail = above
                 above = {d + o: {k + m: c for m, c in terms} for o, terms in tail}
+                formed += sum(map(len, above.values()))
             for factor, pivot in steps[i]:
                 for e, terms in aboves[pivot].items():
+                    formed += len(terms)
                     add_multiple(above.setdefault(e, {}), factor, terms.items())
+            _spend(formed)
             aboves[i] = above
-    return [above for above, layer in zip(aboves, rows) if above and not layer]
+    return formed, [above for above, layer in zip(aboves, rows) if above and not layer]
 
 
 def _numerator(monomials: list[Monomial]) -> dict[int, int]:
@@ -143,7 +142,8 @@ def _numerator(monomials: list[Monomial]) -> dict[int, int]:
     The monomials fall into groups of disjoint support, and N is the
     product of the groups' numerators.  In a group, minimalised, the last
     monomial m and the rest J give N(J + (m)) = N(J) - t^|m|*N(J : m), where
-    J : m is generated by each x^b/gcd(x^b, m)."""
+    J : m is generated by each x^b/gcd(x^b, m).  k monomials cost at most
+    2^k - 1 calls; k of disjoint support, as a Brieskorn-Pham Jacobian's, one."""
     groups: dict[int, list] = {}  # the support bits -> the monomials of each group
     for a in monomials:
         support = 0
@@ -175,59 +175,70 @@ def _numerator(monomials: list[Monomial]) -> dict[int, int]:
     return result
 
 
-def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
-    """Quotient dimension by truncated linear algebra; None if unstable.
+def truncated_dim_oracle(gens, dmax: int | None = None) -> int | None:
+    """Quotient dimension by truncated linear algebra; None if infinite.
 
     One echelon of the rows mono*g, grown a degree layer at a time for
-    d = 0..dmax-1 (Lazard's degree-by-degree Macaulay matrices).  A row's
+    d = 0, 1, ... (Lazard's degree-by-degree Macaulay matrices).  A row's
     pivot is its lowest term, so the degree-d pivots span the degree-d
     initial forms of the ideal.  When they number all degree-d monomials,
     m^d lies in the ideal (Nakayama), and the quotient is the monomials of
     degree < d modulo the span truncated there, whose rank is the count of
-    lower pivots.  Exact rational arithmetic throughout; None means no
-    stabilization by dmax: either the quotient is infinite dimensional or
-    dmax is too small for it.  A degree whose rows would reach the packed
-    monomials' DEGREE_LIMIT raises IterationLimitError before it is built.
+    lower pivots.  Exact rational arithmetic throughout.
 
-    Each row enters once, at its lowest degree, and holds only its layer,
-    its terms of the current degree d.  A one-term generator c*x^a builds no
-    rows: its rows of degree d are c times the degree-d monomials x^a
-    divides.  Once per call :func:`_numerator` gives the Hilbert numerator
-    N(t) of the quotient by these monomials, and with c_e the t^e
-    coefficient of 1 - N(t), marked(d) = sum c_e*C(d-e+n-1, n-1) degree-d
-    monomials are divisible by one of them: the n-th running sum of the
-    c_e, as C(j+n-1, n-1) is the t^j coefficient of (1-t)^-n.  Each call of
-    its colon recursion makes two on fewer monomials per group, so k
-    monomials cost at most 2^k - 1 calls; monomials of disjoint support, as
-    the partials of a Brieskorn-Pham or Morse germ, cost one, and the k
-    partials of one monomial, whose colons are all principal, 2k - 1.  At
-    degree d the new rows reduce, then the pending ones, which cancelled in
-    every degree so far: a lead that one of the monomials divides is
-    deleted, and each step against a pivot is recorded, as (factor, pivot),
-    for degree d only.  (i) A row reduced at degree d has its lead there, so
-    a pivot of degree d is met only at degree d.  (ii) The terms above d of
-    a row are its own plus its steps' multiples of their pivots' terms above
-    d (a one-term row, which a deletion subtracts, has none); formed in
-    reduction order for every row that a pending row reaches through steps,
-    they give each pending row what the untruncated echelon holds.  (iii) So
-    layer d of every row is the untruncated echelon's.  The one-term rows of
-    degree d span exactly the marked monomials, and no pivot lands on one
-    (its lead would have been deleted), so the lowest monomials of the
-    degree-d span number marked(d) plus the pivots; as they do not depend on
-    the row order, every degree's count is that of a fresh echelon of the
-    rows truncated above d, and so is every result, None included.
+    None proves the quotient infinite; with an explicit dmax it may also
+    mean no stabilization by degree dmax - 1.  For k nonzero generators of
+    degrees d_1 >= d_2 >= ... in n variables, a finite quotient by their
+    ideal J has dim O/J <= B = :func:`bezout_bound`.  A unit ideal stops at
+    degree 0.  A proper J with k < n has height <= k (Krull): infinite.
+    k = n is refined Bezout (Fulton, Intersection Theory, Ex. 12.3.1).  If
+    k > n and J is m-primary, pick in turn h_i = g_i + a combination of
+    g_(n+1), ..., g_k outside every minimal prime of (h_1, ..., h_(i-1)):
+    a prime P holding that whole coset would hold g_1, ..., g_i and
+    g_(n+1), ..., g_k, so J would lie in P + (g_(i+1), ..., g_n), of
+    dimension >= 1.  So (h) is m-primary, lies in J and has deg h_i <= d_i,
+    and dim O/J <= dim O/(h) <= d_1...d_n.  After a degree d that did not
+    stop, the monomials of degree <= d less its marks and pivots count
+    dim O/(J + m^(d+1)) <= dim O/J; once they outnumber B the result is
+    None.  Each such degree adds at least one, so that comes by degree B.
+    Past ORACLE_MAX_TERMS terms formed or read (levels of shifts, filter
+    passes, first layers, multiples, tails, pending rows), or for rows that
+    would reach the packed monomials' DEGREE_LIMIT, it raises IterationLimitError.
+
+    Each row enters once, at its lowest degree, and holds only its terms
+    of the current degree d.  A one-term generator c*x^a builds no rows:
+    its rows of degree d are c times the degree-d monomials x^a divides.
+    With c_e the t^e coefficient of 1 - N(t), N the :func:`_numerator` of
+    these monomials, marked(d) = sum c_e*C(d-e+n-1, n-1) degree-d monomials
+    are divisible by one of them: the n-th running sum of the c_e, as
+    C(j+n-1, n-1) is the t^j coefficient of (1-t)^-n.  At degree d the new
+    rows reduce, then the pending ones, which cancelled in every degree so
+    far: a lead that one of the monomials divides is deleted, and each step
+    against a pivot is recorded, as (factor, pivot), for degree d only.
+    (i) A row reduced at degree d has its lead there, so a pivot of degree
+    d is met only at degree d.  (ii) The terms above d of a row are its
+    own plus its steps' multiples of their pivots' terms above d (a
+    one-term row, which a deletion subtracts, has none); formed in
+    reduction order for every row that a pending row reaches through
+    steps, they give each pending row what the untruncated echelon holds.
+    (iii) So layer d of every row is the untruncated echelon's.  The
+    one-term rows of degree d span exactly the marked monomials, and no
+    pivot lands on one (its lead would have been deleted), so the lowest
+    monomials of the degree-d span number marked(d) plus the pivots,
+    independent of the row order: every degree's count, and so every
+    result, is that of a fresh echelon of the rows truncated above d.
 
     The row m*g_j of a generator of two or more terms is never built when
     the lead x^a of an earlier generator g_i (i < j; a lead c*x^a is the
-    lowest-degree, local-order-largest term) divides m = m'*x^a: the case
-    of Faugère's F5 criterion on the generators' own leads.  By
-    g_i*g_j = g_j*g_i, c*m*g_j is m'*g_i*g_j, a combination of rows of g_i,
-    minus m'*(g_i - c*x^a)*g_j, one of rows of g_j at shifts local-order
-    smaller than m.  Induction on (j, shift) over the finitely many rows
-    that enter at degree <= d ends, and rows that enter above d change only
-    terms above d; so every dropped row, truncated above d, is a combination
-    of built ones, every degree's pivot count is unchanged, and so is every
-    result, None included.
+    lowest-degree, local-order-largest term) divides m = m'*x^a: Faugère's
+    F5 criterion on the generators' own leads.  By g_i*g_j = g_j*g_i,
+    c*m*g_j is m'*g_i*g_j, a combination of rows of g_i, minus
+    m'*(g_i - c*x^a)*g_j, one of rows of g_j at shifts local-order smaller
+    than m.  Nor when a one-term generator's monomial divides m: each term
+    of m*g_j is then marked.  Induction on (j, shift) over the finitely
+    many rows entering at degree <= d ends, and later rows change only
+    terms above d; so every dropped row, truncated above d, is a
+    combination of built and one-term rows, and no result changes.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -236,36 +247,35 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
     if any(g.nvars != nvars for g in gens):
         raise InputError("generators disagree on variable count")
     shift, guards, limit = packing(nvars)
-    split = []  # (degree, its terms, the (offset, terms) above, earlier leads) of each 2+-term g
-    ones: dict[int, Monomial] = {}  # packed -> exponents, the monomial of each one-term g
-    leads = []
-    top_degree = 0
+    ones = {pack(m): m for g in gens if len(g) == 1 for m in g._terms}  # of the one-term gs
+    split = []  # (degree, its terms, the (offset, terms) above, filters) of each 2+-term g
+    leads, degrees = [], []  # the lead and the top degree of each g
     for g in gens:
         parts: dict[int, list] = {}
         for m, c in g._terms.items():
             parts.setdefault(sum(m), []).append((pack(m), c))
         low, high = min(parts), max(parts)
-        lead = min(parts[low])[0]
-        if len(g) == 1:
-            ones[lead] = next(iter(g._terms))
-        else:
+        if len(g) > 1:  # no row whose shift an earlier lead or a one-term g divides
             tail = [(e - low, terms) for e, terms in parts.items() if e > low]
-            split.append((low, parts[low], tail, tuple(leads)))
-        leads.append(lead)
-        top_degree = max(top_degree, high)
-    by_degree = {e: -c for e, c in _numerator(list(ones.values())).items()}  # e -> c_e
-    by_degree[0] += 1
+            split.append((low, parts[low], tail, tuple(dict.fromkeys(leads + list(ones)))))
+        leads.append(min(parts[low])[0])
+        degrees.append(high)
+    bound, top_degree = bezout_bound(degrees, nvars), max(degrees)
+    horizon = bound + 1 if dmax is None else dmax
+    by_degree = {e: (e == 0) - c for e, c in _numerator(list(ones.values())).items()}  # e -> c_e
     lows = [low for low, *_ in split]
-    lowest, reach = min(lows, default=dmax), max(lows, default=dmax)
+    lowest, reach = min(lows, default=horizon), max(lows, default=horizon)
     units = [pack((0,) * i + (1,) + (0,) * (nvars - 1 - i)) for i in range(nvars)]
     levels = [[0]]  # levels[s]: the packed shifts of degree s, lex-descending
     sums = [0] * nvars  # the running sums of the c_e that end in marked(d)
-    below = 0  # the marked monomials and pivots of degree < d
+    standard = 0  # the monomials of degree < d neither marked nor a pivot
     pending: list[dict] = []  # the terms above d - 1, by degree, of each row cancelled so far
-    for d in range(dmax):
+    formed = 0  # the terms formed or looked at so far
+    for d in range(horizon):
         if (d + top_degree) << shift >= limit:
             raise degree_limit_error()
         if d > lowest:  # degree d needs shifts of degree d - reach .. d - lowest
+            formed = _spend(formed + comb(d - lowest + nvars - 1, nvars - 1))
             levels.append(_next_degree(levels[-1], units, d - lowest - 1))
             if d > reach:
                 levels[d - reach - 1] = None
@@ -274,15 +284,18 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         # slower on dense ideals
         rows = []  # the degree-d layer of each row, in reduction order
         sources = []  # (shift, tail) of each new row, then each resumed row's terms above d
-        for low, first, tail, earlier in split:
+        for low, first, tail, filters in split:
             if d >= low:
                 shifts = levels[d - low]
-                for a in earlier:  # no row whose shift an earlier lead divides
+                formed += len(filters) * len(shifts)
+                for a in filters:
                     shifts = [k for k in shifts if (k + guards - a) & guards != guards]
+                formed = _spend(formed + len(first) * len(shifts))
                 rows += [_new_row(k, first) for k in shifts]
                 sources += [(k, tail) for k in shifts]
         news = len(rows)
         waiting = []  # pending rows with no term of degree d
+        formed += len(pending)
         for above in pending:
             layer = above.pop(d, None)
             if layer:
@@ -305,6 +318,9 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
                         pivots[lead] = i
                         break
                     continue
+                formed += len(rows[pivot])
+                if formed > ORACLE_MAX_TERMS:  # not a _spend call per step: this loop is hot
+                    _spend(formed)
                 a, b, e = layer[lead]
                 factor = quotient((-a, -b, e), rows[pivot][lead])
                 taken.append((factor, pivot))
@@ -313,24 +329,28 @@ def truncated_dim_oracle(gens, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
         marked = by_degree.get(d, 0)
         for k in range(nvars):
             marked = sums[k] = sums[k] + marked
-        found = marked + len(pivots)
-        if found == comb(d + nvars - 1, nvars - 1):
-            return comb(d - 1 + nvars, nvars) - below
-        below += found
+        unfound = comb(d + nvars - 1, nvars - 1) - marked - len(pivots)
+        if not unfound:
+            return standard
+        standard += unfound
+        if standard > bound:
+            return None
         if rows:
-            waiting += _carry(rows, sources, steps, news, d)
+            formed, carried = _carry(rows, sources, steps, news, d, formed)
+            waiting += carried
         pending = waiting
     return None
 
 
-def milnor_oracle(f: Poly, dmax: int = DEFAULT_ORACLE_DMAX) -> int | None:
-    """mu(f) via the truncated oracle only; None if unstable by dmax."""
+def milnor_oracle(f: Poly, dmax: int | None = None) -> int | None:
+    """mu(f) via the truncated oracle only; None if not isolated (or undecided by dmax)."""
     _check_germ(f)
     return truncated_dim_oracle(f.jacobian(), dmax)
 
 
 def oracle_dmax_for(candidate_mu: int) -> int:
-    """Cross-check horizon for a candidate mu from the other engine."""
+    """An explicit oracle horizon for a candidate mu from the other engine;
+    the oracle needs none, and perfbench's dense sweep passes this one."""
     return 2 * candidate_mu + 4
 
 
@@ -369,46 +389,33 @@ class GermInvariants:
 
 
 def germ_invariants(f: Poly) -> GermInvariants:
-    """mu, order, degree and class of f, from one standard basis.
-
-    The class needs no second basis on the initial form: by the
-    inequality on GermInvariants, f is semihomogeneous iff
-    mu == (order-1)^nvars.  A mu outside the a-priori bounds raises
-    EngineError.
-    """
+    """mu, order, degree and class of f, from one standard basis: the class
+    is read off mu (see GermInvariants).  A mu outside the a-priori bounds
+    raises EngineError."""
     mu = milnor_number(f).mu
     order = f.order()
     semihomogeneous = order >= 2 and mu == (order - 1) ** f.nvars
     return GermInvariants(f.nvars, order, f.degree(), mu, semihomogeneous)
 
 
-def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS,
-                       dmax: int | None = None) -> MilnorResult:
+def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS) -> MilnorResult:
     """Dispatcher used by the CLI; method names are part of the wire format.
-
-    A mu outside the a-priori bounds raises EngineError, whatever the method.
-    """
-    if dmax is not None and dmax < 0:
-        raise InputError(f"dmax must be non-negative, got {dmax}")
-    if dmax is not None and dmax > MAX_ORACLE_DMAX:
-        raise InputError(f"dmax above the maximum of {MAX_ORACLE_DMAX}")
+    A mu outside the a-priori bounds raises EngineError, whatever the method."""
     if method == METHOD_STANDARD_BASIS:
         return milnor_number(f)
+    _check_germ(f)
+    jacobian = f.jacobian()
     if method == METHOD_ORACLE:
-        mu = milnor_oracle(f, DEFAULT_ORACLE_DMAX if dmax is None else dmax)
-        note = None
-        if mu is None:
-            note = "no stabilization within dmax: not isolated, or dmax too small"
-        result = MilnorResult(mu, METHOD_ORACLE, None, note)
+        mu = truncated_dim_oracle(jacobian)
     elif method == METHOD_FAST:
         if not is_semihomogeneous(f):
             raise InputError("the initial form has a non-isolated critical point; "
                              "the closed-form Milnor number does not apply")
-        result = MilnorResult((f.order() - 1) ** f.nvars, METHOD_FAST, None)
+        mu = (f.order() - 1) ** f.nvars
     else:
         raise InputError(f"unknown milnor method {method!r}")
-    _check_bounds(f, result.mu)
-    return result
+    _check_bounds(f, jacobian, mu)
+    return MilnorResult(mu, method, None)
 
 
 # -- local data at points away from the origin -------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 from ._record import record
 from .errors import EngineError, InputError
 from .localring import standard_basis
+from .milnor import bezout_bound
 from .poly import Poly
 
 
@@ -53,9 +54,9 @@ def vf_milnor(field: VectorField) -> int | None:
     zero component the quotient is infinite (n - 1 generators): no bound."""
     index = standard_basis(field.components).quotient_dim
     if index is not None:
-        low = high = 1
+        low, high = 1, bezout_bound([c.degree() for c in field.components], len(field.components))
         for c in field.components:
-            low, high = low * c.order(), high * c.degree()
+            low *= c.order()
         if not low <= index <= high:
             raise EngineError(f"index = {index} is outside the a-priori bounds "
                               f"{low} <= index <= {high}")

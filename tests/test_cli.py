@@ -15,7 +15,6 @@ import pytest
 import germinv
 from germinv import milnor, poly, vectorfields
 from germinv.cli import main
-from germinv.milnor import MAX_ORACLE_DMAX
 from germinv.poly import MAX_EXPONENT, MAX_TERMS
 
 
@@ -93,44 +92,39 @@ def test_milnor_non_isolated(capsys):
     assert data["isolated"] is False
 
 
-def test_undecided_oracle_reports_isolated_null(capsys):
-    # no stabilisation by dmax proves nothing: x^2 + y^2 has mu = 1
-    for dmax in ("0", "1"):
-        data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle",
-                        "--dmax", dmax)
-        assert data["isolated"] is None
-        assert data["mu"] is None
-        assert data["note"].startswith("no stabilization within dmax")
-    data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle", "--dmax", "3")
-    assert data["isolated"] is True and data["mu"] == 1 and "note" not in data
+@pytest.mark.parametrize("expr, names", [
+    ("(x + y + z)^2*z^2 + x^5", "x,y,z"),  # singular along x = 0, y = -z
+    ("x^2 + y^2 + x*y", "x,y,z,w"),  # two nonzero partials in four variables
+], ids=["line", "cylinder"])
+def test_the_oracle_proves_a_germ_non_isolated(capsys, expr, names):
+    data = run_json(capsys, "milnor", expr, "--vars", names, "--method", "truncated-oracle")
+    assert data["isolated"] is False and data["mu"] is None
+    assert "note" not in data
 
 
-@pytest.mark.parametrize("method", ["truncated-oracle", "standard-basis"])
-def test_negative_dmax_exits_2(capsys, method):
-    code, out, err = run(capsys, "milnor", "x^2+y^2", "--method", method, "--dmax", "-3")
-    assert code == 2
-    assert "dmax must be non-negative" in err
+@pytest.mark.parametrize("germ, names", [
+    ("(x+2*y)^199 + x^300*y^300", "x,y"),
+    # the quotient is C{w} and B = 101*101, so the exit waits for degree
+    # 10,201, where the listed shifts of degree 1000 in four variables
+    # alone would be 1.7e8 packed ints: each listed level counts toward
+    # the budget, which ends the run at degree 48
+    ("x^2 + y^2 + z^2 + z^2*w^100", "x,y,z,w"),
+], ids=["long-rows", "many-shifts"])
+def test_the_oracle_past_its_term_budget_exits_3(germ, names):
+    proc = fresh_cli("milnor", germ, "--vars", names, "--method", "truncated-oracle",
+                     timeout=60)
+    assert proc.returncode == 3
+    assert "the truncated oracle would form more than 1000000 terms" in proc.stderr
+    assert not proc.stdout
+
+
+def test_the_oracle_takes_no_horizon(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["milnor", "x^2+y^2", "--method", "truncated-oracle", "--dmax", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "unrecognized arguments: --dmax 3" in err
     assert not out
-
-
-@pytest.mark.parametrize("method", ["truncated-oracle", "standard-basis"])
-def test_dmax_above_the_cap_exits_2_at_once(capsys, method):
-    # x^2*y^2 + x^5 is not isolated: uncapped, the oracle would run to the
-    # horizon, so a fresh process with a timeout goes first
-    argv = ("milnor", "x^2*y^2 + x^5", "--method", method, "--dmax", "10000")
-    assert fresh_cli(*argv, timeout=30).returncode == 2
-    start = perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert perf_counter() - start < 0.1
-    assert code == 2
-    assert f"dmax above the maximum of {MAX_ORACLE_DMAX}" in err
-    assert not out
-
-
-def test_largest_dmax_is_accepted(capsys):
-    data = run_json(capsys, "milnor", "x^2+y^2", "--method", "truncated-oracle",
-                    "--dmax", str(MAX_ORACLE_DMAX))
-    assert data["mu"] == 1
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -249,9 +243,8 @@ def test_closed_stdout_ends_quietly(horizon):
     (("zeta", "--fermat", "l=3,n=2", "--K", "1/2"), "expected an integer, got '1/2'"),
     (("zeta", "--res", "{res}", "--n", "2.0"), "unexpected character '.' (at position 1)"),
     (("charpoly", "--fermat", "l=3,n=2", "--mu", "i"), "expected an integer, got 'i'"),
-    (("milnor", "x^2 + y^3", "--dmax", "1_0"), "unexpected '_0' (at position 1)"),
 ], ids=["fermat-underscore", "fermat-fraction", "K-underscore", "K-fraction", "n-decimal",
-        "mu-imaginary", "dmax"])
+        "mu-imaginary"])
 def test_integer_options_use_the_expression_grammar(capsys, tmp_path, argv, message):
     res = tmp_path / "res.json"
     res.write_text('[{"m": 2, "chi": 1}, {"m": 3, "chi": 1}, {"m": 6, "chi": -1}]')
@@ -721,8 +714,9 @@ def test_empty_option_value_exits_2(capsys, argv, message):
     ("family", "--rescale", "x^3 + y^3 + x^4"),
 ], ids=["milnor", "discriminate", "family"])
 def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, offset):
-    # 4 <= mu <= 9 for x^3 + y^4 (true mu 6), mu = 4 for x^3 + y^3: an
-    # engine off by -3 or +4 breaks (order-1)^n <= mu <= (degree-1)^n.
+    # 4 <= mu <= 6 for x^3 + y^4 (true mu 6), mu = 4 for x^3 + y^3: an
+    # engine off by -3 or +4 breaks (order-1)^n <= mu <= the product of
+    # the partials' degrees.
     # Every sample of the rescaling family is isolated with mu 4, and its
     # sample at t = 0, x^3 + y^3, has 4 <= mu <= 4.
     engine = milnor.standard_basis
@@ -755,10 +749,11 @@ def test_an_index_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, offse
 
 
 def test_an_oracle_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(milnor, "truncated_dim_oracle", lambda gens, dmax: 10)
+    # 7 is below (degree-1)^n = 9 but above 2*3, the partials' degrees
+    monkeypatch.setattr(milnor, "truncated_dim_oracle", lambda gens, dmax=None: 7)
     code, out, err = run(capsys, "milnor", "x^3 + y^4", "--method", "truncated-oracle")
     assert code == 3
-    assert "outside the a-priori bounds 4 <= mu <= 9" in err
+    assert "outside the a-priori bounds 4 <= mu <= 6" in err
     assert not out
 
 

@@ -5,7 +5,9 @@ family file, joining search) with short scalar lists that hold 0,
 negatives, Gaussian values and repeats.  Another covers the germ
 subcommands `mult`, `milnor` and `discriminate` on expressions, inline or
 as @file, some wrapped in up to 1200 levels of parentheses or unary signs
-and some with a stray character.  The third covers `foliation` on one to
+and some with a stray character; `milnor` runs each of its three methods,
+and some germs in x and y are read in x, y, z, so that cylinders reach
+the oracle.  The third covers `foliation` on one to
 three components in x and y, in two variables or, with `--vars x,y,z`,
 three, some with a stray character.  The fourth covers `zeta` and
 `charpoly`: `--fermat` with small, zero, negative and non-integer l and n,
@@ -95,12 +97,17 @@ def expressions(draw):
 
 @st.composite
 def germ_argv(draw):
-    """argv for mult, milnor or discriminate, and the expressions to write
-    to files: each argument is an expression inline or a path for it."""
+    """The subcommand and options for mult, milnor or discriminate, and the
+    expressions to write to files: each argument is an expression inline
+    or a path for it."""
     command = draw(st.sampled_from(["mult", "milnor", "discriminate"]))
+    options = ["--vars", "x,y,z"] if draw(st.booleans()) else []
+    if command == "milnor":
+        options.append("--method=" + draw(st.sampled_from(
+            ["standard-basis", "truncated-oracle", "class-A-fast-path"])))
     texts = [draw(expressions()) for _ in range(2 if command == "discriminate" else 1)]
     as_files = [draw(st.booleans()) for _ in texts]
-    return command, texts, as_files
+    return [command, *options], texts, as_files
 
 
 @st.composite
@@ -208,7 +215,7 @@ def test_family_argv_ends_with_a_documented_exit_code(case):
 @settings(max_examples=150)
 @given(germ_argv())
 def test_germ_argv_ends_with_a_documented_exit_code(case):
-    command, texts, as_files = case
+    head, texts, as_files = case
     with tempfile.TemporaryDirectory() as tmp:
         args = []
         for index, (text, as_file) in enumerate(zip(texts, as_files)):
@@ -218,8 +225,8 @@ def test_germ_argv_ends_with_a_documented_exit_code(case):
                     handle.write(text)
                 text = f"@{path}"
             args.append(text)
-        code, out, err = run_main([command, "--", *args])
-    assert code in (0, 2, 3), (command, texts, code, err)
+        code, out, err = run_main([*head, "--", *args])
+    assert code in (0, 2, 3), (head, texts, code, err)
     assert "Traceback" not in err
     if code:
         assert not out

@@ -10,15 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from germinv import localring, milnor
 from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS, run_corpus
-from germinv.errors import InputError
+from germinv.errors import InputError, IterationLimitError
 from germinv.families import mu_profile, rescaling_family
 from germinv.gaussian import GaussianRational
 from germinv.milnor import (
-    MAX_ORACLE_DMAX,
     METHOD_FAST,
     METHOD_ORACLE,
     METHOD_STANDARD_BASIS,
     GermInvariants,
+    bezout_bound,
     germ_invariants,
     is_semihomogeneous,
     local_milnor_at,
@@ -290,14 +290,33 @@ def test_oracle_returns_none_when_unstable():
     assert milnor_oracle(P("x^4 + y^5"), dmax=3) is None
 
 
-def test_an_undecided_oracle_leaves_isolation_open():
-    f = P("x^4 + y^5")
-    undecided = milnor_with_method(f, METHOD_ORACLE, dmax=3)
-    assert undecided.mu is None and undecided.isolated is None and undecided.note
-    assert milnor_with_method(f, METHOD_ORACLE, dmax=9).isolated is True
-    assert milnor_with_method(P("x^2*y^2"), METHOD_STANDARD_BASIS).isolated is False
-    with pytest.raises(InputError):
-        milnor_with_method(f, METHOD_ORACLE, dmax=-1)
+def test_the_oracle_decides_isolation_with_no_horizon():
+    assert milnor_with_method(P("x^4 + y^5"), METHOD_ORACLE).isolated is True
+    for method in (METHOD_ORACLE, METHOD_STANDARD_BASIS):
+        result = milnor_with_method(P("x^2*y^2"), method)
+        assert result.mu is None and result.isolated is False
+
+
+def test_the_bezout_bound():
+    # fewer nonzero generators than variables: no finite quotient but the
+    # unit ideal's; else the product of the n largest degrees
+    assert bezout_bound([2, 3], 3) == 0
+    assert bezout_bound([3, 2], 2) == 2 * 3
+    assert bezout_bound([2, 5, 4, 1], 2) == 5 * 4
+    # for a Jacobian, the partials' degrees: F_1's are 14, 7 and 6
+    f1 = P("z^5 + y^6*z + y^7*x + x^15", XYZ)
+    assert bezout_bound([g.degree() for g in f1.jacobian()], 3) == 588 < (15 - 1) ** 3
+
+
+def test_the_oracle_stops_at_its_term_budget(monkeypatch):
+    # F_1's oracle forms or looks at 55,029 terms (shifts listed and
+    # filtered included): a budget one short ends it
+    f1 = P("z^5 + y^6*z + y^7*x + x^15", XYZ)
+    monkeypatch.setattr(milnor, "ORACLE_MAX_TERMS", 55_029)
+    assert milnor_oracle(f1) == 364
+    monkeypatch.setattr(milnor, "ORACLE_MAX_TERMS", 55_028)
+    with pytest.raises(IterationLimitError, match="55028 terms"):
+        milnor_oracle(f1)
 
 
 # The first horizon at which the oracle certifies each corpus germ, as
@@ -435,31 +454,52 @@ def test_oracle_matches_the_per_horizon_specification(gens, dmax):
     assert truncated_dim_oracle(gens, dmax) == reference_oracle(gens, dmax)
 
 
+@settings(max_examples=300)
+@given(small_ideals())
+# k nonzero generators in n variables: finite; infinite with k = n and
+# with k > n, by one-term and by two-term generators; infinite with k < n,
+# which exits at degree 0; the unit ideal
+@example([P("x^2"), P("y^3"), P("x*y")])
+@example([P("x*y"), P("x^2 + x*y")])
+@example([P("x^2"), P("x*y"), P("x*y^2")])
+@example([P("x + y^2", XYZ), P("y*z + z^2", XYZ), P("z^2", XYZ)])
+@example([P("x + y^2", XYZ), P("x*y", XYZ)])
+@example([P("1 + x"), P("y")])
+def test_the_oracle_decides_finiteness_with_no_horizon(gens):
+    # a finite quotient has dim <= B and so stabilises by horizon B + 1:
+    # with B <= 8, None from the reference at 9 means an infinite quotient,
+    # which the oracle must prove, not merely fail to stabilise on
+    expected = reference_oracle(gens, 9)
+    bound = bezout_bound([g.degree() for g in gens if g], gens[0].nvars)
+    if expected is not None or bound <= 8:
+        assert truncated_dim_oracle(gens) == expected
+
+
 def test_the_oracle_keeps_no_pivot_of_a_degree_it_has_left():
-    # [2x, 2y] in four variables: both generators are one-term and the
-    # quotient C{z, w} is infinite.  Their multiples are counted, never
-    # listed or kept: at the CLI's largest horizon one listed level alone
-    # would be the 357,760 monomials of degree 127.
-    gens = list(P("x^2 + y^2", XYZW).jacobian())
+    # four one-term generators in four variables with an infinite quotient
+    # and B = 2*2*62*120: their multiples are counted, never listed or
+    # kept, up to the exit at degree 126, where one listed level alone
+    # would be the 349,504 monomials of that degree
+    gens = [P("x^2", XYZW), P("y^2", XYZW), P("x*y*z^60", XYZW), P("z^60*w^60", XYZW)]
     tracemalloc.start()
     try:
-        assert truncated_dim_oracle(gens, MAX_ORACLE_DMAX) is None
+        assert truncated_dim_oracle(gens) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    # the Jacobian of x^2 + y^2 + x*y, two-term generators with the same
-    # infinite quotient, builds rows: kept past their degree, the pivots
-    # took the peak from 3.5 MB to 8.1 MB at dmax 32, and never pruning the
-    # listed shifts to 5.5 MB
-    gens = list(P("x^2 + y^2 + x*y", XYZW).jacobian())
+    # two linear forms build rows, and z^40, z^39*w leave the infinite
+    # quotient C{z, w}/(z^40, z^39*w) with B = 1600, so dmax 24 ends it: the
+    # peak is 1.5 MB, keeping every degree's rows and steps takes it to
+    # 7.4 MB, and never pruning the listed shifts to 2.1 MB
+    gens = [P("2*x + y", XYZW), P("x + 2*y", XYZW), P("z^40", XYZW), P("z^39*w", XYZW)]
     tracemalloc.start()
     try:
-        assert truncated_dim_oracle(gens, 32) is None
+        assert truncated_dim_oracle(gens, 24) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_500_000
+    assert peak < 1_800_000
 
 
 def test_the_oracle_counts_the_morse_germ_in_24_variables_at_once():
@@ -470,7 +510,7 @@ def test_the_oracle_counts_the_morse_germ_in_24_variables_at_once():
     f = parse_poly(" + ".join(f"{v}^2" for v in names), names)
     tracemalloc.start()
     try:
-        assert milnor_oracle(f, MAX_ORACLE_DMAX) == 1
+        assert milnor_oracle(f) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -38,7 +38,7 @@ def test_readme_cli_options_exist():
             for sub in action.choices.values():
                 options |= set(sub._option_string_actions)
     named = set(re.findall(r"`(--[A-Za-z][\w-]*)", CLI_SECTION))
-    assert "--dmax" in named
+    assert "--method" in named
     assert named <= options, sorted(named - options)
 
 

@@ -48,7 +48,7 @@ PAIRS = [
     (MuProfile((SAMPLE_A,), 4, None), MuProfile((SAMPLE_A, SAMPLE_B), 4, 0)),
     (StandardBasisResult((), None, ()), standard_basis([P("x"), P("y^2")])),
     (MilnorResult(4, "standard-basis", ((2, 0), (0, 2))),
-     MilnorResult(None, "truncated-oracle", None, "undecided")),
+     MilnorResult(None, "truncated-oracle", None)),
     (INV_A, INV_B),
     (ResolutionData(((2, 1), (3, 1), (6, -1))), ResolutionData(((1, 2),))),
     (SSequence(((2, 2), (3, 3))), SSequence(((6, -6),))),
@@ -111,7 +111,7 @@ def test_hash_and_repr_match_a_frozen_dataclass(a, b):
 
 def test_exact_repr_text():
     assert repr(MilnorResult(4, "standard-basis")) == (
-        "MilnorResult(mu=4, method='standard-basis', leading_ideal_gens=None, note=None)")
+        "MilnorResult(mu=4, method='standard-basis', leading_ideal_gens=None)")
     assert repr(CharPoly((1, -1, 1))) == "CharPoly(coeffs=(1, -1, 1))"
     assert repr(MuSample(GaussianRational(1, 2), 4, "ok")) == (
         "MuSample(t=GaussianRational(Fraction(1, 1), Fraction(2, 1)), mu=4, status='ok')")
@@ -140,13 +140,13 @@ def test_pickle_and_deepcopy_round_trips(a, b):
 
 
 def test_defaults_and_arity():
-    assert MilnorResult(4, "standard-basis") == MilnorResult(4, "standard-basis", None, None)
-    assert MilnorResult(4, "m", None).note is None
+    assert MilnorResult(4, "standard-basis") == MilnorResult(4, "standard-basis", None)
+    assert MilnorResult(4, "m").leading_ideal_gens is None
     assert CorpusGerm("a", "x^2", ("x",), True).known_mu is None
-    with pytest.raises(TypeError, match="takes the fields mu, method, leading_ideal_gens, note"):
+    with pytest.raises(TypeError, match="takes the fields mu, method, leading_ideal_gens, the"):
         MilnorResult(4)
-    with pytest.raises(TypeError, match="the last 2 optional; got 5 values"):
-        MilnorResult(4, "m", None, None, "one too many")
+    with pytest.raises(TypeError, match="the last 1 optional; got 4 values"):
+        MilnorResult(4, "m", None, "one too many")
     with pytest.raises(TypeError):  # fields are positional only
         MilnorResult(mu=4, method="m")
 

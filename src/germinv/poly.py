@@ -17,11 +17,12 @@ The parser is the one reader of names and scalars: a name is one token of
 its grammar (a letter or ``_``, then letters, digits or ``_``, in any
 script), :func:`variable_names` lists those an expression mentions, and
 :func:`parse_scalar` reads a scalar as an expression without variables.
-Each text is lexed once, by one regular expression, into a token list; a
-character the grammar refuses ends the list as an error token, raised only
-when the parser reaches it.  A number literal becomes its triple directly,
-every summand of a sum is added into one term dict, and a power of a
-one-term polynomial is formed from its exponents, with no products.
+One findall pass of one regular expression lexes a text into a token list,
+read by index; a character the grammar refuses ends it as an error token,
+raised only when the parser reaches it.  Each grammar rule returns a term
+dict with its exact order and degree and a bound on its coefficients: a sum
+adds into one dict, a product multiplies two, a power of one term is formed
+from its exponents, and a parse forms one Poly, at the end.
 
 Terms are iterated and printed in graded lexicographic order: ascending
 total degree, and within one degree descending lexicographically in the
@@ -46,6 +47,22 @@ Monomial = tuple[int, ...]
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
+
+
+def _product(p: dict, q: dict) -> dict:
+    """The term dict of a product of two term dicts."""
+    acc: dict[Monomial, tuple] = {}
+    terms = q.items()
+    for m1, c1 in p.items():
+        add_multiple(acc, c1, [(mono_mul(m1, m2), c2) for m2, c2 in terms])
+    return acc
+
+
+def _term_power(mono: Monomial, c: tuple, e: int) -> tuple[Monomial, tuple]:
+    """(c*x^mono)^e = (c^e)*x^(e*mono), with no products."""
+    if c != (1, 0, 1):
+        c = (c[0] ** e, 0, c[2] ** e) if not c[1] else triple(_make(*c) ** e)
+    return tuple(k * e for k in mono), c
 
 
 # -- packed monomials -------------------------------------------------------
@@ -239,11 +256,7 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check_same_vars(other)
-        acc: dict[Monomial, tuple] = {}
-        terms = other._terms.items()
-        for m1, c1 in self._terms.items():
-            add_multiple(acc, c1, [(mono_mul(m1, m2), c2) for m2, c2 in terms])
-        return Poly._clean(self.nvars, acc)
+        return Poly._clean(self.nvars, _product(self._terms, other._terms))
 
     def __rmul__(self, other) -> "Poly":
         return self.scale(other)
@@ -259,12 +272,9 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise InputError("negative exponent")
-        if len(self._terms) == 1:  # c*x^m: (c^e)*x^(e*m), with no products
+        if len(self._terms) == 1:
             ((mono, c),) = self._terms.items()
-            if c != (1, 0, 1):
-                c = (c[0] ** exponent, 0, c[2] ** exponent) if not c[1] \
-                    else triple(_make(*c) ** exponent)
-            return Poly._clean(self.nvars, {tuple(e * exponent for e in mono): c})
+            return Poly._clean(self.nvars, dict([_term_power(mono, c, exponent)]))
         result = Poly.constant(self.nvars, 1)
         base, e = self, exponent
         while e:
@@ -389,9 +399,9 @@ MAX_EXPONENT = 10_000
 # (x+y+z)^10000, about 5*10^7 terms, is refused at once rather than
 # expanded.  The bundled corpus, the benchmark's CLI calls and the tests
 # expand to at most 4 terms per power or product.  The cap bounds terms,
-# not coefficient size: on a 2-vCPU VM with Python 3.11, (x+y)^1000 (1001
-# terms) parses in about 1.5 s, and the costliest accepted power, the
-# univariate (x+1)^1999, in about 8 s.
+# not coefficient size: on a 2-vCPU Intel Xeon VM with Python 3.11.7,
+# (x+y)^1000 (1001 terms) parses in about 0.45 s, (x+1)^1999 in about
+# 2.5 s and (x+2*y)^1999 in about 4 s.
 MAX_TERMS = 2_000
 
 # The most decimal digits of a parsed coefficient's numerator or denominator,
@@ -411,42 +421,38 @@ def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"z{i + 1}" for i in range(nvars))
 
 
-# One token after optional whitespace: an operator, a number (digits, and
-# /digits for a rational literal), or a name (a word character that is not
-# a digit, then word characters).  Nothing matched there means the end of
-# the text or a character the grammar refuses.
-_TOKEN = re.compile(r"\s*(?:([-+*^()])|(\d+(?:/\d+)?)|([^\W\d]\w*))?")
-_KINDS = (None, "op", "number", "name")
+# One token after whitespace (group 1): an operator, a number (digits, and
+# /digits for a rational literal), or a name (a word character that is not a
+# digit, then word characters).  No token: the end, or a refused character.
+_TOKEN = re.compile(r"(\s*)(?:([-+*^()])|(\d+(?:/\d+)?)|([^\W\d]\w*))?")
 
 
 def _starts_name(text: str) -> bool:
-    """A name starts with a letter or '_'; \\w also holds characters such
-    as '²' or '½' that are neither, and those are refused."""
+    """A letter or '_'; \\w also holds '²' or '½', which start no name."""
     return text[0].isalpha() or text[0] == "_"
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, value, position) tokens of text, read in one pass.  The
-    last is ("end", "", len(text)), or an ("error", message, position)
-    token at the first character the grammar refuses, which raises only
-    when a parser reaches it."""
-    tokens, pos, match = [], 0, _TOKEN.match
-    while True:
-        m = match(text, pos)
-        group = m.lastindex
-        if group is None or group == 3 and not _starts_name(m[3]):
-            at = m.start(group) if group else m.end()
-            tokens.append(("error", f"unexpected character {text[at]!r}", at)
-                          if at < len(text) else ("end", "", at))
-            return tokens
-        tokens.append((_KINDS[group], m[group], m.start(group)))
-        pos = m.end()
+    """The (kind, value, position) tokens of text; an operator's kind is the
+    operator, any other's "number" or "name".  The last is ("end", "",
+    len(text)), or an ("error", message, position) token at the first
+    character the grammar refuses, raised only when a parser reaches it."""
+    tokens, pos = [], 0
+    for space, op, number, name in _TOKEN.findall(text):  # the last match is empty
+        pos += len(space)
+        value = op or number or name
+        if not value or name and not _starts_name(name):
+            break
+        tokens.append((op or ("number" if number else "name"), value, pos))
+        pos += len(value)
+    tokens.append(("error", f"unexpected character {text[pos]!r}", pos)
+                  if pos < len(text) else ("end", "", pos))
+    return tokens
 
 
 def _is_name(text: str) -> bool:
     """True iff text is exactly one name token."""
-    m = _TOKEN.match(text)
-    return m[3] == text and _starts_name(text)
+    return _TOKEN.match(text)[4] == text and _starts_name(text)
 
 
 def exceeds_digits(top: int, e: int = 1) -> bool:
@@ -470,11 +476,14 @@ class _Parser:
     term := factor ('*' factor)*, factor := atom ['^' int],
     atom := number | 'i' | variable | '(' expr ')' | ('+'|'-') atom.
 
-    Each rule returns (p, S, D) with p = P/D, P over the Gaussian integers and
-    S >= the sum of |re| + |im| over P's coefficients, which bounds each of
-    them.  S(PQ) <= S(P)S(Q), so a product is bounded by (S1*S2, D1*D2), a
-    power by (S^e, D^e), and a sum over L = lcm(D1, D2) by (S1*L/D1 + S2*L/D2, L).
-    """
+    Each rule returns (terms, order, degree, S, D): a term dict no one else
+    holds, its order and degree (exact if terms is not empty: a product's
+    add, a power's multiply, a sum's are read off the terms left), a bound:
+    terms = P/D, P over the Gaussian integers, S >= the sum of |re| + |im|
+    over P's coefficients.  S(PQ) <= S(P)S(Q), so a product is bounded by
+    (S1*S2, D1*D2), a power by (S^e, D^e), and a sum over L = lcm(D1, D2)
+    by (S1*L/D1 + S2*L/D2, L).  An error token raises where the grammar
+    first reads it: in atom, as an exponent, after an atom or after a term."""
 
     def __init__(self, text: str, names: Sequence[str]):
         seen = set()
@@ -488,96 +497,89 @@ class _Parser:
             seen.add(name)
         self.tokens = _tokens(text)
         self.at = 0  # the index of the next token
-        self.names = {name: idx for idx, name in enumerate(names)}
         self.nvars = len(names) or 1  # parse_scalar: a constant no name reaches
-
-    def peek(self) -> tuple[str, str, int]:
-        token = self.tokens[self.at]
-        if token[0] == "error":
-            raise ParseError(token[1], token[2])
-        return token
-
-    def take(self) -> tuple[str, str, int]:
-        token = self.peek()
-        self.at += 1
-        return token
+        self.zero = (0,) * self.nvars
+        self.units = {v: self.zero[:k] + (1,) + self.zero[k + 1:] for k, v in enumerate(names)}
 
     def parse(self) -> Poly:
         try:
-            poly, _, _ = self.expr()
+            terms = self.expr()[0]
         except RecursionError:
             position = self.tokens[min(self.at, len(self.tokens) - 1)][2]
             raise ParseError("expression nested too deeply", position) from None
-        kind, value, pos = self.peek()
+        kind, value, pos = self.tokens[self.at]
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        return poly
+        return Poly._clean(self.nvars, terms)
 
-    def expr(self) -> tuple[Poly, int, int]:
-        """All summands go into one dict, each added with factor +1 or -1."""
-        kind, value, pos = self.peek()
-        sign = _PLUS
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = _MINUS if value == "-" else _PLUS
-        poly, size, den = self.term()
-        terms = add_multiple({}, sign, poly._terms.items())
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs, size2, den2 = self.term()
-                common = lcm(den, den2)
-                size, den = _bounded(size * (common // den) + size2 * (common // den2),
-                                     common, pos)
-                add_multiple(terms, _MINUS if value == "-" else _PLUS, rhs._terms.items())
-            else:
-                return Poly._clean(self.nvars, terms), size, den
+    def expr(self) -> tuple[dict, int, int, int, int]:
+        """All summands go into the first one's dict, each with factor +1 or -1."""
+        tokens = self.tokens
+        sign = tokens[self.at][0]
+        if sign == "+" or sign == "-":
+            self.at += 1
+        terms, low, high, size, den = self.term()
+        if sign == "-":
+            terms = {m: (-a, -b, d) for m, (a, b, d) in terms.items()}
+        kind, _, pos = tokens[self.at]
+        if kind != "+" and kind != "-":
+            return terms, low, high, size, den
+        while kind == "+" or kind == "-":
+            self.at += 1
+            rhs, _, _, size2, den2 = self.term()
+            common = lcm(den, den2)
+            size, den = _bounded(size * (common // den) + size2 * (common // den2), common, pos)
+            add_multiple(terms, _MINUS if kind == "-" else _PLUS, rhs.items())
+            kind, _, pos = tokens[self.at]
+        degrees = [sum(m) for m in terms] or [0]
+        return terms, min(degrees), max(degrees), size, den
 
-    def term(self) -> tuple[Poly, int, int]:
-        poly, size, den = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                rhs, size2, den2 = self.factor()
-                if poly and rhs:
-                    self._check_expansion(len(poly) * len(rhs), poly.order() + rhs.order(),
-                                          poly.degree() + rhs.degree(), pos)
-                size, den = _bounded(size * size2, den * den2, pos)
-                poly = poly * rhs
-            else:
-                return poly, size, den
+    def term(self) -> tuple[dict, int, int, int, int]:
+        terms, low, high, size, den = self.factor()
+        kind, value, pos = self.tokens[self.at]
+        while kind == "*":
+            self.at += 1
+            rhs, low2, high2, size2, den2 = self.factor()
+            if terms and rhs:
+                self._check_expansion(len(terms) * len(rhs), low + low2, high + high2, pos)
+            size, den = _bounded(size * size2, den * den2, pos)
+            terms, low, high = _product(terms, rhs), low + low2, high + high2
+            kind, value, pos = self.tokens[self.at]
+        if kind == "error":
+            raise ParseError(value, pos)
+        return terms, low, high, size, den
 
-    def factor(self) -> tuple[Poly, int, int]:
-        base, size, den = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "-":
-                raise ParseError("negative exponent", pos)
+    def factor(self) -> tuple[dict, int, int, int, int]:
+        terms, low, high, size, den = self.atom()
+        kind, value, pos = self.tokens[self.at]
+        if kind == "error":
+            raise ParseError(value, pos)
+        if kind == "^":
+            self.at += 1
+            kind, value, pos = self.tokens[self.at]
             if kind != "number" or "/" in value:
-                raise ParseError("exponent must be a non-negative integer", pos)
+                raise ParseError(value if kind == "error" else "negative exponent" if kind == "-"
+                                 else "exponent must be a non-negative integer", pos)
             digits = value.lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent above the maximum of {MAX_EXPONENT}", pos)
-            self.take()
+            self.at += 1
             e = int(value)
-            if base and e > 1:
-                self._check_expansion(comb(len(base) + e - 1, e), base.order() * e,
-                                      base.degree() * e, pos)
+            if terms and e > 1:
+                self._check_expansion(comb(len(terms) + e - 1, e), low * e, high * e, pos)
             size, den = _bounded(size, den, pos, e)
-            base = base ** e
-        return base, size, den
+            if len(terms) == 1:
+                ((mono, c),) = terms.items()
+                terms = dict([_term_power(mono, c, e)])
+            elif e != 1:  # a multi-term base, or 0
+                terms = (Poly._clean(self.nvars, terms) ** e)._terms
+            low, high = low * e, high * e
+        return terms, low, high, size, den
 
     def _check_expansion(self, products: int, low: int, high: int, pos: int):
-        """Refuse a power or product whose result has a term of degree above
-        MAX_EXPONENT or could exceed MAX_TERMS terms.
-
-        Its terms number at most ``products`` (the distinct products of
-        its factors' terms) and at most the monomials of degree low..high.
-        """
+        """Refuse a power or product with a term of degree above MAX_EXPONENT
+        or that could exceed MAX_TERMS terms: it has at most ``products`` (its
+        factors' term products) and at most the monomials of degree low..high."""
         if high > MAX_EXPONENT:
             raise ParseError(f"degree {high} above the maximum of {MAX_EXPONENT}", pos)
         n = self.nvars
@@ -587,11 +589,9 @@ class _Parser:
             raise ParseError(f"expansion of up to {bound} terms above the maximum of "
                              f"{MAX_TERMS}", pos)
 
-    def _constant(self, c: tuple) -> Poly:
-        return Poly._clean(self.nvars, {(0,) * self.nvars: c} if c[0] or c[1] else {})
-
-    def atom(self) -> tuple[Poly, int, int]:
-        kind, value, pos = self.take()
+    def atom(self) -> tuple[dict, int, int, int, int]:
+        kind, value, pos = self.tokens[self.at]
+        self.at += 1
         if kind == "number":
             # the literal p or p/q as the canonical triple (p, 0, q)
             num, _, den = value.partition("/")
@@ -604,27 +604,27 @@ class _Parser:
                 raise ParseError(f"zero denominator in {value!r}", pos)
             g = gcd(p, q)
             p, q = p // g, q // g
-            return self._constant((p, 0, q)), p, q
+            return ({self.zero: (p, 0, q)} if p else {}), 0, 0, p, q
         if kind == "name":
             if value == "i":
-                return self._constant((0, 1, 1)), 1, 1
-            if value in self.names:
-                return Poly.variable(self.nvars, self.names[value]), 1, 1
+                return {self.zero: (0, 1, 1)}, 0, 0, 1, 1
+            if value in self.units:
+                return {self.units[value]: _PLUS}, 1, 1, 1, 1
             raise ParseError(f"unknown variable {value!r}", pos)
-        if kind == "op" and value == "(":
+        if kind == "(":
             bounded = self.expr()
-            kind, value, pos = self.take()
-            if not (kind == "op" and value == ")"):
+            kind, value, pos = self.tokens[self.at]
+            self.at += 1
+            if kind != ")":
                 raise ParseError("expected ')'", pos)
             return bounded
-        if kind == "op" and value in "+-":
-            inner, size, den = self.atom()
-            return (-inner if value == "-" else inner), size, den
-        raise ParseError(
-            "expected a number, variable or '('" if kind == "end"
-            else f"unexpected {value!r}",
-            pos,
-        )
+        if kind == "+" or kind == "-":
+            terms, low, high, size, den = self.atom()
+            if kind == "-":
+                terms = {m: (-a, -b, d) for m, (a, b, d) in terms.items()}
+            return terms, low, high, size, den
+        raise ParseError(value if kind == "error" else "expected a number, variable or '('"
+                         if kind == "end" else f"unexpected {value!r}", pos)
 
 
 def parse_poly(text: str, names: Sequence[str]) -> Poly:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import le
@@ -32,6 +33,7 @@ from germinv.poly import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def P(text, names=XY):
@@ -237,6 +239,33 @@ def test_a_sign_chain_of_any_length_is_a_parse_error():
             P("-" * length)
 
 
+def test_nesting_costs_four_frames_per_parenthesis_and_one_per_sign():
+    def deepest(make):
+        """The most levels that parse: the refusal comes from the recursion
+        limit, so 400 more frames let 400 / (frames per level) more through."""
+        low, high = 1, 2000  # low parses, high does not
+        while high - low > 1:
+            mid = (low + high) // 2
+            try:
+                P(make(mid))
+                low = mid
+            except ParseError as err:
+                assert err.message == "expression nested too deeply"
+                high = mid
+        return low
+
+    cases = (lambda k: "(" * k + "x" + ")" * k, lambda k: "(" * k + "x^3 + y^3" + ")" * k,
+             lambda k: "-" * k + "x")
+    limit = sys.getrecursionlimit()
+    try:
+        before = [deepest(make) for make in cases]
+        sys.setrecursionlimit(limit + 400)
+        after = [deepest(make) for make in cases]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [b - a for a, b in zip(before, after)] == [100, 100, 400]
+
+
 def test_slash_only_forms_rational_literals():
     assert P("3/2") == Poly.constant(2, Fraction(3, 2))
     with pytest.raises(ParseError):
@@ -272,6 +301,19 @@ def test_parse_caps_expansions_before_forming_them():
             parse_poly(text, names + ("x", "y", "z", "w"))
         assert err.value.position == position
         assert f"terms above the maximum of {MAX_TERMS}" in str(err.value)
+
+
+def test_an_expansion_window_starts_at_the_exact_order():
+    # each bound is the count of monomials of degree order..degree, which is
+    # below the count of term products; a product's order is the sum of its
+    # factors' orders and a power's is e times its base's
+    assert len(parse_poly("((x+y+z)*(x+y))^30", XYZ)) == 1426  # degree 60 only: 1891
+    for text, bound, position in (("((1+x+y)*(x+y))^40", 2501, 16),  # degrees 40..80
+                                  ("(x*(1+x+y))^30*(1+x+y)^30", 3721, 14)):  # 30..90
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert (err.value.message, err.value.position) == (
+            f"expansion of up to {bound} terms above the maximum of {MAX_TERMS}", position)
 
 
 def test_mul_term_rejects_bad_exponent_vectors():
@@ -358,18 +400,26 @@ class ReferenceTokenizer:
         return kind, value, pos
 
 
+def reference_tokens(text):
+    """The specification's whole token list in the lexer's format (an
+    operator's kind is the operator), ending in an end token or in an error
+    token at the first character the specification refuses."""
+    toks, tokens = ReferenceTokenizer(text), []
+    while not tokens or tokens[-1][0] != "end":
+        try:
+            kind, value, pos = toks.take()
+        except ParseError as exc:
+            return tokens + [("error", exc.message, exc.position)]
+        tokens.append((value if kind == "op" else kind, value, pos))
+    return tokens
+
+
 class ReferenceParser(poly._Parser):
-    """The grammar, reading its tokens lazily from the specification."""
+    """The grammar, reading the specification's token list."""
 
     def __init__(self, text, names):
         super().__init__("", names)  # the names' checks, with no token read
-        self.reference = ReferenceTokenizer(text)
-
-    def peek(self):
-        return self.reference.peek()
-
-    def take(self):
-        return self.reference.take()
+        self.tokens = reference_tokens(text)
 
 
 def reference_variable_names(text):
@@ -413,10 +463,110 @@ lexer_text = st.text(st.sampled_from(
 @example("3^2 ")
 def test_the_one_pass_lexer_matches_the_char_by_char_specification(text):
     names = ("x", "y", "a")
+    assert poly._tokens(text) == reference_tokens(text)
     assert outcome(parse_poly, text, names) == outcome(
         lambda t, n: ReferenceParser(t, n).parse(), text, names)
     assert outcome(variable_names, text) == outcome(reference_variable_names, text)
     assert poly._is_name(text) == reference_is_name(text)
+
+
+def test_order_and_degree_are_read_off_the_terms_left_after_cancellation():
+    # a degree bound of 6000 would refuse the square: 12000 > MAX_EXPONENT
+    assert P("(x^6000 - x^6000 + y)^2") == P("y^2")
+    assert P("(x^5000+y-x^5000)*(x^6000-x^6000+y)") == P("y^2")
+    assert P("(x - x)^10000") == Poly.zero(2)
+    # the coefficient bound is kept through cancellation: (1 + 1)^10000
+    with pytest.raises(ParseError, match=r"^coefficient above the maximum of 4300 digits "
+                                         r"\(at position 8\)$"):
+        P("(1+x-x)^10000")
+
+
+def test_a_parse_forms_one_poly(monkeypatch):
+    formed = []
+    clean, init = Poly._clean, Poly.__init__
+    monkeypatch.setattr(Poly, "_clean", staticmethod(lambda *a: formed.append(a) or clean(*a)))
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a: formed.append(a) or init(self, *a))
+    for text in ("(-7/3)*(x^5 + y^7)", "x^2*y + y^4", "x^3 + y^3 + z^3 + x^4"):
+        formed.clear()
+        parse_poly(text, XYZ)
+        assert len(formed) == 1, text
+
+
+# -- the grammar against Poly's operators --------------------------------------
+#
+# A tree is ("number", text), ("i",), ("name", v), ("sign", "+" or "-", t),
+# (op, t1, t2) for op in "+-*", or ("^", t, e).
+
+LEVEL = {"+": 0, "-": 0, "*": 1, "^": 2}  # expr, term, factor; 3 is an atom
+leaves = st.one_of(
+    st.integers(0, 12).map(lambda k: ("number", str(k))),
+    st.tuples(st.integers(0, 9), st.integers(1, 9)).map(lambda pq: ("number", "%d/%d" % pq)),
+    st.just(("i",)),
+    st.sampled_from(XYZ).map(lambda v: ("name", v)),
+)
+
+
+@st.composite
+def trees(draw, depth=4):
+    """Trees of at most depth operators on any path: degrees stay below 4^4
+    and coefficients short, so no bound of the parser refuses them."""
+    kind = draw(st.sampled_from(["leaf", "sign", "+", "-", "*", "^"])) if depth else "leaf"
+    if kind == "leaf":
+        return draw(leaves)
+    if kind == "sign":
+        return "sign", draw(st.sampled_from("+-")), draw(trees(depth - 1))
+    if kind == "^":
+        return "^", draw(trees(depth - 1)), draw(st.integers(0, 4))
+    return kind, draw(trees(depth - 1)), draw(trees(depth - 1))
+
+
+def render(tree, level=0, leftmost=True):
+    """Text the grammar reads as tree where a rule of the given level
+    expects it.  leftmost: the text starts an expression, whose leading sign
+    applies to its whole first term: there a sign takes a term, as in
+    -x^2 = -(x^2), and (-x)^2 keeps its parentheses."""
+    kind = tree[0]
+    own = LEVEL.get(kind, 3)
+    if own < level:
+        return f"({render(tree)})"
+    if kind == "^":
+        base = render(tree[1]) if leftmost and tree[1][0] == "sign" else None
+        return (f"({base})" if base else render(tree[1], 3, leftmost)) + f"^{tree[2]}"
+    if kind == "sign":
+        return tree[1] + render(tree[2], 1 if leftmost else 3, False)
+    if own < 3:
+        return f"{render(tree[1], own, leftmost)} {kind} {render(tree[2], own + 1, False)}"
+    return "i" if kind == "i" else tree[1]
+
+
+def evaluate(tree, names):
+    """The tree's value by Poly's own operators."""
+    n, kind = len(names), tree[0]
+    if kind == "number":
+        num, _, den = tree[1].partition("/")
+        return Poly.constant(n, Fraction(int(num), int(den or 1)))
+    if kind == "i":
+        return Poly.constant(n, GaussianRational(0, 1))
+    if kind == "name":
+        return Poly.variable(n, names.index(tree[1]))
+    if kind == "sign":
+        inner = evaluate(tree[2], names)
+        return -inner if tree[1] == "-" else inner
+    if kind == "^":
+        return evaluate(tree[1], names) ** tree[2]
+    left, right = evaluate(tree[1], names), evaluate(tree[2], names)
+    return left + right if kind == "+" else left - right if kind == "-" else left * right
+
+
+@settings(max_examples=300)
+@given(trees())
+@example(("^", ("sign", "-", ("name", "x")), 2))  # (-x)^2
+@example(("*", ("number", "2"), ("^", ("sign", "-", ("name", "y")), 3)))  # 2 * -y^3
+@example(("sign", "-", ("^", ("name", "x"), 2)))  # -(x^2)
+@example(("-", ("^", ("+", ("name", "x"), ("i",)), 4), ("^", ("name", "z"), 0)))
+def test_the_grammar_evaluates_as_polys_operators(tree):
+    text = render(tree)
+    assert parse_poly(text, XYZ) == evaluate(tree, XYZ), text
 
 
 def test_parse_scalar():
@@ -446,6 +596,20 @@ def test_parse_caps_coefficient_digits_before_forming_them():
             P(text)
         assert err.value.position == position
         assert f"coefficient above the maximum of {MAX_DIGITS} digits" in str(err.value)
+
+
+def test_a_refused_character_raises_when_the_parser_reaches_it():
+    # right after an atom; after a power only once the product that holds
+    # the power is bounded, and a sum is bounded only after its summand
+    for text, message, position in (
+            ("10^4299*86$", "unexpected character '$'", 10),
+            ("86*10^4299$", f"coefficient above the maximum of {MAX_DIGITS} digits", 2),
+            ("5*10^4299 + 5*10^4299$", "unexpected character '$'", 21),
+            ("5*10^4299 + 5*10^4299", f"coefficient above the maximum of {MAX_DIGITS} digits", 10),
+            ("(x+y+z)^62$", f"expansion of up to 2016 terms above the maximum of {MAX_TERMS}", 8)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, XYZ)
+        assert (err.value.message, err.value.position) == (message, position), text
 
 
 # -- arithmetic and calculus -------------------------------------------------

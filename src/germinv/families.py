@@ -18,7 +18,7 @@ from itertools import count, product as iter_product
 from ._record import record
 from .errors import InputError, ZeroPolynomialError
 from .gaussian import GaussianRational, ONE
-from .milnor import milnor_number
+from .milnor import _check_germ, milnor_number
 from .monodromy import _is_int
 from .poly import MAX_DIGITS, MAX_EXPONENT, Poly, exceeds_digits, fermat, parse_poly
 
@@ -88,10 +88,7 @@ def rescaling_family(f: Poly) -> GermFamily:
 
     At t=1 it returns f itself; at t=0 only the initial form survives.
     """
-    if not f:
-        raise ZeroPolynomialError("cannot deform the zero polynomial")
-    if f.constant_term():
-        raise InputError("the germ must vanish at the origin")
+    _check_germ(f)
     base = f.order()
     pieces = []
     for degree in range(base, f.degree() + 1):

@@ -66,25 +66,28 @@ def bezout_bound(degrees, nvars: int) -> int:
     return bound
 
 
-def _check_bounds(f: Poly, jacobian, mu: int | None):
-    """Raise EngineError unless (order-1)^n <= mu <= the bezout_bound of the
-    partials, which every isolated germ obeys (Fulton, Intersection Theory,
-    Cor. 12.4, as the partials have order >= order-1, and Ex. 12.3.1): a
-    finite mu outside can only come from a faulty engine."""
-    low = (f.order() - 1) ** f.nvars
-    high = bezout_bound([g.degree() for g in jacobian if g], f.nvars)
-    if mu is not None and not low <= mu <= high:
-        raise EngineError(f"mu = {mu} is outside the a-priori bounds {low} <= mu <= {high}")
+def checked_dim(gens, dim: int | None, what: str = "mu") -> int | None:
+    """dim, an engine's quotient dimension for n generators in n variables,
+    once checked: a finite one lies in prod(order) <= dim <= the bezout_bound
+    of the nonzero generators (Fulton, Intersection Theory, Cor. 12.4 and
+    Ex. 12.3.1), so one outside comes from a faulty engine: EngineError."""
+    low, degrees = 1, []
+    for sums in ([sum(m) for m in g._terms] for g in gens if g):
+        low *= min(sums)
+        degrees.append(max(sums))
+    high = bezout_bound(degrees, len(gens))
+    if dim is not None and not low <= dim <= high:
+        raise EngineError(f"{what} = {dim} is outside the a-priori bounds "
+                          f"{low} <= {what} <= {high}")
+    return dim
 
 
 def milnor_number(f: Poly, max_steps: int = DEFAULT_MAX_STEPS) -> MilnorResult:
-    """mu(f) = dim of the local ring modulo the Jacobian ideal; a mu outside
-    the a-priori bounds raises EngineError."""
+    """mu(f) = dim of the local ring modulo the Jacobian ideal, via :func:`checked_dim`."""
     _check_germ(f)
     jacobian = f.jacobian()
     result = standard_basis(jacobian, max_steps=max_steps)
-    mu, gens = result.quotient_dim, result.leading_ideal_gens
-    _check_bounds(f, jacobian, mu)
+    mu, gens = checked_dim(jacobian, result.quotient_dim), result.leading_ideal_gens
     return MilnorResult(mu, METHOD_STANDARD_BASIS, None if mu is None else gens)
 
 
@@ -390,8 +393,7 @@ class GermInvariants:
 
 def germ_invariants(f: Poly) -> GermInvariants:
     """mu, order, degree and class of f, from one standard basis: the class
-    is read off mu (see GermInvariants).  A mu outside the a-priori bounds
-    raises EngineError."""
+    is read off mu (see GermInvariants); mu goes through :func:`checked_dim`."""
     mu = milnor_number(f).mu
     order = f.order()
     semihomogeneous = order >= 2 and mu == (order - 1) ** f.nvars
@@ -400,7 +402,7 @@ def germ_invariants(f: Poly) -> GermInvariants:
 
 def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS) -> MilnorResult:
     """Dispatcher used by the CLI; method names are part of the wire format.
-    A mu outside the a-priori bounds raises EngineError, whatever the method."""
+    Every method's mu goes through :func:`checked_dim`."""
     if method == METHOD_STANDARD_BASIS:
         return milnor_number(f)
     _check_germ(f)
@@ -414,8 +416,7 @@ def milnor_with_method(f: Poly, method: str = METHOD_STANDARD_BASIS) -> MilnorRe
         mu = (f.order() - 1) ** f.nvars
     else:
         raise InputError(f"unknown milnor method {method!r}")
-    _check_bounds(f, jacobian, mu)
-    return MilnorResult(mu, method, None)
+    return MilnorResult(checked_dim(jacobian, mu), method, None)
 
 
 # -- local data at points away from the origin -------------------------------
@@ -424,10 +425,9 @@ def local_milnor_at(f: Poly, point) -> MilnorResult:
     """Milnor number of f at a critical point p, via exact translation.
 
     Errors if p is not a critical point of f.  The constant term of the
-    translate is discarded so the value at p does not matter.
+    translate is discarded so the value at p does not matter, and a zero
+    translate is refused by milnor_number.
     """
-    if not f:
-        raise ZeroPolynomialError("expected a nonzero germ")
     if any(df.evaluate(point) for df in f.jacobian()):
         raise InputError(f"{tuple(str(GaussianRational.of(c)) for c in point)} "
                          "is not a critical point")

@@ -412,6 +412,12 @@ MAX_TERMS = 2_000
 MAX_DIGITS = 4_300
 _DIGIT_LIMIT = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
 
+# The most nesting levels the parser reads, whatever the caller's stack: a
+# level is a '(' (four frames: expr, term, factor, atom) or a sign in front
+# of an atom (one frame), so about 400 frames, within the default recursion
+# limit of 1000 from a caller 300 frames deep.
+MAX_NESTING = 100
+
 
 def default_names(nvars: int) -> tuple[str, ...]:
     if nvars == 1:
@@ -497,6 +503,7 @@ class _Parser:
             seen.add(name)
         self.tokens = _tokens(text)
         self.at = 0  # the index of the next token
+        self.depth = 0  # the '(' and unary signs open around the next token
         self.nvars = len(names) or 1  # parse_scalar: a constant no name reaches
         self.zero = (0,) * self.nvars
         self.units = {v: self.zero[:k] + (1,) + self.zero[k + 1:] for k, v in enumerate(names)}
@@ -504,7 +511,7 @@ class _Parser:
     def parse(self) -> Poly:
         try:
             terms = self.expr()[0]
-        except RecursionError:
+        except RecursionError:  # past MAX_NESTING, or a backstop for a deep caller
             position = self.tokens[min(self.at, len(self.tokens) - 1)][2]
             raise ParseError("expression nested too deeply", position) from None
         kind, value, pos = self.tokens[self.at]
@@ -611,17 +618,23 @@ class _Parser:
             if value in self.units:
                 return {self.units[value]: _PLUS}, 1, 1, 1, 1
             raise ParseError(f"unknown variable {value!r}", pos)
+        if kind == "(" or kind == "+" or kind == "-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise RecursionError
         if kind == "(":
             bounded = self.expr()
             kind, value, pos = self.tokens[self.at]
             self.at += 1
             if kind != ")":
                 raise ParseError("expected ')'", pos)
+            self.depth -= 1
             return bounded
         if kind == "+" or kind == "-":
             terms, low, high, size, den = self.atom()
             if kind == "-":
                 terms = {m: (-a, -b, d) for m, (a, b, d) in terms.items()}
+            self.depth -= 1
             return terms, low, high, size, den
         raise ParseError(value if kind == "error" else "expected a number, variable or '('"
                          if kind == "end" else f"unexpected {value!r}", pos)
@@ -633,7 +646,8 @@ def parse_poly(text: str, names: Sequence[str]) -> Poly:
     Grammar: + - * ^ and parentheses over integer/rational/Gaussian-rational
     literals (``i`` is the imaginary unit) and the given variable names.
     Raises :class:`ParseError` with a character position on bad syntax,
-    unknown variables, exponents that are negative, a term of degree above
+    unknown variables, nesting deeper than :data:`MAX_NESTING` levels,
+    exponents that are negative, a term of degree above
     :data:`MAX_EXPONENT`, a power or product that could expand to more
     than :data:`MAX_TERMS` terms, or a coefficient whose numerator or
     denominator could exceed :data:`MAX_DIGITS` digits; :class:`InputError`

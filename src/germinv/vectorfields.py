@@ -3,16 +3,16 @@
 A field is a tuple of n component polynomials in n variables, all vanishing
 at 0.  Its multiplicity is the smallest component order; its local index
 (the analogue of the Milnor number) is the dimension of the local ring
-modulo the component ideal, computed by the same standard-basis engine the
-hypersurface side uses.
+modulo the component ideal, computed and checked as mu is: by the
+standard-basis engine and the a-priori gate :func:`~germinv.milnor.checked_dim`.
 """
 
 from __future__ import annotations
 
 from ._record import record
-from .errors import EngineError, InputError
+from .errors import InputError
 from .localring import standard_basis
-from .milnor import bezout_bound
+from .milnor import checked_dim
 from .poly import Poly
 
 
@@ -46,21 +46,9 @@ def vf_multiplicity(field: VectorField) -> int:
 
 
 def vf_milnor(field: VectorField) -> int | None:
-    """dim of the local ring modulo the component ideal; None if infinite.
-
-    A finite index lies in prod(order)..prod(degree) over the components
-    (Fulton, Intersection Theory, Cor. 12.4; refined Bezout, Ex. 12.3.1);
-    one outside can only come from a faulty engine: EngineError.  With a
-    zero component the quotient is infinite (n - 1 generators): no bound."""
-    index = standard_basis(field.components).quotient_dim
-    if index is not None:
-        low, high = 1, bezout_bound([c.degree() for c in field.components], len(field.components))
-        for c in field.components:
-            low *= c.order()
-        if not low <= index <= high:
-            raise EngineError(f"index = {index} is outside the a-priori bounds "
-                              f"{low} <= index <= {high}")
-    return index
+    """dim of the local ring modulo the component ideal, via checked_dim;
+    None if infinite, as with a zero component (n - 1 generators)."""
+    return checked_dim(field.components, standard_basis(field.components).quotient_dim, "index")
 
 
 def hamiltonian_field(f: Poly) -> VectorField:

@@ -707,18 +707,18 @@ def test_empty_option_value_exits_2(capsys, argv, message):
     assert not out
 
 
-@pytest.mark.parametrize("offset", [-3, 4], ids=["below", "above"])
+@pytest.mark.parametrize("offset", [-3, -1, 4], ids=["below", "just-below", "above"])
 @pytest.mark.parametrize("argv", [
     ("milnor", "x^3 + y^4"),
     ("discriminate", "x^3 + y^4", "x^3 + y^3"),
     ("family", "--rescale", "x^3 + y^3 + x^4"),
 ], ids=["milnor", "discriminate", "family"])
 def test_a_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, argv, offset):
-    # 4 <= mu <= 6 for x^3 + y^4 (true mu 6), mu = 4 for x^3 + y^3: an
-    # engine off by -3 or +4 breaks (order-1)^n <= mu <= the product of
-    # the partials' degrees.
-    # Every sample of the rescaling family is isolated with mu 4, and its
-    # sample at t = 0, x^3 + y^3, has 4 <= mu <= 4.
+    # 6 <= mu <= 6 for x^3 + y^4, 4 <= mu <= 4 for x^3 + y^3: an engine
+    # off by -3, -1 or +4 breaks the product of the partials' orders <= mu
+    # <= the product of their degrees.  Every sample of the rescaling
+    # family is isolated with mu 4, and its sample at t = 0, x^3 + y^3,
+    # has 4 <= mu <= 4.
     engine = milnor.standard_basis
 
     def off(gens, **options):
@@ -748,12 +748,24 @@ def test_an_index_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch, offse
     assert not out
 
 
+def test_a_finite_index_with_a_zero_component_exits_3(capsys, monkeypatch):
+    # (x, 0) is one generator in two variables: its quotient is infinite,
+    # so an engine reporting a finite index breaks 1 <= index <= 0
+    monkeypatch.setattr(vectorfields, "standard_basis",
+                        lambda gens: SimpleNamespace(quotient_dim=1))
+    code, out, err = run(capsys, "foliation", "x", "0", "--vars", "x,y")
+    assert code == 3
+    assert "index = 1 is outside the a-priori bounds 1 <= index <= 0" in err
+    assert not out
+
+
 def test_an_oracle_mu_outside_the_a_priori_bounds_exits_3(capsys, monkeypatch):
-    # 7 is below (degree-1)^n = 9 but above 2*3, the partials' degrees
+    # 7 is above 2*3, the product of the partials' degrees, which is also
+    # the product of their orders
     monkeypatch.setattr(milnor, "truncated_dim_oracle", lambda gens, dmax=None: 7)
     code, out, err = run(capsys, "milnor", "x^3 + y^4", "--method", "truncated-oracle")
     assert code == 3
-    assert "outside the a-priori bounds 4 <= mu <= 6" in err
+    assert "outside the a-priori bounds 6 <= mu <= 6" in err
     assert not out
 
 

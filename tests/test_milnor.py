@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from germinv import localring, milnor
 from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS, run_corpus
-from germinv.errors import InputError, IterationLimitError
+from germinv.errors import InputError, IterationLimitError, ZeroPolynomialError
 from germinv.families import mu_profile, rescaling_family
 from germinv.gaussian import GaussianRational
 from germinv.milnor import (
@@ -560,6 +560,12 @@ def test_is_critical_point():
     assert local_milnor_at(f, (-1, 1)).mu == 1
     with pytest.raises(InputError, match="is not a critical point"):
         local_milnor_at(f, (0, 0))
+
+
+def test_local_milnor_at_refuses_a_zero_translate():
+    for g in (P("0"), P("5")):  # every point is critical, and the translate is 0
+        with pytest.raises(ZeroPolynomialError, match="expected a nonzero germ"):
+            local_milnor_at(g, (1, 1))
 
 
 def test_local_milnor_at_nondegenerate_points():

@@ -239,31 +239,37 @@ def test_a_sign_chain_of_any_length_is_a_parse_error():
             P("-" * length)
 
 
-def test_nesting_costs_four_frames_per_parenthesis_and_one_per_sign():
-    def deepest(make):
-        """The most levels that parse: the refusal comes from the recursion
-        limit, so 400 more frames let 400 / (frames per level) more through."""
-        low, high = 1, 2000  # low parses, high does not
-        while high - low > 1:
-            mid = (low + high) // 2
-            try:
-                P(make(mid))
-                low = mid
-            except ParseError as err:
-                assert err.message == "expression nested too deeply"
-                high = mid
-        return low
+def test_the_nesting_refusal_depends_on_the_text_alone():
+    # MAX_NESTING levels parse and one more is refused at the next token,
+    # whatever the caller's stack depth or the recursion limit
+    k = poly.MAX_NESTING
+    cases = ["(" * k + "x" + ")" * k, "(" * (k + 1) + "x" + ")" * (k + 1),
+             "(" * k + "x^3 + y^3" + ")" * k, "(" * (k + 1) + "x^3 + y^3" + ")" * (k + 1),
+             "-" * (k + 1) + "x", "-" * (k + 2) + "x"]  # the first sign nests nothing
 
-    cases = (lambda k: "(" * k + "x" + ")" * k, lambda k: "(" * k + "x^3 + y^3" + ")" * k,
-             lambda k: "-" * k + "x")
+    def outcomes():
+        found = []
+        for text in cases:
+            try:
+                P(text)
+                found.append("parsed")
+            except ParseError as err:
+                found.append((err.message, err.position))
+        return found
+
+    def from_depth(frames):
+        return outcomes() if frames == 0 else from_depth(frames - 1)
+
+    refused = ("expression nested too deeply", k + 1)
+    top = outcomes()
+    assert top == ["parsed", refused, "parsed", refused, "parsed", (refused[0], k + 2)]
+    assert from_depth(300) == top
     limit = sys.getrecursionlimit()
     try:
-        before = [deepest(make) for make in cases]
         sys.setrecursionlimit(limit + 400)
-        after = [deepest(make) for make in cases]
+        assert outcomes() == top
     finally:
         sys.setrecursionlimit(limit)
-    assert [b - a for a, b in zip(before, after)] == [100, 100, 400]
 
 
 def test_slash_only_forms_rational_literals():

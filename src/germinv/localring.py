@@ -15,19 +15,19 @@ terminate in the local setting.  The result is a weak normal form: for the
 computed h there is a unit u with u*f = (combination of reducers) + h, and
 that is exactly what leading-ideal and dimension computations need.
 
-Completion bounds itself at its own highest corner (Greuel & Pfister, *A
-Singular Introduction to Commutative Algebra*, §1.7).  Once the leading
-monomials found so far contain a pure power of every variable, every
-monomial of degree k = 1 + (top degree of their staircase) lies in them,
-so m^k is inside the leading ideal of the input, and for a local degree
-order that forces m^k inside the ideal itself.  From then on all terms of
-degree >= k are dropped, from basis elements, from s-polynomials (those
-terms are never formed) and from every normal-form step, and pairs whose
-lcm has degree >= k are skipped; k only shrinks as the basis grows.  That
-keeps dense germs from growing ever longer tails.
-The bound is read off this engine's own leading monomials, never from the
-truncated-dimension oracle in :mod:`germinv.milnor`, so the two Milnor
-engines stay independent.
+Completion works below a corner k with m^k inside the ideal (Greuel &
+Pfister, *A Singular Introduction to Commutative Algebra*, §1.7): terms
+of degree >= k are dropped from basis elements, s-polynomials (never
+formed) and normal-form steps, pairs with an lcm of degree >= k are
+skipped, and k falls to 1 + the top degree of the staircase of the
+leading monomials found whenever that is lower.  k starts at the
+generators' own corner if their leading monomials have one, and the run
+is exact.  Else J + m^N is completed for N = 8, 16, ..., k starting at
+N: an attempt that ends with k < N has m^(N-1) in J + m^N, so in J
+(Nakayama), and is exact; as an m-primary J has k <= dim O/J <=
+:func:`bezout_bound`, a failed attempt past that bound proves dim O/J
+infinite.  Nothing is read from the oracle in :mod:`germinv.milnor`, so
+the two Milnor engines stay independent.
 
 Internally a monomial is one packed int (:mod:`germinv.poly`): a larger
 monomial in the local order is a smaller int, so the leading term is the
@@ -161,12 +161,12 @@ def mora_normal_form(
 
 @record
 class StandardBasisResult:
-    """The minimal leading monomials, the quotient's dimension (None when
-    infinite) and the kept elements as keys and coefficient triples, not
-    normalised: ``basis`` (monic Polys) is formed anew at each read.  Past
-    a highest corner k (m^k lies in the ideal) the elements are truncated
-    below degree k, one with a lead of degree k being that monomial.
-    Results with the same kept elements are equal.
+    """The minimal leading monomials, the quotient's dimension and the kept
+    elements as keys and coefficient triples, not normalised: ``basis``
+    (monic Polys) is formed anew at each read; ``((), None, ())`` for an
+    infinite quotient.  Past the highest corner k (m^k lies in the ideal)
+    the elements are truncated below degree k, one with a lead of degree k
+    being that monomial.  Results with the same kept elements are equal.
     """
 
     leading_ideal_gens: tuple[Monomial, ...]
@@ -219,20 +219,16 @@ def staircase_of(leading_gens: tuple[Monomial, ...]) -> frozenset[Monomial] | No
     return frozenset(point + (e,) for point, height in columns for e in range(height))
 
 
-def _corner_degree(columns) -> int | None:
-    """1 + the top degree of the staircase, read from its columns: 0 for the
-    unit ideal, None for an infinite staircase."""
-    if columns is None:
-        return None
+def _corner_degree(columns) -> int:
+    """1 + the top degree of a finite staircase, read from its columns: 0
+    for the unit ideal."""
     return max((sum(point) + height for point, height in columns if height), default=0)
 
 
-def _truncated(basis: list, cut: int | None, shift: int) -> list:
+def _truncated(basis: list, cut: int, shift: int) -> list:
     """The reducers without their terms of key >= cut, but for the lead of one
     past cut: m^corner holds that monomial, and no pair or reduction below
     the corner can use it."""
-    if cut is None:
-        return basis
     kept = []
     for g in basis:
         if cut <= g[3][-1]:
@@ -242,44 +238,46 @@ def _truncated(basis: list, cut: int | None, shift: int) -> list:
     return kept
 
 
-def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisResult:
-    """Mora's completion of the generators to a standard basis.
+def bezout_bound(degrees, nvars: int) -> int:
+    """The product of the nvars largest degrees of nonzero generators, 0 if
+    there are fewer: it bounds dim O/J for their ideal J when finite, and
+    so the corner c of a finite staircase, at most its size (a monomial of
+    degree c - 1 in it has c divisors in it, one of each degree).
 
-    Zero generators are dropped.  An empty ideal (all generators zero)
-    yields an empty basis with infinite staircase.  No generators at all,
-    or generators in different numbers of variables, raise InputError.
-    Completion uses the product criterion and picks pairs by smallest lcm
-    degree, so the run is deterministic for a given input order.
+    For k generators of degrees d_1 >= d_2 >= ... in n variables: a proper
+    J with k < n has height <= k (Krull), so an infinite quotient.  k = n
+    is refined Bezout (Fulton, Intersection Theory, Ex. 12.3.1).  If k > n
+    and J is m-primary, pick in turn h_i = g_i + a combination of
+    g_(n+1), ..., g_k outside every minimal prime of (h_1, ..., h_(i-1)):
+    a prime P holding that whole coset would hold g_1, ..., g_i and
+    g_(n+1), ..., g_k, so J would lie in P + (g_(i+1), ..., g_n), of
+    dimension >= 1.  So (h) is m-primary, lies in J and has deg h_i <= d_i,
+    and dim O/J <= dim O/(h) <= d_1...d_n."""
+    bound = int(len(degrees) >= nvars)
+    for e in sorted(degrees, reverse=True)[:nvars]:
+        bound *= e
+    return bound
 
-    Whenever the leading monomials found so far have a finite staircase,
-    its highest corner k bounds the work (see the module docstring):
-    basis elements, s-polynomials and normal forms are truncated below
-    degree k, and pairs with an lcm of degree >= k are never reduced.
-    Since m^k already lies in the leading monomials, the leading ideal and
-    staircase are those of the untruncated completion.
-    """
-    gens = list(gens)
-    if not gens:
-        raise InputError("standard_basis needs at least one generator")
-    nvars = gens[0].nvars
-    if any(g.nvars != nvars for g in gens):
-        raise InputError("generators disagree on variable count")
-    budget = _Budget(max_steps)
+
+def _complete(views: list, noether: int, budget: _Budget, nvars: int):
+    """Completion of the reducers below the corner of their leading
+    monomials, which is exact, or if they have none below noether, as for
+    J + m^noether, and then None if the corner stays at noether."""
     layout = shift, _, limit = packing(nvars)
-    basis = [_reducer(*_view(g), shift) for g in gens if g]
-    lm = [unpack(g[0], nvars) for g in basis]
+    lm = [unpack(g[0], nvars) for g in views]
     leading: list[Monomial] = []
     for m in lm:
         _add_lead(leading, m)
     columns = _columns(leading)
-    corner = _corner_degree(columns)
-    cut = None if corner is None else corner << shift
-    basis = _truncated(basis, cut, shift)
+    exact = columns is not None  # the generators' own corner
+    corner = _corner_degree(columns) if exact else noether
+    cut = corner << shift
+    basis = _truncated(views, cut, shift)
     pairs = [(sum(map(max, lm[i], lm[j])), i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
     while pairs:
         degree, i, j = heapq.heappop(pairs)
-        if corner is not None and degree >= corner:
+        if degree >= corner:
             break  # this and every later s-polynomial lies in m^corner
         if degree == sum(lm[i]) + sum(lm[j]):
             continue  # coprime leading monomials: s-polynomial reduces to 0
@@ -295,14 +293,45 @@ def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisRes
             if not _add_lead(leading, lm[new]):
                 continue
             columns = _columns(leading)
-            corner, old = _corner_degree(columns), corner
-            if corner != old:
-                cut = corner << shift
+            if columns is not None and (top := _corner_degree(columns)) < corner:
+                corner, cut = top, top << shift
                 basis = _truncated(basis, cut, shift)
-
+    if not exact and corner == noether:
+        return None
     kept = {}
     for g, m in zip(basis, lm):
         if m in leading and m not in kept:
             kept[m] = tuple(g[3]), tuple(g[4])
-    dim = None if columns is None else sum(height for _, height in columns)
+    dim = sum(height for _, height in columns)
     return StandardBasisResult(tuple(leading), dim, tuple(kept.values()))
+
+
+def standard_basis(gens, max_steps: int = DEFAULT_MAX_STEPS) -> StandardBasisResult:
+    """Mora's completion of the generators to a standard basis.
+
+    Zero generators are dropped.  A quotient of infinite dimension,
+    including that of the empty ideal (all generators zero), yields
+    ``StandardBasisResult((), None, ())``.  No generators at all, or
+    generators in different numbers of variables, raise InputError.
+    Completion uses the product criterion and picks pairs by smallest lcm
+    degree, so the run is deterministic for a given input order.
+
+    All work stays below a corner k, m^k in the ideal, with attempts on
+    J + m^N when the generators' leading monomials have none (see the
+    module docstring); the attempts share the max_steps budget.
+    """
+    gens = list(gens)
+    if not gens:
+        raise InputError("standard_basis needs at least one generator")
+    nvars = gens[0].nvars
+    if any(g.nvars != nvars for g in gens):
+        raise InputError("generators disagree on variable count")
+    budget = _Budget(max_steps)
+    shift = packing(nvars)[0]
+    views = [_reducer(*_view(g), shift) for g in gens if g]
+    noether = 8
+    while (result := _complete(views, noether, budget, nvars)) is None:
+        if noether > bezout_bound([g[3][-1] >> shift for g in views], nvars):
+            return StandardBasisResult((), None, ())
+        noether *= 2
+    return result

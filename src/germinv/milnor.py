@@ -17,7 +17,7 @@ from operator import le
 from ._record import record
 from .errors import EngineError, InputError, IterationLimitError, ZeroPolynomialError
 from .gaussian import GaussianRational, add_multiple, quotient
-from .localring import DEFAULT_MAX_STEPS, standard_basis, staircase_of
+from .localring import DEFAULT_MAX_STEPS, bezout_bound, standard_basis, staircase_of
 from .poly import Monomial, Poly, degree_limit_error, pack, packing
 
 ORACLE_MAX_TERMS = 1_000_000  # the oracle's work budget, in terms formed
@@ -54,16 +54,6 @@ def _check_germ(f: Poly):
         raise ZeroPolynomialError("expected a nonzero germ")
     if f.constant_term():
         raise InputError("the germ must vanish at the origin")
-
-
-def bezout_bound(degrees, nvars: int) -> int:
-    """The product of the nvars largest degrees of nonzero generators, 0 if
-    there are fewer: it bounds every finite quotient by their ideal (the
-    proof is in :func:`truncated_dim_oracle`)."""
-    bound = int(len(degrees) >= nvars)
-    for e in sorted(degrees, reverse=True)[:nvars]:
-        bound *= e
-    return bound
 
 
 def checked_dim(gens, dim: int | None, what: str = "mu") -> int | None:
@@ -190,20 +180,11 @@ def truncated_dim_oracle(gens, dmax: int | None = None) -> int | None:
     lower pivots.  Exact rational arithmetic throughout.
 
     None proves the quotient infinite; with an explicit dmax it may also
-    mean no stabilization by degree dmax - 1.  For k nonzero generators of
-    degrees d_1 >= d_2 >= ... in n variables, a finite quotient by their
-    ideal J has dim O/J <= B = :func:`bezout_bound`.  A unit ideal stops at
-    degree 0.  A proper J with k < n has height <= k (Krull): infinite.
-    k = n is refined Bezout (Fulton, Intersection Theory, Ex. 12.3.1).  If
-    k > n and J is m-primary, pick in turn h_i = g_i + a combination of
-    g_(n+1), ..., g_k outside every minimal prime of (h_1, ..., h_(i-1)):
-    a prime P holding that whole coset would hold g_1, ..., g_i and
-    g_(n+1), ..., g_k, so J would lie in P + (g_(i+1), ..., g_n), of
-    dimension >= 1.  So (h) is m-primary, lies in J and has deg h_i <= d_i,
-    and dim O/J <= dim O/(h) <= d_1...d_n.  After a degree d that did not
-    stop, the monomials of degree <= d less its marks and pivots count
-    dim O/(J + m^(d+1)) <= dim O/J; once they outnumber B the result is
-    None.  Each such degree adds at least one, so that comes by degree B.
+    mean no stabilization by degree dmax - 1.  A finite quotient has dim
+    O/J <= B = :func:`~germinv.localring.bezout_bound` (proved there).
+    After a degree d that did not stop, the monomials of degree <= d less
+    its marks and pivots count dim O/(J + m^(d+1)) <= dim O/J; once they
+    outnumber B the result is None, by degree B as each adds at least one.
     Past ORACLE_MAX_TERMS terms formed or read (levels of shifts, filter
     passes, first layers, multiples, tails, pending rows), or for rows that
     would reach the packed monomials' DEGREE_LIMIT, it raises IterationLimitError.

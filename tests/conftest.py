@@ -17,6 +17,11 @@ from germinv.poly import Poly
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
+# a dense germ, mu = 5, with no corner among its partials' leading monomials:
+# the standard-basis engine ran for minutes on it before completion tried J + m^N
+NO_CORNER_GERM = ("3*y^2 + x^2*y + x*z^2 - y^3 - y*z^2 + z^3 - 2*x^2*y^2 + 3*x*y^3"
+                  " + x*z^3 - 2*z^4 + x^5 + z^5 + y^6")
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
 

@@ -11,6 +11,7 @@ from time import perf_counter
 from types import SimpleNamespace
 
 import pytest
+from conftest import NO_CORNER_GERM
 
 import germinv
 from germinv import milnor, poly, vectorfields
@@ -206,11 +207,15 @@ def fresh_cli(*argv, timeout):
                           timeout=timeout, env=fresh_env())
 
 
-def test_milnor_dense_germ_finishes_in_a_fresh_process():
-    # this germ ran for more than 10 minutes before the engine bounded its
-    # work at the highest corner; the timeout turns a hang into a failure
-    germ = ("x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4"
-            " - 3*x^5 - x^4*y - 3*x^3*y^2 + 3*x*y^4 + y^9")
+@pytest.mark.parametrize("germ", [
+    # ran for more than 10 minutes before the engine bounded its work at
+    # the highest corner
+    "x^2*y - 2*x^4 + x^3*y + 3*x^2*y^2 + 3*x*y^3 + 3*y^4 - 3*x^5 - x^4*y - 3*x^3*y^2"
+    " + 3*x*y^4 + y^9",
+    NO_CORNER_GERM,
+], ids=["two-variables", "no-corner"])
+def test_milnor_dense_germ_finishes_in_a_fresh_process(germ):
+    # the timeout turns a hang into a failure
     proc = fresh_cli("milnor", germ, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["mu"] == 5

@@ -3,15 +3,18 @@
 import heapq
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from types import SimpleNamespace
 
 import pytest
+from conftest import NO_CORNER_GERM
 from hypothesis import example, given, settings, strategies as st
 
 from germinv.errors import InputError, IterationLimitError
 from germinv.gaussian import ONE, GaussianRational
 from germinv.localring import (
     DEFAULT_MAX_STEPS,
+    StandardBasisResult,
     _Budget,
     _columns,
     _corner_degree,
@@ -33,6 +36,7 @@ from germinv.poly import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 XYZW = ("x", "y", "z", "w")
 
 
@@ -158,6 +162,14 @@ def test_missing_pure_power_means_infinite_quotient():
     res = basis_for(["x"])
     assert res.quotient_dim is None
     assert staircase_of(res.leading_ideal_gens) is None
+
+
+def test_an_infinite_quotient_keeps_nothing():
+    # no corner among the partials' leads; B = 36, so the attempt at N = 64
+    # proves the quotient infinite, and the leading monomials of J + m^64
+    # are not J's
+    gens = P("(x + y + z)^2*z^2 + x^5", XYZ).jacobian()
+    assert standard_basis(gens) == StandardBasisResult((), None, ())
 
 
 def test_d5_jacobian_staircase():
@@ -351,17 +363,14 @@ def ref_corner(stairs):
     return None if stairs is None else 1 + max(map(sum, stairs), default=-1)
 
 
-def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
-    gens = list(gens)
-    nvars = gens[0].nvars
-    budget = _Budget(max_steps)
-    basis = [g.scale(ONE / ref_leading_term(g)[1]) for g in gens if g]
-    if not basis:
-        return SimpleNamespace(basis=(), leading_ideal_gens=(), staircase=None)
+def ref_attempt(basis, nvars, noether, budget):
+    """Completion below a corner: the generators' own, exact, or else
+    noether, as for J + m^noether; None if no corner below noether ends it."""
     lm = [ref_leading_term(g)[0] for g in basis]
     leading = minimal_monomials(lm)
     stairs = ref_staircase(leading, nvars)
-    corner = ref_corner(stairs)
+    exact = stairs is not None
+    corner = ref_corner(stairs) if exact else noether
 
     def lcm_degree(i, j):
         return sum(mono_lcm(lm[i], lm[j]))
@@ -370,13 +379,12 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
         return [g if sum(m) >= corner else ref_below(g, corner)
                 for g, m in zip(basis, lm)]
 
-    if corner is not None:
-        basis = truncated()
+    basis = truncated()
     pairs = [(lcm_degree(i, j), i, j) for j in range(len(basis)) for i in range(j)]
     heapq.heapify(pairs)
     while pairs:
         degree, i, j = heapq.heappop(pairs)
-        if corner is not None and degree >= corner:
+        if degree >= corner:
             break
         if degree == sum(lm[i]) + sum(lm[j]):
             continue
@@ -389,17 +397,34 @@ def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
                 heapq.heappush(pairs, (lcm_degree(other, len(basis) - 1), other, len(basis) - 1))
             leading = minimal_monomials(lm)
             stairs = ref_staircase(leading, nvars)
-            if ref_corner(stairs) != corner:
+            if stairs is not None and ref_corner(stairs) < corner:
                 corner = ref_corner(stairs)
                 basis = truncated()
+    if not exact and corner == noether:
+        return None
     kept, seen = [], set()
     for g, m in zip(basis, lm):
         if m in leading and m not in seen:
-            if corner is not None and sum(m) >= corner:
-                g = Poly.monomial(nvars, m)
-            kept.append(g)
+            kept.append(Poly.monomial(nvars, m) if sum(m) >= corner else g)
             seen.add(m)
     return SimpleNamespace(basis=tuple(kept), leading_ideal_gens=leading, staircase=stairs)
+
+
+def ref_standard_basis(gens, max_steps=DEFAULT_MAX_STEPS):
+    """Attempts at N = 8, 16, ... until one is exact or N passes the
+    product of the nvars largest generator degrees; then infinite."""
+    gens = list(gens)
+    nvars = gens[0].nvars
+    budget = _Budget(max_steps)
+    basis = [g.scale(ONE / ref_leading_term(g)[1]) for g in gens if g]
+    degrees = sorted((g.degree() for g in basis), reverse=True)
+    bound = prod(degrees[:nvars]) if len(degrees) >= nvars else 0
+    noether = 8
+    while (result := ref_attempt(basis, nvars, noether, budget)) is None:
+        if noether > bound:
+            return SimpleNamespace(basis=(), leading_ideal_gens=(), staircase=None)
+        noether *= 2
+    return result
 
 
 def outcome(compute):
@@ -457,23 +482,31 @@ def test_normal_form_matches_the_specification(problem):
 
 
 @settings(max_examples=150)
-@given(local_problems())
-@example((P("0"), [P("2*x*y"), P("x^2 + 4*y^3")], None))
-@example((P("0"), [P(DENSE_GERM).partial(0), P(DENSE_GERM).partial(1)], None))
+@given(local_problems(), st.just(60))
+@example((P("0"), [P("2*x*y"), P("x^2 + 4*y^3")], None), 60)
+@example((P("0"), [P(DENSE_GERM).partial(0), P(DENSE_GERM).partial(1)], None), 60)
 # four variables: the packed keys hold five fields
-@example((P("0"), list(P("x^2*y + y^3 + z^3 + w^3 + x*z*w", XYZW).jacobian()), None))
+@example((P("0"), list(P("x^2*y + y^3 + z^3 + w^3 + x*z*w", XYZW).jacobian()), None), 60)
 @example((P("0"), [P("(1+i)*x*y + z^2 - 2/3*w^3", XYZW), P("x^2 + y*w", XYZW),
-                   P("y^2 + x*z*w", XYZW)], None))
+                   P("y^2 + x*z*w", XYZW)], None), 60)
 # leads of coefficient 2+i, 1/2-3/2*i, 2/3 and 5: completion keeps them and
 # normalises only what it returns
-@example((P("0"), [P("(2+i)*x*y + y^3"), P("(1/2 - 3/2*i)*x^2 + i*y^4")], None))
-@example((P("0"), [P("2/3*x^2 - y^3"), P("5*x*y + 3/2*y^4")], None))
+@example((P("0"), [P("(2+i)*x*y + y^3"), P("(1/2 - 3/2*i)*x^2 + i*y^4")], None), 60)
+@example((P("0"), [P("2/3*x^2 - y^3"), P("5*x*y + 3/2*y^4")], None), 60)
 # a new lead x*y^2 makes the earlier minimal lead x*y^3 redundant
-@example((P("0"), [P("x^2*y + y^4"), P("x^3 + x*y^2"), P("x^2 + x*y^2")], None))
-def test_standard_basis_matches_the_specification(problem):
+@example((P("0"), [P("x^2*y + y^4"), P("x^3 + x*y^2"), P("x^2 + x*y^2")], None), 60)
+# the generators' own corner is 11, above the first N: one exact run, whose
+# pair of lcm degree 8 finds the lead y^9
+@example((P("0"), [P("x^10"), P("y^10"), P("x^4*y^2 + y^7"), P("x^2*y^4")], None), 60)
+# no corner among the generators' leads: exact in the first attempt (N = 8),
+# in the second (N = 16), and infinite once N = 64 passes B = 36
+@example((P("0"), list(P(NO_CORNER_GERM, XYZ).jacobian()), None), DEFAULT_MAX_STEPS)
+@example((P("0"), list(P("x^3 + y^7 + z^7 + x*y^3*z^2", XYZ).jacobian()), None), 60)
+@example((P("0"), list(P("(x + y + z)^2*z^2 + x^5", XYZ).jacobian()), None), DEFAULT_MAX_STEPS)
+def test_standard_basis_matches_the_specification(problem, max_steps):
     _, gens, _ = problem
-    got = outcome(lambda: standard_basis(gens, max_steps=60))
-    expected = outcome(lambda: ref_standard_basis(gens, max_steps=60))
+    got = outcome(lambda: standard_basis(gens, max_steps=max_steps))
+    expected = outcome(lambda: ref_standard_basis(gens, max_steps=max_steps))
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -528,7 +561,8 @@ def test_staircase_by_columns_matches_the_box(ideal):
     stairs = staircase_of(tuple(gens))
     assert stairs == ref_staircase(tuple(gens), nvars)
     # completion reads the corner and the count off its last column walk
-    assert _corner_degree(_columns(tuple(gens))) == ref_corner(stairs)
+    if stairs is not None:
+        assert _corner_degree(_columns(tuple(gens))) == ref_corner(stairs)
     if gens:
         result = standard_basis([Poly.monomial(nvars, m) for m in gens])
         assert result.quotient_dim == (None if stairs is None else len(stairs))

@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from conftest import UNIMODULAR_CHANGES, linear_change
+from conftest import NO_CORNER_GERM, UNIMODULAR_CHANGES, linear_change
 from hypothesis import example, given, settings, strategies as st
 
 from germinv import localring, milnor
@@ -13,12 +13,12 @@ from germinv.corpus import ISOLATED_GERMS, NON_ISOLATED_GERMS, run_corpus
 from germinv.errors import InputError, IterationLimitError, ZeroPolynomialError
 from germinv.families import mu_profile, rescaling_family
 from germinv.gaussian import GaussianRational
+from germinv.localring import bezout_bound
 from germinv.milnor import (
     METHOD_FAST,
     METHOD_ORACLE,
     METHOD_STANDARD_BASIS,
     GermInvariants,
-    bezout_bound,
     germ_invariants,
     is_semihomogeneous,
     local_milnor_at,
@@ -155,6 +155,7 @@ def dense_germs(draw):
 
 @settings(max_examples=50)
 @given(dense_germs())
+@example(P(NO_CORNER_GERM, XYZ))
 def test_engines_agree_on_dense_germs(f):
     mu = milnor_number(f, max_steps=1000).mu
     assert milnor_oracle(f, dmax=oracle_dmax_for(mu) if mu is not None else 12) == mu

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import germinv.cli  # noqa: F401  loads corpus and cli, which germinv/__init__ does not
+from germinv import localring
 from germinv.gaussian import GaussianRational
 from germinv.poly import Poly
 
@@ -17,11 +18,18 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name, path, monkeypatch=None):
+    """The module at path, in sys.modules for the test when monkeypatch is given."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load("perfbench_tracer", TRACER)
 
 
 def namespaces():
@@ -81,3 +89,25 @@ def test_every_germinv_name_perfbench_imports_resolves():
     assert "germinv.milnor.oracle_dmax_for" in names  # attribute reads are seen
     for name in sorted(names):
         pkgutil.resolve_name(name)  # raises if the module or attribute is gone
+
+
+def test_the_dense_panel_takes_at_most_384_reduction_steps(monkeypatch):
+    # a deterministic work pin: in-process timings of identical code swing
+    # 1.5-2x between runs, the reduction steps of the 36 panel germs at
+    # max_steps=150 do not (384 with completion's first N = 8; N = 4 would
+    # take 521)
+    load("golden", PERFBENCH / "golden.py", monkeypatch)  # workloads imports it by that name
+    workloads = load("perfbench_workloads", PERFBENCH / "workloads.py", monkeypatch)
+    steps = []
+    spend = localring._Budget.spend
+
+    def counted(budget):
+        steps.append(budget)
+        spend(budget)
+
+    monkeypatch.setattr(localring._Budget, "spend", counted)
+    ops = next(workloads.dense_passes(seed=1))
+    assert len(ops) == workloads.DENSE_PANEL == 36 and workloads.DENSE_MAX_STEPS == 150
+    for op in ops:
+        op()
+    assert len(steps) <= 384
